@@ -200,9 +200,7 @@ def cut_integral(se: SelfEnergy, omega0: float, t: float) -> complex:
     def integrand(u: float) -> complex:
         xi = u / t
         jump = se.cut_discontinuity(xi)
-        # The jump in the numerator is the exact closed form; the slowly
-        # varying denominators tolerate the fast panel-rule self-energy.
-        sheet1 = se.sigma_panel_rule(mu - 1j * xi)
+        sheet1 = se.sigma_physical(mu - 1j * xi)
         sheet2 = sheet1 + jump
         w = mu - 1j * xi
         return np.exp(-u) * jump / ((w - omega0 - sheet2) * (w - omega0 - sheet1))

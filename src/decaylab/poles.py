@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateRoots, DomainError, NoConvergence
-from .selfenergy import SelfEnergy
+from .selfenergy import SelfEnergy, central_difference
 
 __all__ = ["PoleResult", "LorentzianPoles", "weisskopf_wigner_rate",
            "find_pole", "lorentzian_poles"]
@@ -97,8 +97,7 @@ def _newton(h, w: complex, tol: float, max_iterations: int) -> PoleResult:
     hw = h(w)
     for iteration in range(max_iterations + 1):
         residual = abs(hw)
-        step = 1e-7 * max(1.0, abs(w))
-        deriv = (h(w + step) - h(w - step)) / (2.0 * step)
+        deriv = central_difference(h, w)
         if deriv == 0:
             raise NoConvergence(f"vanishing derivative at iterate {w}")
         if residual < tol:

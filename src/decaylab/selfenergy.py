@@ -1,10 +1,12 @@
 """Self-energy of the discrete state.
 
-The physical-sheet function is the Cauchy-type integral of the spectral
-density over its support.  Crossing the real axis from above continues
-it onto the second sheet by subtracting 2*pi*i times the analytically
-continued density.  Closed forms are used for the Lorentzian and flat
-band models; everything else goes through adaptive quadrature.
+The physical-sheet function is the Cauchy integral of the spectral
+density over its support, which every model evaluates exactly and
+vectorized as ``model.cauchy``.  Crossing the real axis from above
+continues it onto the second sheet by subtracting 2*pi*i times the
+analytically continued density.  Adaptive quadrature of the same
+integrals is kept only as an independent reference
+(``force_quadrature=True``); the quadrature settings steer nothing else.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ import numpy as np
 from scipy import integrate
 
 from .errors import DomainError, QuadratureFailure
-from .spectral import AsymmetricBox, Box, Lorentzian, SpectralModel
+from .spectral import SpectralModel
 
-__all__ = ["SelfEnergy", "Renormalization"]
+__all__ = ["SelfEnergy", "Renormalization", "central_difference"]
 
 
 @dataclass(frozen=True)
@@ -29,16 +31,16 @@ class Renormalization:
     omega_tilde: float
 
 
-def _flat_band_log(omega: complex, lower: float, upper: float) -> complex:
-    """Principal-branch log((omega - lower)/(omega - upper)).
+def central_difference(f, w: complex, max_step: float = np.inf) -> complex:
+    """Derivative of f at w by a central difference of relative step 1e-7.
 
-    Off the real axis this equals the Cauchy integral of a unit flat
-    density on (lower, upper); it vanishes for |omega| -> infinity and
-    has imaginary part -pi on the upper lip of the band.
+    ``max_step`` caps the step, e.g. to keep both nodes clear of a
+    singularity near w.  The quotient divides by the spacing of the nodes
+    as rounded, which a step far below the spacing of floats near w needs.
     """
-    if omega.imag == 0 and lower <= omega.real <= upper:
-        raise DomainError("flat-band closed form is singular on the real band")
-    return np.log((omega - lower) / (omega - upper))
+    step = min(1e-7 * max(1.0, abs(w)), max_step)
+    right, left = w + step, w - step
+    return (f(right) - f(left)) / (right - left)
 
 
 class SelfEnergy:
@@ -87,69 +89,41 @@ class SelfEnergy:
         if omega.imag == 0:
             raise DomainError("sigma_physical requires Im omega != 0; "
                               "use sigma_upper for boundary values")
-        m = self.model
-        if isinstance(m, Lorentzian):
-            sgn = 1.0 if omega.imag > 0 else -1.0
-            return (np.pi * m.amplitude_sq / m.width) / (omega - m.center + sgn * 1j * m.width)
-        if isinstance(m, (Box, AsymmetricBox)):
-            lo, hi = m.support()
-            return m.amplitude_sq * _flat_band_log(omega, lo, hi)
-        return self._sigma_quadrature(omega)
+        return complex(self.model.cauchy(omega))
 
     def _sigma_quadrature(self, omega: complex) -> complex:
+        """Adaptive quadrature of model.cauchy(omega), with its conventions."""
         lo, hi = self.model.support()
         dens = self.model.density
-        points = list(self.model.breakpoints())
-        if lo < omega.real < hi:
-            points.append(omega.real)
-            if abs(omega.imag) < 0.01 * self.model.char_width() and np.isfinite(lo) \
-                    and np.isfinite(hi):
-                # Near the axis the pole sits inside the support and its
-                # spike can slip between quadrature nodes.  Subtract the
-                # flat density D(Re omega), whose integral is the exact
-                # band logarithm, and integrate the bounded remainder.
-                d0 = float(dens(omega.real))
-                rest = self._quad(lambda e: (dens(e) - d0) / (omega - e), lo, hi,
-                                  points=points)
-                return rest + d0 * np.log((omega - lo) / (omega - hi))
-        return self._quad(lambda e: dens(e) / (omega - e), lo, hi, points=points)
+        points = self.model.breakpoints()
+        x = omega.real
+        if not lo < x < hi:
+            return self._quad(lambda e: dens(e) / (omega - e), lo, hi, points=points)
+        if omega.imag == 0:
+            return self._principal_value(x) - 1j * np.pi * float(dens(x))
+        # On a window around Re omega, narrower than the support, the pole's
+        # spike can slip between quadrature nodes when it sits near the
+        # axis.  There subtract the flat density D(Re omega), whose integral
+        # is the exact band logarithm, and integrate the bounded remainder.
+        width = self.model.char_width()
+        a, b = max(lo, x - width / 4), min(hi, x + width / 4)
+        d0 = float(dens(x)) if abs(omega.imag) < 0.01 * width else 0.0
+        total = d0 * np.log((omega - a) / (omega - b))
+        # Every finite edge splits the range, so that the pole and the
+        # density's structure lie in finite pieces, not in an infinite tail.
+        edges = sorted({lo, hi, a, b, x, *points})
+        for start, stop in zip(edges[:-1], edges[1:]):
+            flat = d0 if a <= start and stop <= b else 0.0
+            total += self._quad(lambda e: (dens(e) - flat) / (omega - e), start, stop)
+        return total
 
     def sigma_panel_rule(self, omega: complex) -> complex:
-        """Physical-sheet value from the fixed panel rule (fast, ~1e-6 abs).
+        """Same as sigma_physical.
 
-        Closed forms are used when available; otherwise the cached
-        Gauss-Legendre panels.  Intended for integrands that need the
-        self-energy many times at low accuracy, e.g. the denominators of
-        the branch-cut integral.
+        The fixed panel rule this name once selected is gone; the name
+        stays because the benchmark's tracer (bench/spans.py) wraps it.
         """
-        omega = complex(omega)
-        m = self.model
-        if isinstance(m, (Lorentzian, Box, AsymmetricBox)):
-            return self.sigma_physical(omega)
-        nodes, weights = self._fixed_rule()
-        return complex(np.sum(weights / (omega - nodes)))
-
-    def _boundary_from_above(self, w: float) -> complex:
-        """Limit of the integral for omega -> w + i0, w real."""
-        m = self.model
-        if isinstance(m, Lorentzian):
-            return (np.pi * m.amplitude_sq / m.width) / (w - m.center + 1j * m.width)
-        lo, hi = m.support()
-        if w <= lo or w >= hi:
-            if w == lo or w == hi:
-                # finite only if the density decays to zero at the edge
-                inward = 1.0 if w == lo else -1.0
-                wc = m.char_width()
-                d_far = float(m.density(w + inward * 1e-6 * wc))
-                d_near = float(m.density(w + inward * 1e-12 * wc))
-                if d_near > 0.5 * d_far + 1e-300:
-                    raise DomainError("boundary value diverges at a band edge")
-            return self._quad(lambda e: m.density(e) / (w - e), lo, hi,
-                              points=m.breakpoints())
-        if isinstance(m, (Box, AsymmetricBox)):
-            pv = m.amplitude_sq * np.log((w - lo) / (hi - w))
-            return pv - 1j * np.pi * m.amplitude_sq
-        return self._principal_value(w) - 1j * np.pi * float(m.density(w))
+        return self.sigma_physical(omega)
 
     def _principal_value(self, w: float) -> complex:
         """PV integral of D(e)/(w - e) with a symmetric window around w."""
@@ -176,34 +150,27 @@ class SelfEnergy:
         if omega.imag < 0:
             raise DomainError("sigma_upper requires Im omega >= 0")
         if force_quadrature:
-            if omega.imag == 0:
-                return self._principal_value(omega.real) \
-                    - 1j * np.pi * float(self.model.density(omega.real))
             return self._sigma_quadrature(omega)
-        if omega.imag == 0:
-            return self._boundary_from_above(omega.real)
-        return self.sigma_physical(omega)
+        value = complex(self.model.cauchy(omega))
+        if not np.isfinite(value):
+            raise DomainError("boundary value diverges at a band edge")
+        return value
 
     # -- second sheet ----------------------------------------------------
 
     def sigma_continued(self, omega: complex, force_quadrature: bool = False) -> complex:
         """Second-sheet self-energy, continuous across the support interior.
 
-        For Im omega > 0 this coincides with the physical sheet; below the
+        For Im omega >= 0 this coincides with the physical sheet; below the
         axis it subtracts 2*pi*i times the continued density.  Defined for
         every omega where the model's continuation exists, so root finders
         may cross the axis freely.
         """
         omega = complex(omega)
-        if omega.imag > 0:
+        if omega.imag >= 0:
             return self.sigma_upper(omega, force_quadrature=force_quadrature)
-        if omega.imag == 0:
-            return self.sigma_upper(omega, force_quadrature=force_quadrature)
-        m = self.model
-        if isinstance(m, Lorentzian) and not force_quadrature:
-            return (np.pi * m.amplitude_sq / m.width) / (omega - m.center + 1j * m.width)
         base = self._sigma_quadrature(omega) if force_quadrature else self.sigma_physical(omega)
-        return base - 2j * np.pi * m.density_complex(omega)
+        return base - 2j * np.pi * self.model.density_complex(omega)
 
     def cut_discontinuity(self, xi: float, verify: bool = False) -> complex:
         """Jump of the self-energy across the cut hung from the threshold.
@@ -236,17 +203,25 @@ class SelfEnergy:
     # -- bound state below threshold ------------------------------------
 
     def renormalize_below_threshold(self, omega0: float) -> Renormalization:
-        """Dressed weight and energy of a level lying below the threshold."""
+        """Dressed weight and energy of a level lying below the threshold.
+
+        The shift is Sigma(omega0); the curvature, the integral of
+        D / (omega0 - eps)^2, is -Sigma'(omega0).
+        """
         omega0 = float(omega0)
         lo, hi = self.model.support()
         if not np.isfinite(lo) or omega0 >= lo:
             raise DomainError("renormalization requires omega0 strictly below a finite threshold")
-        dens = self.model.density
-        pts = self.model.breakpoints()
-        level_shift = self._quad(lambda e: dens(e) / (omega0 - e), lo, hi, points=pts).real
-        curvature = self._quad(lambda e: dens(e) / (omega0 - e) ** 2, lo, hi, points=pts).real
+
+        def shift(w):
+            return complex(self.model.cauchy(w)).real
+
+        # The threshold is a log singularity for a flat band; with the step
+        # capped at 1e-3 of the distance to it, the difference stays exact
+        # to about 1e-7 however close omega0 lies.
+        curvature = -central_difference(shift, omega0, max_step=1e-3 * (lo - omega0))
         z = 1.0 / (1.0 + curvature)
-        return Renormalization(Z=z, omega_tilde=omega0 + z * level_shift)
+        return Renormalization(Z=z, omega_tilde=omega0 + z * shift(omega0))
 
     # -- vectorized contour evaluation -----------------------------------
 
@@ -254,50 +229,9 @@ class SelfEnergy:
         """Physical-sheet self-energy on an array of points off the real axis.
 
         Used by the Laplace-Fourier inversion, which needs the integrand
-        on many contour nodes at once.  Closed forms where available,
-        otherwise a fixed panel-refined Gauss-Legendre rule over the
-        (finite) support.
+        on many contour nodes at once.
         """
         omegas = np.asarray(omegas, dtype=complex)
         if np.any(omegas.imag == 0):
             raise DomainError("contour nodes must lie off the real axis")
-        m = self.model
-        if isinstance(m, Lorentzian):
-            sgn = np.where(omegas.imag > 0, 1.0, -1.0)
-            return (np.pi * m.amplitude_sq / m.width) / (omegas - m.center + sgn * 1j * m.width)
-        if isinstance(m, (Box, AsymmetricBox)):
-            lo, hi = m.support()
-            return m.amplitude_sq * np.log((omegas - lo) / (omegas - hi))
-        nodes, weights = self._fixed_rule()
-        out = np.empty(omegas.shape, dtype=complex)
-        flat = omegas.ravel()
-        res = out.ravel()
-        chunk = max(1, 2_000_000 // max(nodes.size, 1))
-        for start in range(0, flat.size, chunk):
-            sl = slice(start, start + chunk)
-            res[sl] = (weights / (flat[sl, None] - nodes[None, :])).sum(axis=1)
-        return out
-
-    def _fixed_rule(self):
-        """Panel-refined Gauss-Legendre nodes/weights, premultiplied by D."""
-        cached = getattr(self, "_rule_cache", None)
-        if cached is not None:
-            return cached
-        lo, hi = self.model.support()
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise DomainError("fixed quadrature rule requires finite support")
-        frac = np.array([0.0, 1e-5, 1e-4, 1e-3, 1e-2, 0.05, 0.15, 0.3, 0.5,
-                         0.7, 0.85, 0.95, 0.99, 0.999, 0.9999, 0.99999, 1.0])
-        edges = np.unique(np.concatenate([lo + frac * (hi - lo),
-                                          np.asarray(self.model.breakpoints())]))
-        edges = edges[(edges >= lo) & (edges <= hi)]
-        x, w = np.polynomial.legendre.leggauss(64)
-        nodes, weights = [], []
-        for a, b in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (b - a)
-            nodes.append(0.5 * (a + b) + half * x)
-            weights.append(half * w)
-        nodes = np.concatenate(nodes)
-        weights = np.concatenate(weights) * self.model.density(nodes)
-        self._rule_cache = (nodes, weights)
-        return nodes, weights
+        return self.model.cauchy(omegas)

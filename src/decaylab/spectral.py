@@ -1,16 +1,26 @@
 """Spectral-density models D(eps).
 
 Each model evaluates the nonnegative density on the real energy axis,
-reports its support interval, and (for the analytic variants) continues
-D into the complex energy plane.  Models are immutable after
-construction and safe to share between workers.
+reports its support interval, (for the analytic variants) continues D
+into the complex energy plane, and owns the exact Cauchy transform
+of D, which is the self-energy of a level coupled to the continuum:
+
+* Lorentzian: a single pole in the opposite half-plane;
+* flat bands (AsymmetricBox, and Box as its symmetric case): a log;
+* ThresholdPower: a Gauss hypergeometric function 2F1;
+* Tabulated: a sum of per-knot (omega - x) log(omega - x) terms, exact
+  for the piecewise-linear interpolant.
+
+Models are immutable after construction and safe to share between
+workers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 
 from .errors import BranchPointError, DomainError, UnsupportedContinuation
 
@@ -32,6 +42,12 @@ def _as_float_array(eps):
     return arr
 
 
+def _as_complex_array(omega):
+    # Adding +0j turns a -0.0 imaginary part into +0.0, so that every real
+    # omega is read as omega + i0 by the principal-branch logs.
+    return np.asarray(omega, dtype=complex) + 0j
+
+
 class SpectralModel:
     """Common interface of all spectral-density variants."""
 
@@ -44,6 +60,16 @@ class SpectralModel:
         raise UnsupportedContinuation(
             f"{type(self).__name__} does not support complex continuation"
         )
+
+    def cauchy(self, omega):
+        """Cauchy transform: the integral of D(eps) / (omega - eps), elementwise.
+
+        Off the real axis this is the physical-sheet value, in either
+        half-plane.  On the real axis it is the boundary value from above,
+        whose imaginary part is -pi * D(omega) inside the support; it is
+        infinite at a band edge where D does not vanish.
+        """
+        raise NotImplementedError
 
     def support(self) -> tuple[float, float]:
         """Tight support interval, possibly unbounded."""
@@ -58,7 +84,7 @@ class SpectralModel:
         raise NotImplementedError
 
     def breakpoints(self) -> tuple[float, ...]:
-        """Interior points where D is not smooth (quadrature hints)."""
+        """Interior points where D is not smooth or peaks (quadrature hints)."""
         return ()
 
 
@@ -88,6 +114,13 @@ class Lorentzian(SpectralModel):
             raise BranchPointError("Lorentzian continuation is singular at center ± i*width")
         return self.amplitude_sq / denom
 
+    def cauchy(self, omega):
+        # the pole of D in the half-plane opposite to omega
+        w = _as_complex_array(omega)
+        side = np.where(w.imag < 0, -1.0, 1.0)
+        out = (np.pi * self.amplitude_sq / self.width) / (w - self.center + 1j * side * self.width)
+        return out[()]
+
     def support(self):
         return (-np.inf, np.inf)
 
@@ -97,47 +130,8 @@ class Lorentzian(SpectralModel):
     def char_width(self):
         return self.width
 
-
-@dataclass(frozen=True)
-class Box(SpectralModel):
-    """Flat density: A^2 for |eps| < half_width, zero outside."""
-
-    amplitude_sq: float
-    half_width: float
-
-    def __post_init__(self):
-        if self.half_width <= 0:
-            raise DomainError("Box half_width must be positive")
-        if self.amplitude_sq < 0:
-            raise DomainError("amplitude_sq must be nonnegative")
-
-    def density(self, eps):
-        eps = _as_float_array(eps)
-        out = np.where(np.abs(eps) < self.half_width, self.amplitude_sq, 0.0)
-        return out[()]
-
-    def density_complex(self, z):
-        # The interior value continues as a constant through the strip
-        # |Re z| <= half_width (off the real axis); the real edge points
-        # are the branch points of the induced self-energy.
-        z = complex(z)
-        if z.imag == 0 and abs(z.real) >= self.half_width:
-            raise BranchPointError("Box continuation undefined at/beyond the real band edges")
-        if abs(z.real) > self.half_width:
-            raise DomainError("Box continuation is defined on the strip |Re z| <= half_width")
-        return complex(self.amplitude_sq)
-
-    def support(self):
-        return (-self.half_width, self.half_width)
-
-    def total_weight(self):
-        return 2.0 * self.half_width * self.amplitude_sq
-
-    def char_width(self):
-        return 2.0 * self.half_width
-
     def breakpoints(self):
-        return (-self.half_width, self.half_width)
+        return (self.center,)
 
 
 @dataclass(frozen=True)
@@ -160,12 +154,23 @@ class AsymmetricBox(SpectralModel):
         return out[()]
 
     def density_complex(self, z):
+        # The interior value continues as a constant through the strip
+        # lower <= Re z <= upper (off the real axis); the real edge points
+        # are the branch points of the induced self-energy.
         z = complex(z)
         if z.imag == 0 and (z.real <= self.lower or z.real >= self.upper):
             raise BranchPointError("continuation undefined at/beyond the real band edges")
         if z.real < self.lower or z.real > self.upper:
             raise DomainError("continuation is defined on the strip lower <= Re z <= upper")
         return complex(self.amplitude_sq)
+
+    def cauchy(self, omega):
+        # A difference of principal logs, not the log of their ratio, gives
+        # Im = -pi * A^2 on the upper lip of the band without a special case.
+        w = _as_complex_array(omega)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = self.amplitude_sq * (np.log(w - self.lower) - np.log(w - self.upper))
+        return out[()]
 
     def support(self):
         return (self.lower, self.upper)
@@ -178,6 +183,22 @@ class AsymmetricBox(SpectralModel):
 
     def breakpoints(self):
         return (self.lower, self.upper)
+
+
+@dataclass(frozen=True)
+class Box(AsymmetricBox):
+    """Flat density: A^2 for |eps| < half_width, zero outside."""
+
+    lower: float = field(init=False, repr=False)
+    upper: float = field(init=False, repr=False)
+    half_width: float
+
+    def __post_init__(self):
+        if self.half_width <= 0:
+            raise DomainError("Box half_width must be positive")
+        object.__setattr__(self, "lower", -self.half_width)
+        object.__setattr__(self, "upper", self.half_width)
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -221,6 +242,25 @@ class ThresholdPower(SpectralModel):
             raise BranchPointError("threshold is a branch point of the continuation")
         return self.beta * w**self.exponent
 
+    def cauchy(self, omega):
+        # beta * S^a / (a * w) * 2F1(1, a; a + 1; S / w) with w = omega - mu,
+        # S = cutoff - mu and a = exponent + 1: the power series in S / w,
+        # summed term by term, continued by 2F1 off its cut S / w in (1, inf).
+        w = _as_complex_array(omega) - self.threshold
+        span = self.cutoff - self.threshold
+        a = self.exponent + 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = self.beta * span**a / (a * w) * special.hyp2f1(1.0, a, a + 1.0, span / w)
+            # On the cut (real omega inside the support) scipy returns the
+            # value from below; both sides share the real part.
+            inside = (w.imag == 0) & (w.real > 0) & (w.real < span)
+            out = np.where(inside, out.real - 1j * np.pi * self.beta
+                           * np.abs(w.real) ** self.exponent, out)
+        at_threshold = (-self.beta * span**self.exponent / self.exponent
+                        if self.exponent > 0 else -np.inf)
+        out = np.where(w == 0, at_threshold, out)
+        return out[()]
+
     def support(self):
         return (self.threshold, self.cutoff)
 
@@ -249,6 +289,8 @@ class Tabulated(SpectralModel):
             raise DomainError("Tabulated density values must be nonnegative")
         self._eps = eps
         self._vals = vals
+        # slope change at each knot, the density being zero-sloped outside
+        self._kinks = np.diff(np.diff(vals) / np.diff(eps), prepend=0.0, append=0.0)
 
     def __repr__(self):
         return f"Tabulated(n={self._eps.size}, span=({self._eps[0]}, {self._eps[-1]}))"
@@ -260,6 +302,24 @@ class Tabulated(SpectralModel):
         out = np.where((eps < self._eps[0]) | (eps > self._eps[-1]), 0.0, out)
         return out[()]
 
+    def cauchy(self, omega):
+        # Two integrations by parts against g(eps) = (omega - eps) log(omega - eps),
+        # whose second derivative is 1/(omega - eps), leave the end values
+        # and the slope changes of the piecewise-linear D:
+        #   y_0 (log(omega - x_0) + 1) - y_n (log(omega - x_n) + 1)
+        #   + sum_k kink_k (omega - x_k) log(omega - x_k).
+        w = _as_complex_array(omega)
+        x, y = self._eps, self._vals
+        flat = w.ravel()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = (special.xlogy(y[0], flat - x[0]) - special.xlogy(y[-1], flat - x[-1])
+                   + (y[0] - y[-1]))
+            chunk = max(1, 2_000_000 // x.size)
+            for start in range(0, flat.size, chunk):
+                u = flat[start:start + chunk, None] - x
+                out[start:start + chunk] += special.xlogy(u, u) @ self._kinks
+        return out.reshape(w.shape)[()]
+
     def support(self):
         return (float(self._eps[0]), float(self._eps[-1]))
 
@@ -270,8 +330,7 @@ class Tabulated(SpectralModel):
         return float(self._eps[-1] - self._eps[0])
 
     def breakpoints(self):
-        inner = self._eps[1:-1]
-        return tuple(inner) if inner.size <= 64 else ()
+        return tuple(self._eps[1:-1])
 
 
 def model_from_config(block: dict) -> SpectralModel:

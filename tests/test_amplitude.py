@@ -157,6 +157,14 @@ class TestPoleCut:
         series = dl.survival_pole_cut(threshold_se, 5.0, [50.0 / gamma])
         assert abs(series.amplitude[0]) == pytest.approx(abs(series.cut_term[0]), rel=0.05)
 
+    def test_matches_numeric_inversion_at_long_times(self, threshold_se):
+        # a level well inside the band, followed for 100 time units: the
+        # contour inversion must hold the 1e-4 agreement deep into the tail
+        times = np.linspace(10.0, 100.0, 10)
+        numeric = dl.survival_numeric(threshold_se, 5.0, times)
+        decomposed = dl.survival_pole_cut(threshold_se, 5.0, times)
+        assert np.max(np.abs(numeric.amplitude - decomposed.amplitude)) <= 1e-4
+
     def test_decomposition_stored(self, threshold_se):
         series = dl.survival_pole_cut(threshold_se, 5.0, [1.0, 2.0])
         assert series.pole_term is not None and series.cut_term is not None

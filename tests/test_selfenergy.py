@@ -169,6 +169,20 @@ class TestRenormalization:
         assert rn.omega_tilde == pytest.approx(omega0 + z * shift, abs=1e-8)
         assert rn.omega_tilde < omega0
 
+    @pytest.mark.parametrize("gap", [1e-9, 1e-6, 1e-3])
+    def test_box_just_below_its_edge(self, gap):
+        # the log singularity at the edge may lie closer than the default
+        # difference step; the curvature must still be the elementary one
+        a2, half_width = 0.3, 2.0
+        omega0 = -half_width - gap
+        se = dl.SelfEnergy(dl.Box(amplitude_sq=a2, half_width=half_width))
+        rn = se.renormalize_below_threshold(omega0)
+        shift = a2 * np.log((omega0 + half_width) / (omega0 - half_width))
+        curv = a2 * (1.0 / (omega0 - half_width) - 1.0 / (omega0 + half_width))
+        z = 1.0 / (1.0 + curv)
+        assert rn.Z == pytest.approx(z, rel=1e-6, abs=0)
+        assert rn.omega_tilde - omega0 == pytest.approx(z * shift, rel=1e-6)
+
     def test_embedded_level_rejected(self, box_se, lorentzian_se):
         with pytest.raises(DomainError):
             box_se.renormalize_below_threshold(0.0)
@@ -195,10 +209,109 @@ class TestGlobalProperties:
         assert abs(omega * se.sigma_upper(omega)) == pytest.approx(se.weight(), rel=0.01)
 
     def test_panel_rule_matches_adaptive(self, threshold_se):
+        # the adaptive reference takes Im omega >= 0; reflect the points below
         for omega in (0.0 - 0.01j, 5.0 - 0.1j, 10.0 + 2j):
             fast = threshold_se.sigma_panel_rule(omega)
-            slow = threshold_se.sigma_physical(omega)
+            slow = threshold_se.sigma_upper(omega.conjugate() if omega.imag < 0 else omega,
+                                            force_quadrature=True)
+            if omega.imag < 0:
+                slow = slow.conjugate()
             assert abs(fast - slow) < 1e-4
 
     def test_eta_default_positive(self, threshold_se):
         assert threshold_se.eta > 0
+
+
+TABLE_EPS = np.linspace(0.0, 20.0, 200)
+SQRT_THRESHOLD = dl.ThresholdPower(beta=0.01, exponent=0.5, threshold=0.0, cutoff=20.0)
+CAUCHY_MODELS = [
+    dl.Lorentzian(amplitude_sq=0.1, center=0.3, width=1.0),
+    dl.Box(amplitude_sq=0.05, half_width=100.0),
+    dl.AsymmetricBox(amplitude_sq=0.04, lower=-3.0, upper=9.0),
+    *[dl.ThresholdPower(beta=0.01, exponent=alpha, threshold=0.0, cutoff=20.0)
+      for alpha in (0.25, 0.5, 1.0, 1.5)],
+    dl.Tabulated(TABLE_EPS, SQRT_THRESHOLD.density(TABLE_EPS)),
+]
+
+
+def _model_id(model):
+    if isinstance(model, dl.ThresholdPower):
+        return f"ThresholdPower-{model.exponent}"
+    return type(model).__name__
+
+
+class TestCauchyTransform:
+    """model.cauchy, the one production path, against independent references."""
+
+    OFF_AXIS = (0.3 + 1e-3j, 5.0 + 1e-3j, 19.5 + 0.1j, -7.0 + 2.0j, 150.0 + 1e-3j,
+                1e4 + 0.1j, 1e4j)
+    # inside and outside every support above, away from its edges
+    ON_AXIS = (-7.0, 0.3, 5.0, 8.5, 25.0, 150.0)
+
+    @staticmethod
+    def _close(value, reference):
+        # the adaptive reference is good to about quad's epsabs of 1e-10
+        return abs(value - reference) < 1e-9 + 1e-7 * abs(reference)
+
+    @pytest.mark.parametrize("model", CAUCHY_MODELS, ids=_model_id)
+    def test_matches_adaptive_quadrature(self, model):
+        se = dl.SelfEnergy(model)
+        for omega in self.OFF_AXIS:
+            reference = se.sigma_upper(omega, force_quadrature=True)
+            assert self._close(model.cauchy(omega), reference), omega
+            # Schwarz reflection: the lower half-plane holds the conjugates
+            assert self._close(model.cauchy(omega.conjugate()), reference.conjugate()), omega
+        for w in self.ON_AXIS:
+            reference = se.sigma_upper(w, force_quadrature=True)
+            assert self._close(model.cauchy(w), reference), w
+            assert model.cauchy(w).imag == pytest.approx(-np.pi * float(model.density(w)),
+                                                         abs=1e-15)
+
+    @pytest.mark.parametrize("model", CAUCHY_MODELS, ids=_model_id)
+    def test_vectorized_matches_scalar(self, model):
+        omegas = np.array([*self.OFF_AXIS, *np.conj(self.OFF_AXIS), *self.ON_AXIS])
+        grid = model.cauchy(omegas.reshape(4, -1))
+        assert grid.shape == (4, omegas.size // 4)
+        scalars = np.array([complex(model.cauchy(w)) for w in omegas])
+        # The tabulated sum cancels terms of size |omega| log|omega| down to
+        # a value of size 1/|omega|, so at |omega| = 1e4 the summation order
+        # shows at 1e-12 absolute.
+        np.testing.assert_allclose(grid.ravel(), scalars, rtol=1e-13, atol=1e-11)
+
+    @pytest.mark.parametrize("x", [0.5, 5.0, 19.5, -3.0, 30.0])
+    def test_threshold_near_axis_against_elementary_form(self, x):
+        # For alpha = 1 the transform is elementary; at Im omega = 1e-4 this
+        # is the check, since the adaptive reference itself errs there.
+        beta, cutoff = 0.01, 20.0
+        model = dl.ThresholdPower(beta=beta, exponent=1.0, threshold=0.0, cutoff=cutoff)
+        for omega in (x + 1e-4j, x - 1e-4j, x + 1e-9j):
+            exact = beta * (omega * np.log(omega / (omega - cutoff)) - cutoff)
+            assert abs(model.cauchy(omega) - exact) <= 1e-13 * abs(exact), omega
+        # boundary value from above, with log|x / (x - cutoff)| - i*pi inside
+        inside = 1.0 if 0.0 < x < cutoff else 0.0
+        exact = beta * (x * (np.log(abs(x / (x - cutoff))) - 1j * np.pi * inside) - cutoff)
+        assert abs(model.cauchy(x) - exact) <= 1e-13 * abs(exact)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 1.5])
+    def test_threshold_value_at_threshold(self, alpha):
+        beta, mu, cutoff = 0.01, 1.0, 21.0
+        se = dl.SelfEnergy(dl.ThresholdPower(beta=beta, exponent=alpha, threshold=mu,
+                                             cutoff=cutoff))
+        expected = -beta * (cutoff - mu) ** alpha / alpha
+        assert se.sigma_upper(mu) == pytest.approx(expected, rel=1e-14)
+        assert se.sigma_upper(mu, force_quadrature=True) == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize("model,edge", [
+        (CAUCHY_MODELS[1], 100.0), (CAUCHY_MODELS[2], -3.0), (CAUCHY_MODELS[4], 20.0),
+        (CAUCHY_MODELS[7], 20.0)], ids=lambda v: _model_id(v) if not isinstance(v, float) else "")
+    def test_divergent_band_edge_rejected(self, model, edge):
+        with pytest.raises(DomainError):
+            dl.SelfEnergy(model).sigma_upper(edge)
+
+    def test_reference_quadrature_on_a_long_table(self):
+        # every interior knot is a quadrature breakpoint, however many there are
+        table = CAUCHY_MODELS[-1]
+        assert table.breakpoints() == tuple(TABLE_EPS[1:-1])
+        se = dl.SelfEnergy(table)
+        omega = 3.0 + 0.05j
+        assert abs(se.sigma_upper(omega, force_quadrature=True) - se.sigma_upper(omega)) < 1e-12
