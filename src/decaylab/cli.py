@@ -1,9 +1,12 @@
 """Batch command line front end.
 
-Every subcommand reads a flat-key config file, resolves defaults,
-computes, and writes CSV artifacts plus a run manifest that records the
-fully resolved parameter set.  Identical configs produce byte-identical
-outputs; files are written atomically (write, then rename).
+Every subcommand runs one pipeline: read a flat-key config file, check
+each of its sections against the declared schema (unknown sections and
+keys and mistyped values are errors), fill in the defaults of the
+sections the subcommand reads, compute, and write CSV artifacts plus a
+run manifest that records the fully resolved parameter set, derived
+values included.  Identical configs produce byte-identical outputs;
+files are written atomically (write, then rename).
 
 Exit codes: 0 success, 2 validation/config error, 3 numerical failure.
 """
@@ -14,14 +17,16 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .amplitude import (SurvivalSeries, survival_box, survival_lorentzian,
                         survival_numeric, survival_pole_cut)
-from .config import load_config
+from .config import did_you_mean, load_config, resolve_section
 from .continuum import default_energy_grid, evolve_packet
 from .discrete_oracle import (build_discrete, resolvent_direct,
                               resolvent_partitioned, survival_exact_discrete,
@@ -29,10 +34,54 @@ from .discrete_oracle import (build_discrete, resolvent_direct,
 from .errors import DomainError, NumericalError, ValidationError
 from .poles import find_pole, weisskopf_wigner_rate
 from .selfenergy import SelfEnergy
-from .spectral import Box, Lorentzian, model_from_config
+from .spectral import model_from_config, model_keys
 from .twosurface import TwoSurfaceConfig, run as run_twosurface
 
 __all__ = ["main"]
+
+
+# ---------------------------------------------------------------- schema ----
+
+# TwoSurfaceConfig field -> config key.  The slope offset is no setting: it
+# is the oscillator zero point, which puts the bound state at the crossing.
+_TWOSURFACE_KEYS = ({f.name: f.name for f in fields(TwoSurfaceConfig) if f.name != "offset"}
+                    | {"coupling": "V", "beta_slope": "beta"})
+
+# section -> key -> (type, default).  A default of None is worked out by the
+# run, or marks an optional input; the manifest records the value used.
+SCHEMA = {
+    "output": {"dir": (str, "out")},
+    "model": model_keys,
+    "system": {"omega0": (float, 0.0)},
+    "spectral": {"eps_min": (float, None), "eps_max": (float, None), "n": (int, 401)},
+    "selfenergy": {"grid_min": (float, None), "grid_max": (float, None),
+                   "grid_n": (int, 201)},
+    "poles": {"guess_re": (float, None), "guess_im": (float, None)},
+    "survival": {"method": (str, "numeric"), "tmax": (float, 10.0), "nt": (int, 201),
+                 "contour_a": (float, None), "omega_max": (float, None),
+                 "n_points": (int, None)},
+    "oracle": {"n_bins": (int, 1000), "binning": (str, "uniform"),
+               "window_lo": (float, None), "window_hi": (float, None),
+               "tmax": (float, 10.0), "nt": (int, 201)},
+    "verify": {"n": (int, 100), "n_omega": (int, 20), "seed": (int, 12345)},
+    "packet": {"gamma": (float, None), "span": (float, 40.0), "n_eps": (int, 2001),
+               "tmax": (float, None), "nt": (int, 5), "basis": (str, None),
+               "x_min": (float, -100.0), "x_max": (float, 300.0), "n_x": (int, 2048),
+               "beta_slope": (float, None), "offset": (float, 0.0)},
+    "twosurface": {_TWOSURFACE_KEYS[f.name]: (type(f.default), f.default)
+                   for f in fields(TwoSurfaceConfig) if f.name in _TWOSURFACE_KEYS},
+}
+
+
+def _resolve(raw: dict, sections) -> dict:
+    """Check every section of the file; return those the subcommand reads."""
+    resolved = {}
+    for name in dict.fromkeys([*raw, *sections]):
+        if name not in SCHEMA:
+            raise ValidationError(did_you_mean("config section", name, SCHEMA))
+        keys, block = SCHEMA[name], raw.get(name, {})
+        resolved[name] = resolve_section(name, block, keys(block) if callable(keys) else keys)
+    return {name: resolved[name] for name in sections}
 
 
 # ---------------------------------------------------------------- output ----
@@ -40,8 +89,6 @@ __all__ = ["main"]
 def _fmt(value) -> str:
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".17g")
@@ -60,230 +107,130 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _write_manifest(outdir: Path, subcommand: str, resolved: dict,
-                    outputs: list[str], results: dict | None = None,
-                    seed_free: bool = True) -> None:
-    manifest = {
-        "tool": "decaylab",
-        "version": __version__,
-        "subcommand": subcommand,
-        "config": resolved,
-        "outputs": sorted(outputs),
-        "seed_free_determinism": seed_free,
-    }
-    if results:
-        manifest["results"] = results
-    _atomic_write(outdir / "run_manifest.json",
-                  json.dumps(manifest, sort_keys=True, indent=2, default=str) + "\n")
-
-
-def _outdir(args, cfg) -> Path:
-    out = args.out or cfg.get("output", {}).get("dir", "out")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _survival_rows(series: SurvivalSeries):
+def _survival_table(series: SurvivalSeries):
     zero = np.zeros_like(series.amplitude)
     pole = series.pole_term if series.pole_term is not None else zero
     cut = series.cut_term if series.cut_term is not None else zero
-    for i, t in enumerate(series.times):
-        a = series.amplitude[i]
-        yield (t, a.real, a.imag, abs(a) ** 2,
-               pole[i].real, pole[i].imag, cut[i].real, cut[i].imag)
-
-
-SURVIVAL_HEADER = ["t", "re_A", "im_A", "abs2_A", "re_pole", "im_pole", "re_cut", "im_cut"]
-
-
-def write_survival_csv(path: Path, series: SurvivalSeries) -> None:
-    _write_csv(path, SURVIVAL_HEADER, _survival_rows(series))
-
-
-# ------------------------------------------------------------- resolution ----
-
-def _selfenergy_config(cfg) -> dict:
-    block = cfg.get("selfenergy", {})
-    return {
-        "quad_tol": float(block.get("quad_tol", 1e-10)),
-        "max_subdiv": int(block.get("max_subdiv", 10_000)),
-        "eta": block.get("eta"),
-    }
-
-
-def _build_selfenergy(cfg):
-    model = model_from_config(cfg.get("model", {}))
-    se_conf = _selfenergy_config(cfg)
-    se = SelfEnergy(model, quad_tol=se_conf["quad_tol"],
-                    max_subdiv=se_conf["max_subdiv"], eta=se_conf["eta"])
-    se_conf["eta"] = se.eta
-    return model, se, se_conf
-
-
-def _omega0(cfg) -> float:
-    return float(cfg.get("system", {}).get("omega0", 0.0))
+    return (["t", "re_A", "im_A", "abs2_A", "re_pole", "im_pole", "re_cut", "im_cut"],
+            ((t, a.real, a.imag, abs(a) ** 2, p.real, p.imag, c.real, c.imag)
+             for t, a, p, c in zip(series.times, series.amplitude, pole, cut)))
 
 
 # ------------------------------------------------------------ subcommands ----
+#
+# A body takes the resolved config, fills in each value left to it (a None
+# default) and any other value it works out, so that the manifest records
+# them, and returns its CSV tables by file name and its results block.
 
-def _cmd_spectral(args) -> int:
-    cfg = load_config(args.config)
-    model = model_from_config(cfg.get("model", {}))
-    block = cfg.get("spectral", {})
+def _spectral(cfg):
+    model = model_from_config(cfg["model"])
+    block = cfg["spectral"]
+    lo, hi = model.support()
+    block["support"] = [lo, hi]
+    width = model.char_width()
+    if block["eps_min"] is None:
+        block["eps_min"] = lo - 0.1 * width if np.isfinite(lo) else -5 * width
+    if block["eps_max"] is None:
+        block["eps_max"] = hi + 0.1 * width if np.isfinite(hi) else 5 * width
+    eps = np.linspace(block["eps_min"], block["eps_max"], block["n"])
+    return {"spectral.csv": (["epsilon", "D"], zip(eps, np.asarray(model.density(eps))))}, None
+
+
+def _selfenergy(cfg):
+    model = model_from_config(cfg["model"])
+    se = SelfEnergy(model)
+    block = cfg["selfenergy"]
     lo, hi = model.support()
     width = model.char_width()
-    eps_min = float(block.get("eps_min", lo - 0.1 * width if np.isfinite(lo) else -5 * width))
-    eps_max = float(block.get("eps_max", hi + 0.1 * width if np.isfinite(hi) else 5 * width))
-    n = int(block.get("n", 401))
-    eps = np.linspace(eps_min, eps_max, n)
-    dens = np.asarray(model.density(eps))
-    outdir = _outdir(args, cfg)
-    _write_csv(outdir / "spectral.csv", ["epsilon", "D"], zip(eps, dens))
-    _write_manifest(outdir, "spectral",
-                    {"model": cfg.get("model", {}),
-                     "spectral": {"eps_min": eps_min, "eps_max": eps_max, "n": n},
-                     "support": [lo, hi]},
-                    ["spectral.csv"])
-    print(f"wrote {outdir / 'spectral.csv'}")
-    return 0
-
-
-def _cmd_selfenergy(args) -> int:
-    cfg = load_config(args.config)
-    model, se, se_conf = _build_selfenergy(cfg)
-    block = cfg.get("selfenergy", {})
-    lo, hi = model.support()
-    width = model.char_width()
-    grid_min = float(block.get("grid_min", (lo if np.isfinite(lo) else -3 * width) - 0.5 * width))
-    grid_max = float(block.get("grid_max", (hi if np.isfinite(hi) else 3 * width) + 0.5 * width))
-    n = int(block.get("grid_n", 201))
-    omegas = np.linspace(grid_min, grid_max, n)
+    if block["grid_min"] is None:
+        block["grid_min"] = (lo if np.isfinite(lo) else -3 * width) - 0.5 * width
+    if block["grid_max"] is None:
+        block["grid_max"] = (hi if np.isfinite(hi) else 3 * width) + 0.5 * width
     rows = []
-    for w in omegas:
+    for w in np.linspace(block["grid_min"], block["grid_max"], block["grid_n"]):
         try:
             val = se.sigma_upper(w)
         except (ValidationError, NumericalError):
             val = complex(np.nan, np.nan)
         rows.append((w, val.real, val.imag))
-    outdir = _outdir(args, cfg)
-    _write_csv(outdir / "selfenergy.csv", ["omega", "re_sigma", "im_sigma"], rows)
-    _write_manifest(outdir, "selfenergy",
-                    {"model": cfg.get("model", {}), "selfenergy": se_conf,
-                     "grid": {"grid_min": grid_min, "grid_max": grid_max, "grid_n": n}},
-                    ["selfenergy.csv"])
-    print(f"wrote {outdir / 'selfenergy.csv'}")
-    return 0
+    return {"selfenergy.csv": (["omega", "re_sigma", "im_sigma"], rows)}, None
 
 
-def _cmd_poles(args) -> int:
-    cfg = load_config(args.config)
-    model, se, se_conf = _build_selfenergy(cfg)
-    omega0 = _omega0(cfg)
-    block = cfg.get("poles", {})
+def _poles(cfg):
+    omega0 = cfg["system"]["omega0"]
+    block = cfg["poles"]
     guess = None
-    if "guess_re" in block or "guess_im" in block:
-        guess = complex(float(block.get("guess_re", omega0)),
-                        float(block.get("guess_im", 0.0)))
-    result = find_pole(se, omega0, guess=guess)
-    outdir = _outdir(args, cfg)
-    _write_csv(outdir / "poles.csv",
-               ["omega_prime", "omega_dprime", "residue_re", "residue_im",
-                "iterations", "residual"],
-               [(result.omega_prime, result.omega_dprime, result.residue.real,
-                 result.residue.imag, result.iterations, result.final_residual)])
-    _write_manifest(outdir, "poles",
-                    {"model": cfg.get("model", {}), "selfenergy": se_conf,
-                     "system": {"omega0": omega0},
-                     "poles": {"guess": str(guess)}},
-                    ["poles.csv"])
+    if block["guess_re"] is not None or block["guess_im"] is not None:
+        guess = complex(omega0 if block["guess_re"] is None else block["guess_re"],
+                        block["guess_im"] or 0.0)
+        block["guess_re"], block["guess_im"] = guess.real, guess.imag
+    result = find_pole(SelfEnergy(model_from_config(cfg["model"])), omega0, guess=guess)
     print(f"pole: {result.omega_prime:.12g} - {result.omega_dprime:.12g}i "
           f"({result.iterations} iterations)")
-    return 0
+    return {"poles.csv": (["omega_prime", "omega_dprime", "residue_re", "residue_im",
+                           "iterations", "residual"],
+                          [(result.omega_prime, result.omega_dprime, result.residue.real,
+                            result.residue.imag, result.iterations,
+                            result.final_residual)])}, None
 
 
-def _cmd_survival(args) -> int:
-    cfg = load_config(args.config)
-    model, se, se_conf = _build_selfenergy(cfg)
-    omega0 = _omega0(cfg)
-    block = cfg.get("survival", {})
-    method = args.method or str(block.get("method", "numeric"))
-    tmax = args.tmax if args.tmax is not None else float(block.get("tmax", 10.0))
-    nt = args.nt if args.nt is not None else int(block.get("nt", 201))
-    times = np.linspace(0.0, tmax, nt)
-    resolved = {"model": cfg.get("model", {}), "selfenergy": se_conf,
-                "system": {"omega0": omega0},
-                "survival": {"method": method, "tmax": tmax, "nt": nt}}
+# closed-form survival by model type, for the two solvable models
+CLOSED_FORMS = {
+    "lorentzian": survival_lorentzian,
+    "box": lambda model, omega0, times: survival_box(model.amplitude_sq, model.half_width,
+                                                     omega0, times),
+}
+
+
+def _survival(cfg):
+    model = model_from_config(cfg["model"])
+    omega0 = cfg["system"]["omega0"]
+    block = cfg["survival"]
+    times = np.linspace(0.0, block["tmax"], block["nt"])
+    method = block["method"]
     if method == "numeric":
-        kwargs = {}
-        for key, name in (("contour_a", "contour_offset"),
-                          ("omega_max", "omega_max"), ("n_points", "n_points")):
-            if key in block:
-                kwargs[name] = block[key]
-        series = survival_numeric(se, omega0, times, **kwargs)
-        resolved["survival"].update(
-            {"contour_a": series.info["contour_offset"],
-             "omega_max": series.info["omega_max"],
-             "n_points": series.info["n_points"]})
+        series = survival_numeric(SelfEnergy(model), omega0, times,
+                                  contour_offset=block["contour_a"],
+                                  omega_max=block["omega_max"], n_points=block["n_points"])
+        block.update(contour_a=series.info["contour_offset"],
+                     omega_max=series.info["omega_max"], n_points=series.info["n_points"])
     elif method == "pole-cut":
-        series = survival_pole_cut(se, omega0, times)
+        series = survival_pole_cut(SelfEnergy(model), omega0, times)
     elif method == "closed":
-        if isinstance(model, Lorentzian):
-            series = survival_lorentzian(model, omega0, times)
-        elif isinstance(model, Box):
-            series = survival_box(model.amplitude_sq, model.half_width, omega0, times)
-        else:
+        closed = CLOSED_FORMS.get(cfg["model"]["type"].lower())
+        if closed is None:
             raise DomainError("closed-form survival exists only for lorentzian and box models")
+        series = closed(model, omega0, times)
     else:
         raise DomainError(f"unknown survival method '{method}'")
-    outdir = _outdir(args, cfg)
-    write_survival_csv(outdir / "survival.csv", series)
-    _write_manifest(outdir, "survival", resolved, ["survival.csv"])
-    print(f"wrote {outdir / 'survival.csv'} ({series.method})")
-    return 0
+    print(f"survival by {series.method}")
+    return {"survival.csv": _survival_table(series)}, None
 
 
-def _cmd_oracle_survival(args) -> int:
-    cfg = load_config(args.config)
-    model = model_from_config(cfg.get("model", {}))
-    omega0 = _omega0(cfg)
-    block = cfg.get("oracle", {})
-    n_bins = int(block.get("n_bins", 1000))
-    binning = str(block.get("binning", "uniform"))
-    window = None
-    if "window_lo" in block or "window_hi" in block:
-        window = (float(block["window_lo"]), float(block["window_hi"]))
-    tmax = float(block.get("tmax", 10.0))
-    nt = int(block.get("nt", 201))
-    discrete = build_discrete(model, omega0, n_bins, binning=binning, window=window)
-    series, _ = survival_exact_discrete(discrete, np.linspace(0.0, tmax, nt))
-    outdir = _outdir(args, cfg)
-    write_survival_csv(outdir / "survival.csv", series)
-    _write_manifest(outdir, "oracle-survival",
-                    {"model": cfg.get("model", {}), "system": {"omega0": omega0},
-                     "oracle": {"n_bins": n_bins, "binning": binning,
-                                "window": list(window) if window else None,
-                                "tmax": tmax, "nt": nt,
-                                "recurrence_time": series.info["recurrence_time"]}},
-                    ["survival.csv"])
-    print(f"wrote {outdir / 'survival.csv'} (discrete oracle, "
-          f"recurrence time {series.info['recurrence_time']:.6g})")
-    return 0
+def _oracle_survival(cfg):
+    block = cfg["oracle"]
+    lo, hi = block["window_lo"], block["window_hi"]
+    if (lo is None) != (hi is None):
+        raise DomainError("oracle.window_lo and oracle.window_hi must be given together")
+    discrete = build_discrete(model_from_config(cfg["model"]), cfg["system"]["omega0"],
+                              block["n_bins"], binning=block["binning"],
+                              window=None if lo is None else (lo, hi))
+    series, _ = survival_exact_discrete(discrete, np.linspace(0.0, block["tmax"], block["nt"]))
+    block["recurrence_time"] = series.info["recurrence_time"]
+    print(f"discrete oracle, recurrence time {block['recurrence_time']:.6g}")
+    return {"survival.csv": _survival_table(series)}, None
 
 
-def _cmd_verify_partition(args) -> int:
-    cfg = load_config(args.config) if args.config else {}
-    block = cfg.get("verify", {})
-    n = int(block.get("n", 100))
-    n_omega = int(block.get("n_omega", 20))
-    seed = int(block.get("seed", 12345))
-    rng = np.random.default_rng(seed)
+def _verify_partition(cfg):
+    block = cfg["verify"]
+    n = block["n"]
+    rng = np.random.default_rng(block["seed"])
     energies = np.sort(rng.uniform(-1.0, 1.0, n))
     couplings = 0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n))
     model = DiscreteModel(omega0=float(rng.normal()), energies=energies,
                           couplings=couplings, widths=np.full(n, 2.0 / n))
     dev_p = dev_qp = dev_q = 0.0
-    for _ in range(n_omega):
+    for _ in range(block["n_omega"]):
         omega = complex(rng.normal(scale=2.0),
                         rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 2.0))
         direct = resolvent_direct(model, omega)
@@ -291,108 +238,104 @@ def _cmd_verify_partition(args) -> int:
         dev_p = max(dev_p, abs(direct[0, 0] - part.g_p))
         dev_qp = max(dev_qp, float(np.max(np.abs(direct[1:, 0] - part.g_qp))))
         dev_q = max(dev_q, float(np.max(np.abs(direct[1:, 1:] - part.g_q))))
-    print(f"g_p   max deviation: {dev_p:.3e}")
-    print(f"g_qp  max deviation: {dev_qp:.3e}")
-    print(f"g_q   max deviation: {dev_q:.3e}")
-    outdir = _outdir(args, cfg)
-    _write_csv(outdir / "verify_partition.csv",
-               ["block", "max_deviation"],
-               [("g_p", dev_p), ("g_qp", dev_qp), ("g_q", dev_q)])
-    _write_manifest(outdir, "verify-partition",
-                    {"verify": {"n": n, "n_omega": n_omega, "seed": seed}},
-                    ["verify_partition.csv"],
-                    results={"g_p": dev_p, "g_qp": dev_qp, "g_q": dev_q},
-                    seed_free=False)
-    return 0
+    deviations = {"g_p": dev_p, "g_qp": dev_qp, "g_q": dev_q}
+    for name, dev in deviations.items():
+        print(f"{name:<5} max deviation: {dev:.3e}")
+    return {"verify_partition.csv": (["block", "max_deviation"], deviations.items())}, deviations
 
 
-def _cmd_packet(args) -> int:
-    cfg = load_config(args.config)
-    model = model_from_config(cfg.get("model", {}))
-    se = SelfEnergy(model)
-    omega0 = _omega0(cfg)
-    block = cfg.get("packet", {})
-    if "gamma" in block:
-        gamma = float(block["gamma"])
-    else:
-        gamma, _ = weisskopf_wigner_rate(se, omega0)
-    span = float(block.get("span", 40.0))
-    n_eps = int(block.get("n_eps", 2001))
-    tmax = float(block.get("tmax", 3.0 / gamma))
-    nt = int(block.get("nt", 5))
-    eps = default_energy_grid(omega0, gamma, n=n_eps, span=span)
-    times = np.linspace(0.0, tmax, nt)
-    basis = block.get("basis")
-    x = None
-    if basis:
-        x = np.linspace(float(block.get("x_min", -100.0)),
-                        float(block.get("x_max", 300.0)),
-                        int(block.get("n_x", 2048)))
+def _packet(cfg):
+    model = model_from_config(cfg["model"])
+    omega0 = cfg["system"]["omega0"]
+    block = cfg["packet"]
+    if block["gamma"] is None:
+        block["gamma"], _ = weisskopf_wigner_rate(SelfEnergy(model), omega0)
+    gamma = block["gamma"]
+    if block["tmax"] is None:
+        block["tmax"] = 3.0 / gamma
+    eps = default_energy_grid(omega0, gamma, n=block["n_eps"], span=block["span"])
+    times = np.linspace(0.0, block["tmax"], block["nt"])
+    basis = block["basis"]
+    x = np.linspace(block["x_min"], block["x_max"], block["n_x"]) if basis else None
     packet = evolve_packet(lambda e: np.sqrt(model.density(e)), omega0, gamma,
                            eps, times, x=x, basis=basis,
-                           beta_slope=block.get("beta_slope"),
-                           offset=float(block.get("offset", 0.0)))
-    outdir = _outdir(args, cfg)
-    coeff_rows = ((t, e, abs(c) ** 2)
-                  for i, t in enumerate(times) for e, c in zip(eps, packet.coeffs[i]))
-    _write_csv(outdir / "packet_coeff.csv", ["t", "epsilon", "abs2_c"], coeff_rows)
-    outputs = ["packet_coeff.csv"]
+                           beta_slope=block["beta_slope"], offset=block["offset"])
+    block["window"] = packet.info["window"]
+    tables = {"packet_coeff.csv": (["t", "epsilon", "abs2_c"], (
+        (t, e, abs(c) ** 2) for t, coeffs in zip(times, packet.coeffs)
+        for e, c in zip(eps, coeffs)))}
     if packet.psi is not None:
-        psi_rows = ((t, xv, p.real, p.imag, abs(p) ** 2)
-                    for i, t in enumerate(times) for xv, p in zip(x, packet.psi[i]))
-        _write_csv(outdir / "packet_psi.csv",
-                   ["t", "x", "re_psi", "im_psi", "abs2_psi"], psi_rows)
-        outputs.append("packet_psi.csv")
-    _write_manifest(outdir, "packet",
-                    {"model": cfg.get("model", {}), "system": {"omega0": omega0},
-                     "packet": {"gamma": gamma, "span": span, "n_eps": n_eps,
-                                "tmax": tmax, "nt": nt, "basis": basis,
-                                "window": list(packet.info["window"])}},
-                    outputs)
-    print(f"wrote {', '.join(str(outdir / o) for o in outputs)}")
-    return 0
+        tables["packet_psi.csv"] = (["t", "x", "re_psi", "im_psi", "abs2_psi"], (
+            (t, xv, p.real, p.imag, abs(p) ** 2) for t, psi in zip(times, packet.psi)
+            for xv, p in zip(x, psi)))
+    return tables, None
 
 
-def _cmd_twosurface(args) -> int:
-    cfg = load_config(args.config)
-    block = cfg.get("twosurface", {})
-    ts_config = TwoSurfaceConfig(
-        coupling=float(block.get("V", 0.5)),
-        beta_slope=float(block.get("beta", 3.0)),
-        x_min=float(block.get("x_min", -10.0)),
-        x_max=float(block.get("x_max", 60.0)),
-        n_x=int(block.get("n_x", 2048)),
-        dt=float(block.get("dt", 5e-4)),
-        t_max=float(block.get("t_max", 40.0)),
-        snapshot_stride=int(block.get("snapshot_stride", 2000)),
-        absorber_width=float(block.get("absorber_width", 8.0)),
-        absorber_strength=float(block.get("absorber_strength", 0.02)),
-    )
-    result = run_twosurface(ts_config)
-    outdir = _outdir(args, cfg)
-    _write_csv(outdir / "p1.csv", ["t", "P1"], zip(result.times, result.p1))
-    snap_rows = ((t, xv, d) for t, dens in zip(result.snapshot_times, result.snapshots_abs2)
-                 for xv, d in zip(result.x, dens))
-    _write_csv(outdir / "psi2_snapshots.csv", ["t", "x", "abs2"], snap_rows)
-    _write_csv(outdir / "summary.csv",
-               ["fitted_rate", "golden_rule_rate", "trapped_fraction", "absorbed_total"],
-               [(result.fitted_rate, result.golden.rate, result.trapped_fraction,
-                 result.absorbed[-1])])
-    _write_manifest(outdir, "twosurface",
-                    {"twosurface": {k: getattr(ts_config, k) for k in (
-                        "coupling", "beta_slope", "offset", "x_min", "x_max", "n_x",
-                        "dt", "t_max", "snapshot_stride", "absorber_width",
-                        "absorber_strength")}},
-                    ["p1.csv", "psi2_snapshots.csv", "summary.csv"],
-                    results={"fitted_rate": result.fitted_rate,
-                             "golden_rule_rate": result.golden.rate,
-                             "perturbative_ratio": result.golden.perturbative_ratio,
-                             "fit_window": list(result.fit_window),
-                             "r_squared": result.r_squared,
-                             "trapped_fraction": result.trapped_fraction,
-                             "norm_deviation_max": result.norm_deviation_max})
+def _twosurface(cfg):
+    block = cfg["twosurface"]
+    result = run_twosurface(TwoSurfaceConfig(
+        **{field: block[key] for field, key in _TWOSURFACE_KEYS.items()}))
     print(f"fitted rate {result.fitted_rate:.6g}, golden rule {result.golden.rate:.6g}, "
           f"trapped {result.trapped_fraction:.4f}")
+    snapshots = ((t, xv, d) for t, dens in zip(result.snapshot_times, result.snapshots_abs2)
+                 for xv, d in zip(result.x, dens))
+    return ({"p1.csv": (["t", "P1"], zip(result.times, result.p1)),
+             "psi2_snapshots.csv": (["t", "x", "abs2"], snapshots),
+             "summary.csv": (["fitted_rate", "golden_rule_rate", "trapped_fraction",
+                              "absorbed_total"],
+                             [(result.fitted_rate, result.golden.rate,
+                               result.trapped_fraction, result.absorbed[-1])])},
+            {"fitted_rate": result.fitted_rate,
+             "golden_rule_rate": result.golden.rate,
+             "perturbative_ratio": result.golden.perturbative_ratio,
+             "fit_window": result.fit_window,
+             "r_squared": result.r_squared,
+             "trapped_fraction": result.trapped_fraction,
+             "norm_deviation_max": result.norm_deviation_max})
+
+
+class Command(NamedTuple):
+    body: Callable[[dict], tuple[dict, dict | None]]
+    sections: tuple[str, ...]       # the config sections the body reads
+    seeded: bool = False            # draws random numbers (from a recorded seed)
+
+
+COMMANDS = {
+    "spectral": Command(_spectral, ("model", "spectral")),
+    "selfenergy": Command(_selfenergy, ("model", "selfenergy")),
+    "poles": Command(_poles, ("model", "system", "poles")),
+    "survival": Command(_survival, ("model", "system", "survival")),
+    "oracle-survival": Command(_oracle_survival, ("model", "system", "oracle")),
+    "verify-partition": Command(_verify_partition, ("verify",), seeded=True),
+    "packet": Command(_packet, ("model", "system", "packet")),
+    "twosurface": Command(_twosurface, ("twosurface",)),
+}
+
+
+def _run(args) -> int:
+    """Load, resolve, compute, then write the tables and the manifest."""
+    command = COMMANDS[args.command]
+    raw = load_config(args.config) if args.config else {}
+    for dest, value in vars(args).items():   # `section.key` flags override the file
+        if "." in dest and value is not None:
+            section, key = dest.split(".")
+            raw.setdefault(section, {})[key] = value
+    cfg = _resolve(raw, ("output",) + command.sections)
+    tables, results = command.body(cfg)
+    # the output directory stays out of the manifest, so that reruns into
+    # different directories are byte-identical
+    outdir = Path(cfg.pop("output")["dir"])
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        _write_csv(outdir / name, header, rows)
+    manifest = {"tool": "decaylab", "version": __version__, "subcommand": args.command,
+                "config": cfg, "outputs": sorted(tables),
+                "seed_free_determinism": not command.seeded}
+    if results:
+        manifest["results"] = results
+    _atomic_write(outdir / "run_manifest.json",
+                  json.dumps(manifest, sort_keys=True, indent=2, default=str) + "\n")
+    print(f"wrote {', '.join(str(outdir / name) for name in tables)}")
     return 0
 
 
@@ -404,7 +347,7 @@ def _read_survival_csv(path: str):
                                       + 1j * np.atleast_1d(data["im_A"]))
 
 
-def _cmd_compare(args) -> int:
+def _compare(args) -> int:
     t1, a1 = _read_survival_csv(args.first)
     t2, a2 = _read_survival_csv(args.second)
     if t1.size != t2.size or np.max(np.abs(t1 - t2)) > 1e-12:
@@ -426,31 +369,22 @@ def _build_parser() -> argparse.ArgumentParser:
                     "continuum packets, and a two-surface wave-packet simulation.")
     parser.add_argument("--version", action="version", version=f"decaylab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, needs_config=True):
+    for name in COMMANDS:
         p = sub.add_parser(name)
-        if needs_config:
-            p.add_argument("-c", "--config", required=(name != "verify-partition"),
-                           help="flat key-path config file")
-        p.add_argument("--out", help="output directory (overrides output.dir)")
-        p.set_defaults(func=func)
-        return p
-
-    add("spectral", _cmd_spectral)
-    add("selfenergy", _cmd_selfenergy)
-    add("poles", _cmd_poles)
-    p_survival = add("survival", _cmd_survival)
-    p_survival.add_argument("--method", choices=["numeric", "pole-cut", "closed"])
-    p_survival.add_argument("--tmax", type=float)
-    p_survival.add_argument("--nt", type=int)
-    add("oracle-survival", _cmd_oracle_survival)
-    add("verify-partition", _cmd_verify_partition)
-    add("packet", _cmd_packet)
-    add("twosurface", _cmd_twosurface)
+        p.add_argument("-c", "--config", required=(name != "verify-partition"),
+                       help="flat key-path config file")
+        p.add_argument("--out", dest="output.dir", metavar="DIR",
+                       help="output directory (overrides output.dir)")
+        if name == "survival":
+            p.add_argument("--method", dest="survival.method",
+                           choices=["numeric", "pole-cut", "closed"])
+            p.add_argument("--tmax", dest="survival.tmax", metavar="TMAX", type=float)
+            p.add_argument("--nt", dest="survival.nt", metavar="NT", type=int)
+        p.set_defaults(func=_run)
     p_compare = sub.add_parser("compare")
     p_compare.add_argument("first")
     p_compare.add_argument("second")
-    p_compare.set_defaults(func=_cmd_compare)
+    p_compare.set_defaults(func=_compare)
     return parser
 
 

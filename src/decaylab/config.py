@@ -1,18 +1,23 @@
-"""Flat key-path config files.
+"""Flat key-path config files, resolved section by section against a schema.
 
 One assignment per line, `section.key = value`; blank lines and
 #-comments are ignored.  Values parse as int, then float, then boolean,
 falling back to the bare string.  No environment overrides: what the
-file says is what the run manifest records.
+file says, with the schema's defaults filled in, is what the run
+manifest records.
 """
 
 from __future__ import annotations
 
+import difflib
 from pathlib import Path
 
-from .errors import ConfigParseError
+from .errors import ConfigParseError, DomainError, ValidationError
 
-__all__ = ["parse_config_text", "load_config"]
+__all__ = ["REQUIRED", "parse_config_text", "load_config", "resolve_section",
+           "did_you_mean"]
+
+REQUIRED = object()  # schema default of a key that must be given
 
 
 def _parse_value(raw: str):
@@ -59,3 +64,40 @@ def load_config(path) -> dict[str, dict[str, object]]:
     except OSError as exc:
         raise ConfigParseError(f"cannot read config file {path}: {exc}") from exc
     return parse_config_text(text)
+
+
+def did_you_mean(what: str, name: str, valid) -> str:
+    """Error message for an unknown name, with the nearest valid one."""
+    valid = sorted(valid)
+    close = difflib.get_close_matches(name, valid, n=1)
+    hint = f"did you mean {close[0]!r}?" if close else f"valid: {', '.join(map(repr, valid))}"
+    return f"unknown {what} {name!r}; {hint}"
+
+
+def _coerce(where: str, kind: type, value):
+    if kind is str:
+        return str(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{where} = {value!r} is not a number")
+    if kind is int and not float(value).is_integer():
+        raise ValidationError(f"{where} = {value!r} is not an integer")
+    return kind(value)
+
+
+def resolve_section(name: str, block: dict, keys: dict) -> dict:
+    """Check ``block`` against ``keys`` ({key: (type, default)}); fill defaults.
+
+    Unknown keys and values not of their key's type are errors.
+    """
+    for key in block:
+        if key not in keys:
+            raise ValidationError(did_you_mean(f"{name} key", key, keys))
+    resolved = {}
+    for key, (kind, default) in keys.items():
+        if key in block:
+            resolved[key] = _coerce(f"{name}.{key}", kind, block[key])
+        elif default is REQUIRED:
+            raise DomainError(f"{name} block is missing key '{key}'")
+        else:
+            resolved[key] = default
+    return resolved

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
+from .config import REQUIRED, did_you_mean, resolve_section
 from .errors import BranchPointError, DomainError, UnsupportedContinuation
 
 __all__ = [
@@ -31,6 +32,8 @@ __all__ = [
     "AsymmetricBox",
     "ThresholdPower",
     "Tabulated",
+    "MODEL_TYPES",
+    "model_keys",
     "model_from_config",
 ]
 
@@ -292,6 +295,17 @@ class Tabulated(SpectralModel):
         # slope change at each knot, the density being zero-sloped outside
         self._kinks = np.diff(np.diff(vals) / np.diff(eps), prepend=0.0, append=0.0)
 
+    @classmethod
+    def from_csv(cls, path: str) -> "Tabulated":
+        """Read an `epsilon,D` CSV whose first line is a header."""
+        try:
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except (OSError, ValueError) as exc:
+            raise DomainError(f"cannot read density table {path}: {exc}") from None
+        if data.shape[1] < 2:
+            raise DomainError(f"density table {path} needs epsilon and D columns")
+        return cls(eps=data[:, 0], values=data[:, 1])
+
     def __repr__(self):
         return f"Tabulated(n={self._eps.size}, span=({self._eps[0]}, {self._eps[-1]}))"
 
@@ -333,37 +347,37 @@ class Tabulated(SpectralModel):
         return tuple(self._eps[1:-1])
 
 
+# config `model.type` -> (constructor, {config key: (argument, type, default)})
+MODEL_TYPES = {
+    "lorentzian": (Lorentzian, {"A2": ("amplitude_sq", float, REQUIRED),
+                                "a": ("center", float, 0.0),
+                                "b": ("width", float, REQUIRED)}),
+    "box": (Box, {"A2": ("amplitude_sq", float, REQUIRED),
+                  "L": ("half_width", float, REQUIRED)}),
+    "asymmetricbox": (AsymmetricBox, {"A2": ("amplitude_sq", float, REQUIRED),
+                                      "L_minus": ("lower", float, REQUIRED),
+                                      "L_plus": ("upper", float, REQUIRED)}),
+    "thresholdpower": (ThresholdPower, {"beta_th": ("beta", float, REQUIRED),
+                                        "alpha": ("exponent", float, REQUIRED),
+                                        "mu": ("threshold", float, REQUIRED),
+                                        "Lambda": ("cutoff", float, REQUIRED)}),
+    "tabulated": (Tabulated.from_csv, {"table_path": ("path", str, REQUIRED)}),
+}
+
+
+def model_keys(block: dict) -> dict:
+    """Schema of a config-file `model` block, {key: (type, default)}, by its type."""
+    if "type" not in block:
+        raise DomainError("model block is missing the 'type' key")
+    kind = str(block["type"]).lower()
+    if kind not in MODEL_TYPES:
+        raise DomainError(did_you_mean("spectral model type", kind, MODEL_TYPES))
+    return {"type": (str, REQUIRED),
+            **{key: spec[1:] for key, spec in MODEL_TYPES[kind][1].items()}}
+
+
 def model_from_config(block: dict) -> SpectralModel:
     """Build a model from a config-file `model` block."""
-    try:
-        kind = str(block["type"]).lower()
-    except KeyError:
-        raise DomainError("model block is missing the 'type' key") from None
-    try:
-        if kind == "lorentzian":
-            return Lorentzian(
-                amplitude_sq=float(block["A2"]),
-                center=float(block.get("a", 0.0)),
-                width=float(block["b"]),
-            )
-        if kind == "box":
-            return Box(amplitude_sq=float(block["A2"]), half_width=float(block["L"]))
-        if kind == "asymmetricbox":
-            return AsymmetricBox(
-                amplitude_sq=float(block["A2"]),
-                lower=float(block["L_minus"]),
-                upper=float(block["L_plus"]),
-            )
-        if kind == "thresholdpower":
-            return ThresholdPower(
-                beta=float(block["beta_th"]),
-                exponent=float(block["alpha"]),
-                threshold=float(block["mu"]),
-                cutoff=float(block["Lambda"]),
-            )
-        if kind == "tabulated":
-            data = np.loadtxt(str(block["table_path"]), delimiter=",", skiprows=1, ndmin=2)
-            return Tabulated(eps=data[:, 0], values=data[:, 1])
-    except KeyError as exc:
-        raise DomainError(f"model type '{kind}' is missing key {exc}") from None
-    raise DomainError(f"unknown spectral model type '{kind}'")
+    values = resolve_section("model", block, model_keys(block))
+    factory, keys = MODEL_TYPES[values["type"].lower()]
+    return factory(**{arg: values[key] for key, (arg, _, _) in keys.items()})

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import decaylab as dl
-from decaylab.cli import main
+from decaylab.cli import COMMANDS, SCHEMA, main
 from decaylab.config import parse_config_text
 from decaylab.errors import ConfigParseError
 
@@ -91,7 +95,7 @@ class TestSurvivalCommand:
         survival = manifest["config"]["survival"]
         for key in ("contour_a", "omega_max", "n_points", "tmax", "nt", "method"):
             assert key in survival
-        assert manifest["config"]["selfenergy"]["quad_tol"] == 1e-10
+        assert manifest["config"]["model"]["a"] == 0.0
 
     def test_closed_form_unavailable(self, tmp_path):
         text = ("model.type = thresholdpower\nmodel.beta_th = 0.01\n"
@@ -188,12 +192,92 @@ class TestOtherCommands:
         assert manifest["results"]["r_squared"] > 0.99
 
 
+# Every section, with model.a left out; each subcommand reads its own sections.
+EVERY_SECTION_CONFIG = """\
+model.type = lorentzian
+model.A2 = 0.1
+model.b = 1.0
+spectral.n = 11
+selfenergy.grid_n = 11
+survival.method = closed
+survival.tmax = 1.0
+survival.nt = 3
+oracle.n_bins = 50
+oracle.window_lo = -20.0
+oracle.window_hi = 20.0
+oracle.nt = 3
+verify.n = 10
+verify.n_omega = 2
+packet.nt = 2
+packet.n_eps = 51
+twosurface.t_max = 3.0
+twosurface.dt = 0.005
+twosurface.n_x = 256
+"""
+
+
+class TestManifest:
+    @pytest.mark.parametrize("subcommand", sorted(COMMANDS))
+    def test_every_schema_key_recorded(self, tmp_path, subcommand):
+        cfg = write_config(tmp_path, EVERY_SECTION_CONFIG)
+        out = tmp_path / "run"
+        assert main([subcommand, "-c", str(cfg), "--out", str(out)]) == 0
+        recorded = json.loads((out / "run_manifest.json").read_text())["config"]
+        assert set(recorded) == set(COMMANDS[subcommand].sections)
+        for section, block in recorded.items():
+            keys = SCHEMA[section]
+            assert set(keys(block) if callable(keys) else keys) <= set(block)
+        if "model" in recorded:
+            assert recorded["model"]["a"] == 0.0
+        if "packet" in recorded:
+            assert recorded["packet"]["n_x"] == 2048
+
+
+BAD_INPUTS = {
+    "misspelled model key": ("survival", LORENTZIAN_CONFIG.replace("model.a", "model.centre"),
+                             "'a'"),
+    "misspelled survival key": ("survival", LORENTZIAN_CONFIG.replace("survival.tmax",
+                                                                      "survival.tmx"),
+                                "'tmax'"),
+    "misspelled key in a section not read": ("poles", LORENTZIAN_CONFIG.replace(
+        "survival.tmax", "survival.tmx"), "'tmax'"),
+    "unknown section": ("survival", LORENTZIAN_CONFIG.replace("system.", "sytsem."),
+                        "'system'"),
+    "half an oracle window": ("oracle-survival",
+                              "model.type = box\nmodel.A2 = 0.05\nmodel.L = 100\n"
+                              "oracle.window_lo = -50\n", "window_hi"),
+    "non-numeric survival value": ("survival", LORENTZIAN_CONFIG.replace(
+        "survival.tmax = 5.0", "survival.tmax = abc"), "survival.tmax"),
+    "non-numeric model value": ("survival", LORENTZIAN_CONFIG.replace(
+        "model.A2 = 0.1", "model.A2 = abc"), "model.A2"),
+    "missing density table": ("survival", "model.type = tabulated\n"
+                              "model.table_path = no_such_table.csv\n", "no_such_table.csv"),
+    "non-integral count": ("survival", LORENTZIAN_CONFIG.replace(
+        "survival.nt = 51", "survival.nt = 2.5"), "survival.nt"),
+}
+
+
 class TestExitCodes:
     def test_console_script_installed(self):
         import subprocess
         out = subprocess.run(["decaylab", "--version"], capture_output=True, text=True)
         assert out.returncode == 0
         assert "decaylab" in out.stdout
+
+    def test_python_dash_m(self):
+        src = str(Path(dl.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-m", "decaylab", "--version"],
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": path})
+        assert out.returncode == 0
+        assert "decaylab" in out.stdout
+
+    @pytest.mark.parametrize("subcommand, text, hint", BAD_INPUTS.values(), ids=BAD_INPUTS)
+    def test_bad_input(self, tmp_path, capsys, subcommand, text, hint):
+        cfg = write_config(tmp_path, text)
+        assert main([subcommand, "-c", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert hint in capsys.readouterr().err
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2

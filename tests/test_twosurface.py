@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import decaylab as dl
-from decaylab.errors import DomainError, GridTooNarrow
+from decaylab import twosurface
+from decaylab.errors import DomainError, GridTooNarrow, NumericalError
 from decaylab.twosurface import (OMEGA_OSC, TwoSurfaceConfig, golden_rule_rate,
                                  init_state, packet_moments, run, step,
                                  survival_probability)
@@ -93,6 +94,18 @@ class TestStep:
     def test_absorber_bookkeeping(self, coupled_run):
         assert coupled_run.norm_deviation_max < 1e-6
         assert coupled_run.absorbed[-1] > 0.5
+
+    def test_lossy_propagator_fails_the_audit(self, monkeypatch):
+        # a kinetic phase of modulus 0.999 loses 0.2 % of the norm per step,
+        # which must show as drift, not pass as absorbed probability
+        config = TwoSurfaceConfig(n_x=256, t_max=1.0)
+        operators = list(twosurface._operators(config))
+        operators[2] = 0.999 * operators[2]
+        monkeypatch.setattr(twosurface, "_operators", lambda c: tuple(operators))
+        state = init_state(config)
+        with pytest.raises(NumericalError, match="drift"):
+            for _ in range(10):
+                step(state, config)
 
 
 class TestGoldenRule:
