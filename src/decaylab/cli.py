@@ -42,9 +42,8 @@ __all__ = ["main"]
 
 # ---------------------------------------------------------------- schema ----
 
-# TwoSurfaceConfig field -> config key.  The slope offset is no setting: it
-# is the oscillator zero point, which puts the bound state at the crossing.
-_TWOSURFACE_KEYS = ({f.name: f.name for f in fields(TwoSurfaceConfig) if f.name != "offset"}
+# TwoSurfaceConfig field -> config key; two fields take shorter names.
+_TWOSURFACE_KEYS = ({f.name: f.name for f in fields(TwoSurfaceConfig)}
                     | {"coupling": "V", "beta_slope": "beta"})
 
 # section -> key -> (type, default).  A default of None is worked out by the
@@ -69,7 +68,7 @@ SCHEMA = {
                "x_min": (float, -100.0), "x_max": (float, 300.0), "n_x": (int, 2048),
                "beta_slope": (float, None), "offset": (float, 0.0)},
     "twosurface": {_TWOSURFACE_KEYS[f.name]: (type(f.default), f.default)
-                   for f in fields(TwoSurfaceConfig) if f.name in _TWOSURFACE_KEYS},
+                   for f in fields(TwoSurfaceConfig)},
 }
 
 
@@ -258,7 +257,7 @@ def _packet(cfg):
     basis = block["basis"]
     x = np.linspace(block["x_min"], block["x_max"], block["n_x"]) if basis else None
     packet = evolve_packet(lambda e: np.sqrt(model.density(e)), omega0, gamma,
-                           eps, times, x=x, basis=basis,
+                           eps, times, x=x, basis=basis or "plane_wave",
                            beta_slope=block["beta_slope"], offset=block["offset"])
     block["window"] = packet.info["window"]
     tables = {"packet_coeff.csv": (["t", "epsilon", "abs2_c"], (

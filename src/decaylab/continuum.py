@@ -54,12 +54,13 @@ def default_energy_grid(omega0: float, gamma: float, n: int = 2001,
     return np.linspace(omega0 - span * gamma, omega0 + span * gamma, int(n))
 
 
-def packet_coefficients(v_eps, omega0: float, gamma: float, eps, t: float) -> np.ndarray:
+def packet_coefficients(v_eps, omega0: float, gamma: float, eps, t) -> np.ndarray:
     """Continuum coefficients c(eps, t) in the exponential-decay approximation.
 
     c = V(eps)/(eps - omega0 + i*gamma/2) * (exp(-i*eps*t)
         - exp(-i*omega0*t) * exp(-gamma*t/2)); identically zero at t = 0.
     ``t=inf`` drops the decaying term and the free phase (magnitudes only).
+    A time array gives shape (n_t, n_eps); a scalar time gives (n_eps,).
     """
     if gamma <= 0:
         raise DomainError("gamma must be positive")
@@ -67,20 +68,21 @@ def packet_coefficients(v_eps, omega0: float, gamma: float, eps, t: float) -> np
     coupling = np.asarray(v_eps(eps) if callable(v_eps) else v_eps, dtype=complex)
     if coupling.shape not in ((), eps.shape):
         raise DomainError("coupling array must match the energy grid")
-    prefactor = coupling / (eps - omega0 + 0.5j * gamma)
-    if np.isinf(t):
-        return prefactor.astype(complex)
-    t = float(t)
-    if t < 0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise DomainError("t must be nonnegative")
-    bracket = np.exp(-1j * eps * t) - np.exp(-1j * omega0 * t - 0.5 * gamma * t)
-    return prefactor * bracket
+    prefactor = coupling / (eps - omega0 + 0.5j * gamma)
+    saturated = np.isinf(t)[..., None]
+    t_finite = np.where(saturated, 0.0, t[..., None])
+    bracket = (np.exp(-1j * eps * t_finite)
+               - np.exp(-1j * omega0 * t_finite - 0.5 * gamma * t_finite))
+    return prefactor * np.where(saturated, 1.0, bracket)
 
 
-def packet_norm_sq(eps: np.ndarray, coeffs: np.ndarray) -> float:
-    """Riemann-sum norm of the coefficients, sum |c|^2 * deps."""
+def packet_norm_sq(eps: np.ndarray, coeffs: np.ndarray) -> float | np.ndarray:
+    """Riemann-sum norm sum |c|^2 * deps over the last axis of (..., n_eps)."""
     deps = np.gradient(np.asarray(eps, dtype=float))
-    return float(np.sum(np.abs(coeffs) ** 2 * deps))
+    return np.sum(np.abs(coeffs) ** 2 * deps, axis=-1)
 
 
 def plane_wave_eigenfunction(eps, x) -> np.ndarray:
@@ -100,7 +102,7 @@ def airy_slope_eigenfunction(eps, x, beta_slope: float, offset: float = 0.0) -> 
     the WKB tail matches cos(integral k dx)/sqrt(pi*k), the normalization
     that makes the overlap of two of them a delta in energy.
     """
-    if beta_slope <= 0:
+    if beta_slope is None or beta_slope <= 0:
         raise BasisUnavailable("slope basis requires beta_slope > 0")
     eps = np.asarray(eps, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -109,33 +111,37 @@ def airy_slope_eigenfunction(eps, x, beta_slope: float, offset: float = 0.0) -> 
     return beta_slope ** (-1.0 / 6.0) * special.airy(arg)[0]
 
 
+# basis name -> eigenfunction(eps, x, beta_slope, offset), shape (n_x, n_eps)
+BASES = {
+    "plane_wave": lambda eps, x, beta_slope, offset: plane_wave_eigenfunction(eps, x),
+    "linear_slope_airy": airy_slope_eigenfunction,
+}
+
+
 def synthesize_packet(eps: np.ndarray, coeffs: np.ndarray, x: np.ndarray,
                       basis: str = "plane_wave", beta_slope: float | None = None,
-                      offset: float = 0.0, basis_fn=None) -> np.ndarray:
-    """Spatial packet Psi(x) = sum_k phi_{eps_k}(x) c_k deps_k."""
+                      offset: float = 0.0) -> np.ndarray:
+    """Spatial packet Psi(x) = sum_k phi_{eps_k}(x) c_k deps_k.
+
+    Coefficients of shape (..., n_eps) give a packet of shape (..., n_x);
+    each eigenfunction is evaluated once, in energy chunks of at most
+    4e6 (x, eps) points.
+    """
     eps = np.asarray(eps, dtype=float)
     coeffs = np.asarray(coeffs, dtype=complex)
     x = np.asarray(x, dtype=float)
-    if eps.shape != coeffs.shape:
+    if coeffs.shape[-1:] != eps.shape:
         raise DomainError("coefficients must match the energy grid")
-    deps = np.gradient(eps)
-    if basis == "plane_wave":
-        psi = np.zeros(x.shape, dtype=complex)
-        chunk = max(1, 4_000_000 // max(x.size, 1))
-        for start in range(0, eps.size, chunk):
-            sl = slice(start, start + chunk)
-            psi += plane_wave_eigenfunction(eps[sl], x) @ (coeffs[sl] * deps[sl])
-        return psi
-    if basis == "linear_slope_airy":
-        if beta_slope is None:
-            raise BasisUnavailable("linear_slope_airy basis needs beta_slope")
-        phi = airy_slope_eigenfunction(eps, x, beta_slope, offset)
-        return phi @ (coeffs * deps)
-    if basis == "user_supplied":
-        if basis_fn is None:
-            raise BasisUnavailable("user_supplied basis needs basis_fn(eps, x)")
-        return np.asarray(basis_fn(eps, x)) @ (coeffs * deps)
-    raise BasisUnavailable(f"unknown basis '{basis}'")
+    phi = BASES.get(basis)
+    if phi is None:
+        raise BasisUnavailable(f"unknown basis '{basis}'")
+    weighted = coeffs * np.gradient(eps)
+    psi = np.zeros(coeffs.shape[:-1] + x.shape, dtype=complex)
+    chunk = max(1, 4_000_000 // max(x.size, 1))
+    for start in range(0, eps.size, chunk):
+        sl = slice(start, start + chunk)
+        psi += weighted[..., sl] @ phi(eps[sl], x, beta_slope, offset).T
+    return psi
 
 
 @dataclass
@@ -151,27 +157,20 @@ class ContinuumPacket:
     info: dict = field(default_factory=dict)
 
     def norm_sq(self) -> np.ndarray:
-        deps = np.gradient(self.eps)
-        return np.sum(np.abs(self.coeffs) ** 2 * deps[None, :], axis=1)
+        return packet_norm_sq(self.eps, self.coeffs)
 
 
 def evolve_packet(v_eps, omega0: float, gamma: float, eps: np.ndarray, times,
-                  x: np.ndarray | None = None, basis: str | None = None,
+                  x: np.ndarray | None = None, basis: str = "plane_wave",
                   beta_slope: float | None = None, offset: float = 0.0) -> ContinuumPacket:
-    """Coefficients for every requested time; spatial synthesis if x is given."""
+    """Coefficients for every requested time; the spatial packet when x is given."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     eps = np.asarray(eps, dtype=float)
-    coeffs = np.empty((times.size, eps.size), dtype=complex)
-    for i, t in enumerate(times):
-        coeffs[i] = packet_coefficients(v_eps, omega0, gamma, eps, t)
+    coeffs = packet_coefficients(v_eps, omega0, gamma, eps, times)
     psi = None
-    if x is not None and basis is not None:
+    if x is not None:
         x = np.asarray(x, dtype=float)
-        psi = np.empty((times.size, x.size), dtype=complex)
-        for i in range(times.size):
-            psi[i] = synthesize_packet(eps, coeffs[i], x, basis=basis,
-                                       beta_slope=beta_slope, offset=offset)
-    return ContinuumPacket(eps=eps, times=times, coeffs=coeffs,
-                           basis=basis or "plane_wave", x=x, psi=psi,
+        psi = synthesize_packet(eps, coeffs, x, basis, beta_slope, offset)
+    return ContinuumPacket(eps=eps, times=times, coeffs=coeffs, basis=basis, x=x, psi=psi,
                            info={"omega0": omega0, "gamma": gamma,
                                  "window": (float(eps[0]), float(eps[-1]))})

@@ -51,13 +51,7 @@ class DiscreteModel:
 
     def hamiltonian(self) -> np.ndarray:
         """Hermitian matrix: level in slot 0, bins on the diagonal."""
-        n = self.size
-        h = np.zeros((n + 1, n + 1), dtype=complex)
-        h[0, 0] = self.omega0
-        h[1:, 0] = self.couplings
-        h[0, 1:] = np.conj(self.couplings)
-        h[np.arange(1, n + 1), np.arange(1, n + 1)] = self.energies
-        return h
+        return _arrowhead(self.omega0, self.energies, self.couplings)
 
     def sigma_discrete(self, omega: complex) -> complex:
         """Riemann-sum self-energy sum |V_i|^2 / (omega - eps_i)."""
@@ -66,6 +60,17 @@ class DiscreteModel:
     def recurrence_time(self) -> float:
         """2*pi over the largest level spacing; decay mimicry ends here."""
         return 2.0 * np.pi / float(np.max(np.diff(self.energies)))
+
+
+def _arrowhead(omega0: float, energies: np.ndarray, couplings: np.ndarray) -> np.ndarray:
+    """Level in slot 0 coupled to the bins on the diagonal; dtype of the couplings."""
+    n = energies.size
+    h = np.zeros((n + 1, n + 1), dtype=couplings.dtype)
+    h[0, 0] = omega0
+    h[1:, 0] = couplings
+    h[0, 1:] = np.conj(couplings)
+    h[np.arange(1, n + 1), np.arange(1, n + 1)] = energies
+    return h
 
 
 @dataclass(frozen=True)
@@ -129,19 +134,21 @@ def resolvent_partitioned(m: DiscreteModel, omega: complex) -> PartitionedResolv
 
 def survival_exact_discrete(m: DiscreteModel, times, with_occupations: bool = False
                             ) -> tuple[SurvivalSeries, np.ndarray | None]:
-    """Eigendecomposition evolution: exact A(t) and bin occupations c_i(t)."""
+    """Eigendecomposition evolution: exact A(t) and bin occupations c_i(t).
+
+    H = U H_r U^dagger with U = diag(1, e^{i arg V_i}) and H_r the same
+    matrix built from |V_i|, so only the real H_r is diagonalized and U
+    puts the coupling phases back on the bin occupations.
+    """
     times = _check_times(times)
-    ham = m.hamiltonian()
-    if np.all(ham.imag == 0):
-        evals, evecs = np.linalg.eigh(ham.real)  # real-symmetric path is much faster
-    else:
-        evals, evecs = np.linalg.eigh(ham)
+    evals, evecs = np.linalg.eigh(_arrowhead(m.omega0, m.energies, np.abs(m.couplings)))
     overlap0 = evecs[0, :]
     phases = np.exp(-1j * np.outer(evals, times))
-    amp = (np.abs(overlap0) ** 2) @ phases
+    amp = overlap0**2 @ phases
     occupations = None
     if with_occupations:
-        occupations = (evecs[1:, :] * np.conj(overlap0)[None, :]) @ phases
+        gauge = np.exp(1j * np.angle(m.couplings))
+        occupations = gauge[:, None] * ((evecs[1:, :] * overlap0[None, :]) @ phases)
     series = SurvivalSeries(
         times=times, amplitude=amp, method="discrete_oracle",
         info={"n_bins": m.size, "recurrence_time": m.recurrence_time()})

@@ -60,8 +60,9 @@ def find_pole(se: SelfEnergy, omega0: float, guess: complex | None = None,
               max_iterations: int = 200) -> PoleResult:
     """Newton iteration for the second-sheet zero of omega - omega0 - Sigma.
 
-    The derivative is taken by central finite difference, which works
-    uniformly for closed-form and quadrature-backed self-energies.
+    Sigma on the second sheet comes from the model's exact Cauchy
+    transform; the derivative, and with it the residue, is a central
+    finite difference of that.
     """
     omega0 = float(omega0)
     lo, hi = se.model.support()

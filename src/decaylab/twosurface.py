@@ -28,7 +28,7 @@ __all__ = ["MASS", "OMEGA_OSC", "OFFSET", "TwoSurfaceConfig", "TwoSurfaceState",
 
 MASS = 0.5
 OMEGA_OSC = np.sqrt(2.0)
-OFFSET = 1.0 / np.sqrt(2.0)
+OFFSET = 1.0 / np.sqrt(2.0)  # slope surface offset: the oscillator zero point
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,6 @@ class TwoSurfaceConfig:
 
     coupling: float = 0.5
     beta_slope: float = 3.0
-    offset: float = OFFSET
     x_min: float = -10.0
     x_max: float = 60.0
     n_x: int = 2048
@@ -97,7 +96,7 @@ def _operators(config: TwoSurfaceConfig):
     kinetic_phase = np.exp(-1j * k**2 * config.dt)
 
     pot1 = 0.5 * x**2
-    pot2 = -config.beta_slope * x + config.offset
+    pot2 = -config.beta_slope * x + OFFSET
     mean = 0.5 * (pot1 + pot2)
     delta = 0.5 * (pot1 - pot2)
     rabi = np.hypot(delta, config.coupling)
@@ -165,8 +164,7 @@ def survival_probability(state: TwoSurfaceState) -> float:
     return float(np.sum(np.abs(state.psi1) ** 2) * state.dx)
 
 
-def golden_rule_rate(coupling: float, beta_slope: float,
-                     offset: float = OFFSET) -> GoldenRule:
+def golden_rule_rate(coupling: float, beta_slope: float) -> GoldenRule:
     """Perturbative decay rate from the Airy-eigenfunction overlap.
 
     gamma = 2*pi*V^2 |<phi_eps0|ground>|^2 with phi the energy-normalized
@@ -260,7 +258,7 @@ def run(config: TwoSurfaceConfig) -> TwoSurfaceRun:
             snaps_t.append(state.t)
             snaps.append(np.abs(state.psi2) ** 2)
 
-    golden = golden_rule_rate(config.coupling, config.beta_slope, config.offset)
+    golden = golden_rule_rate(config.coupling, config.beta_slope)
     t_lo = 0.5 / golden.rate
     t_hi = min(2.5 / golden.rate, config.t_max)
     window = (times >= t_lo) & (times <= t_hi) & (p1 > 0)

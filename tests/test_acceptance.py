@@ -11,7 +11,8 @@ import pytest
 
 import decaylab as dl
 from decaylab.cli import main as cli_main
-from decaylab.twosurface import TwoSurfaceConfig, packet_moments, run as run_twosurface
+from decaylab.twosurface import (OFFSET, TwoSurfaceConfig, packet_moments,
+                                  run as run_twosurface)
 from conftest import linear_fit_r2
 
 
@@ -166,7 +167,7 @@ def test_criterion_8_two_surface_simulation():
     assert abs(rate_ratio - 1.0) < 0.25
     # (c) centroid moves outward monotonically and the packet spreads,
     #     between emergence and the arrival of the front at the absorber
-    beta, eps0 = config.beta_slope, config.offset
+    beta, eps0 = config.beta_slope, OFFSET
     x_absorber = config.x_max - config.absorber_width
     t_front = (np.sqrt(eps0 + beta * x_absorber) - np.sqrt(eps0)) / beta
     t_lo = 0.5 / result.golden.rate

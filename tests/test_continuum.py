@@ -75,6 +75,8 @@ class TestCoefficients:
         with pytest.raises(DomainError):
             dl.packet_coefficients(flat_coupling, 0.0, GAMMA, eps, -1.0)
         with pytest.raises(DomainError):
+            dl.packet_coefficients(flat_coupling, 0.0, GAMMA, eps, [1.0, -1.0])
+        with pytest.raises(DomainError):
             dl.packet_coefficients(flat_coupling, 0.0, 0.0, eps, 1.0)
         with pytest.raises(DomainError):
             dl.packet_coefficients(np.ones(3), 0.0, GAMMA, eps, 1.0)
@@ -166,9 +168,65 @@ class TestAiryBasis:
             dl.synthesize_packet(np.array([1.0, 2.0]), np.ones(2, complex),
                                  np.linspace(0, 1, 4), basis="bessel")
 
-    def test_user_supplied_basis(self):
-        eps = np.array([1.0, 2.0])
-        x = np.linspace(0, 1, 4)
-        psi = dl.synthesize_packet(eps, np.ones(2, complex), x, basis="user_supplied",
-                                   basis_fn=lambda e, xs: np.ones((xs.size, e.size)))
-        np.testing.assert_allclose(psi, 2.0)
+    def test_airy_needs_slope(self):
+        with pytest.raises(BasisUnavailable):
+            dl.synthesize_packet(np.array([1.0, 2.0]), np.ones(2, complex),
+                                 np.linspace(0, 1, 4), basis="linear_slope_airy")
+
+
+# (basis, keyword arguments, energy window): both bases synthesized on one path
+BASIS_CASES = [("plane_wave", {}, (20.0, 30.0)),
+              ("linear_slope_airy", {"beta_slope": 3.0}, (-3.0, 3.0))]
+
+
+@pytest.mark.parametrize("basis, kwargs, window", BASIS_CASES,
+                         ids=[case[0] for case in BASIS_CASES])
+class TestBlockSynthesis:
+    TIMES = np.array([0.5, 2.0, 7.0])
+
+    def packet(self, window, x, basis=None, **kwargs):
+        omega0 = 0.5 * (window[0] + window[1])
+        eps = np.linspace(*window, 201)
+        if basis is not None:
+            kwargs["basis"] = basis
+        return dl.evolve_packet(flat_coupling, omega0, GAMMA, eps, self.TIMES, x=x, **kwargs)
+
+    def test_block_equals_row_by_row(self, basis, kwargs, window):
+        # 4e6 // 40000 = 100 energies a chunk: chunks of 100, 100 and 1; the
+        # short x range keeps the Airy arguments where they are cheap
+        x = np.linspace(-1.0, 1.0, 40_000)
+        packet = self.packet(window, x, basis, **kwargs)
+        assert packet.psi.shape == (self.TIMES.size, x.size)
+        for row, psi in zip(packet.coeffs, packet.psi):
+            alone = dl.synthesize_packet(packet.eps, row, x, basis, **kwargs)
+            np.testing.assert_allclose(psi, alone, rtol=0, atol=1e-13)
+        # psi at a point does not depend on the rest of the grid, and a few
+        # points take a single chunk: this checks the sum over chunks
+        few = slice(None, None, 997)
+        one_chunk = dl.synthesize_packet(packet.eps, packet.coeffs, x[few], basis, **kwargs)
+        np.testing.assert_allclose(packet.psi[:, few], one_chunk, rtol=0, atol=1e-13)
+
+    def test_time_array_equals_stacked_scalar_calls(self, basis, kwargs, window):
+        packet = self.packet(window, None, basis, **kwargs)
+        omega0 = packet.info["omega0"]
+        stacked = [dl.packet_coefficients(flat_coupling, omega0, GAMMA, packet.eps, t)
+                   for t in self.TIMES]
+        np.testing.assert_array_equal(packet.coeffs, stacked)
+        times = np.append(self.TIMES, np.inf)
+        block = dl.packet_coefficients(flat_coupling, omega0, GAMMA, packet.eps, times)
+        np.testing.assert_array_equal(
+            block[-1], dl.packet_coefficients(flat_coupling, omega0, GAMMA, packet.eps, np.inf))
+        np.testing.assert_array_equal(packet.norm_sq(),
+                                      [dl.packet_norm_sq(packet.eps, c) for c in stacked])
+
+    def test_x_without_basis_synthesizes_plane_waves(self, basis, kwargs, window):
+        x = np.linspace(-10.0, 10.0, 64)
+        if basis == "plane_wave":
+            packet = self.packet(window, x)
+            assert packet.basis == "plane_wave"
+            np.testing.assert_array_equal(
+                packet.psi, dl.synthesize_packet(packet.eps, packet.coeffs, x))
+        else:
+            # the Airy window reaches below zero, where plane waves do not exist
+            with pytest.raises(BasisUnavailable):
+                self.packet(window, x, **kwargs)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import decaylab as dl
 from decaylab.errors import DomainError
@@ -145,3 +146,13 @@ class TestExactSurvival:
         m = random_discrete(rng, 30)
         series, _ = dl.survival_exact_discrete(m, [0.0])
         assert series.amplitude[0] == pytest.approx(1.0, abs=1e-13)
+
+    def test_complex_couplings_match_matrix_exponential(self):
+        # the real |V| matrix plus the coupling phases gives the full evolution
+        rng = np.random.default_rng(31)
+        m = random_discrete(rng, 30)
+        times = np.array([0.0, 0.7, 3.0, 12.5])
+        series, occ = dl.survival_exact_discrete(m, times, with_occupations=True)
+        columns = np.array([expm(-1j * m.hamiltonian() * t)[:, 0] for t in times]).T
+        np.testing.assert_allclose(series.amplitude, columns[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(occ, columns[1:], rtol=0, atol=1e-12)
