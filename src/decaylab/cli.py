@@ -187,12 +187,14 @@ def _survival(cfg):
     block = cfg["survival"]
     times = np.linspace(0.0, block["tmax"], block["nt"])
     method = block["method"]
+    results = None
     if method == "numeric":
         series = survival_numeric(SelfEnergy(model), omega0, times,
                                   contour_offset=block["contour_a"],
                                   omega_max=block["omega_max"], n_points=block["n_points"])
         block.update(contour_a=series.info["contour_offset"],
                      omega_max=series.info["omega_max"], n_points=series.info["n_points"])
+        results = {key: series.info[key] for key in ("transform", "tail_estimate")}
     elif method == "pole-cut":
         series = survival_pole_cut(SelfEnergy(model), omega0, times)
     elif method == "closed":
@@ -203,7 +205,7 @@ def _survival(cfg):
     else:
         raise DomainError(f"unknown survival method '{method}'")
     print(f"survival by {series.method}")
-    return {"survival.csv": _survival_table(series)}, None
+    return {"survival.csv": _survival_table(series)}, results
 
 
 def _oracle_survival(cfg):

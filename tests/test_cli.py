@@ -96,6 +96,9 @@ class TestSurvivalCommand:
         for key in ("contour_a", "omega_max", "n_points", "tmax", "nt", "method"):
             assert key in survival
         assert manifest["config"]["model"]["a"] == 0.0
+        assert manifest["results"]["transform"] == "chirp_z"
+        # the default omega_max is set by the 1e-5 truncated-tail target
+        assert manifest["results"]["tail_estimate"] == pytest.approx(1e-5)
 
     def test_closed_form_unavailable(self, tmp_path):
         text = ("model.type = thresholdpower\nmodel.beta_th = 0.01\n"
