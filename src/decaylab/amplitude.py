@@ -171,7 +171,7 @@ def survival_numeric(se: SelfEnergy, omega0: float, times,
         if offset <= 0:
             raise DomainError("contour offset must be positive")
 
-    weight = se.weight()
+    weight = se.model.total_weight()
     lo, hi = se.model.support()
     reach = max(abs(b) for b in (lo, hi) if np.isfinite(b)) if np.isfinite(lo) or np.isfinite(hi) else 0.0
     reach = max(reach, abs(omega0))

@@ -137,7 +137,6 @@ def _spectral(cfg):
 
 def _selfenergy(cfg):
     model = model_from_config(cfg["model"])
-    se = SelfEnergy(model)
     block = cfg["selfenergy"]
     lo, hi = model.support()
     width = model.char_width()
@@ -145,13 +144,11 @@ def _selfenergy(cfg):
         block["grid_min"] = (lo if np.isfinite(lo) else -3 * width) - 0.5 * width
     if block["grid_max"] is None:
         block["grid_max"] = (hi if np.isfinite(hi) else 3 * width) + 0.5 * width
-    rows = []
-    for w in np.linspace(block["grid_min"], block["grid_max"], block["grid_n"]):
-        try:
-            val = se.sigma_upper(w)
-        except (ValidationError, NumericalError):
-            val = complex(np.nan, np.nan)
-        rows.append((w, val.real, val.imag))
+    grid = np.linspace(block["grid_min"], block["grid_max"], block["grid_n"])
+    # boundary values from above; infinite at a band edge where D is not zero
+    sigma = model.cauchy(grid)
+    sigma = np.where(np.isfinite(sigma), sigma, complex(np.nan, np.nan))
+    rows = zip(grid, sigma.real, sigma.imag)
     return {"selfenergy.csv": (["omega", "re_sigma", "im_sigma"], rows)}, None
 
 

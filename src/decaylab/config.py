@@ -10,6 +10,7 @@ manifest records.
 from __future__ import annotations
 
 import difflib
+import sys
 from pathlib import Path
 
 from .errors import ConfigParseError, DomainError, ValidationError
@@ -79,6 +80,8 @@ def _coerce(where: str, kind: type, value):
         return str(value)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{where} = {value!r} is not a number")
+    if not abs(value) <= sys.float_info.max:  # nan, +-inf, or an int past the float range
+        raise ValidationError(f"{where} = {value!r} is not a finite number")
     if kind is int and not float(value).is_integer():
         raise ValidationError(f"{where} = {value!r} is not an integer")
     return kind(value)

@@ -4,9 +4,9 @@ The physical-sheet function is the Cauchy integral of the spectral
 density over its support, which every model evaluates exactly and
 vectorized as ``model.cauchy``.  Crossing the real axis from above
 continues it onto the second sheet by subtracting 2*pi*i times the
-analytically continued density.  Adaptive quadrature of the same
-integrals is kept only as an independent reference
-(``force_quadrature=True``); the quadrature settings steer nothing else.
+analytically continued density.  ``sigma_quadrature`` evaluates the same
+integral by adaptive quadrature; it is an independent reference for
+tests, and no result is computed through it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from scipy import integrate
 from .errors import DomainError, QuadratureFailure
 from .spectral import SpectralModel
 
-__all__ = ["SelfEnergy", "Renormalization", "central_difference"]
+__all__ = ["SelfEnergy", "Renormalization", "central_difference", "sigma_quadrature"]
 
 
 @dataclass(frozen=True)
@@ -43,45 +43,55 @@ def central_difference(f, w: complex, max_step: float = np.inf) -> complex:
     return (f(right) - f(left)) / (right - left)
 
 
+def sigma_quadrature(model: SpectralModel, omega: complex) -> complex:
+    """Adaptive quadrature of ``model.cauchy(omega)``, with its conventions.
+
+    Takes either half-plane, and the boundary value from above on the axis.
+    """
+    omega = complex(omega)
+    lo, hi = model.support()
+    dens, x, width = model.density, omega.real, model.char_width()
+
+    def quad(f, a, b, points=None):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            val, err = integrate.quad(f, a, b, epsabs=1e-10, epsrel=1e-9, limit=10_000,
+                                      points=points, complex_func=True)
+        if not np.isfinite(val) or abs(err) > max(1e-6, 1e-7 * max(1.0, abs(val))):
+            raise QuadratureFailure(f"integral over ({a}, {b}) is {val} +- {abs(err):.3e}")
+        return complex(val)
+
+    if not lo < x < hi:
+        inner = [p for p in model.breakpoints() if lo < p < hi]
+        return quad(lambda e: dens(e) / (omega - e), lo, hi,
+                    inner if inner and np.isfinite(lo) and np.isfinite(hi) else None)
+    # On a window around x, narrower than the support, the pole's spike can
+    # slip between quadrature nodes when it sits near or on the axis.  There
+    # subtract the flat density D(x), whose integral is the exact band
+    # logarithm, and integrate the bounded remainder.
+    a, b = max(lo, x - width / 4), min(hi, x + width / 4)
+    d0 = float(dens(x)) if abs(omega.imag) < 0.01 * width else 0.0
+    if omega.imag == 0:  # the boundary value from above
+        total = d0 * (np.log((x - a) / (b - x)) - 1j * np.pi)
+    else:
+        total = d0 * np.log((omega - a) / (omega - b))
+    # Every finite edge splits the range, so that the pole and the
+    # density's structure lie in finite pieces, not in an infinite tail.
+    edges = sorted({lo, hi, a, b, x, *model.breakpoints()})
+    for start, stop in zip(edges[:-1], edges[1:]):
+        flat = d0 if a <= start and stop <= b else 0.0
+        total += quad(lambda e: (dens(e) - flat) / (omega - e), start, stop)
+    return total
+
+
 class SelfEnergy:
     """Evaluator of the level shift-and-width function of a spectral model.
 
     Immutable after construction; all evaluations are pure.
     """
 
-    def __init__(self, model: SpectralModel, quad_tol: float = 1e-10,
-                 max_subdiv: int = 10_000, eta: float | None = None):
+    def __init__(self, model: SpectralModel):
         self.model = model
-        self.quad_tol = float(quad_tol)
-        self.max_subdiv = int(max_subdiv)
-        self.eta = float(eta) if eta is not None else 1e-9 * model.char_width()
-        if self.quad_tol <= 0 or self.max_subdiv < 10 or self.eta <= 0:
-            raise DomainError("invalid quadrature settings")
-
-    # -- basic quadrature plumbing -------------------------------------
-
-    def _quad(self, f, a, b, points=None):
-        kwargs = dict(epsabs=self.quad_tol, epsrel=1e-9,
-                      limit=self.max_subdiv, complex_func=True)
-        if points is not None and np.isfinite(a) and np.isfinite(b):
-            pts = [p for p in points if a < p < b]
-            if pts:
-                kwargs["points"] = pts
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            val, err = integrate.quad(f, a, b, **kwargs)
-        if not np.isfinite(val):
-            raise QuadratureFailure(f"integral over ({a}, {b}) is not finite")
-        if abs(err) > max(1e4 * self.quad_tol, 1e-7 * max(1.0, abs(val))):
-            raise QuadratureFailure(
-                f"estimated quadrature error {abs(err):.3e} exceeds tolerance")
-        return complex(val)
-
-    def weight(self) -> float:
-        """Total integrated density."""
-        return self.model.total_weight()
-
-    # -- physical sheet ------------------------------------------------
 
     def sigma_physical(self, omega: complex) -> complex:
         """Cauchy integral of the density at Im omega != 0 (either sign)."""
@@ -91,56 +101,11 @@ class SelfEnergy:
                               "use sigma_upper for boundary values")
         return complex(self.model.cauchy(omega))
 
-    def _sigma_quadrature(self, omega: complex) -> complex:
-        """Adaptive quadrature of model.cauchy(omega), with its conventions."""
-        lo, hi = self.model.support()
-        dens = self.model.density
-        points = self.model.breakpoints()
-        x = omega.real
-        if not lo < x < hi:
-            return self._quad(lambda e: dens(e) / (omega - e), lo, hi, points=points)
-        if omega.imag == 0:
-            return self._principal_value(x) - 1j * np.pi * float(dens(x))
-        # On a window around Re omega, narrower than the support, the pole's
-        # spike can slip between quadrature nodes when it sits near the
-        # axis.  There subtract the flat density D(Re omega), whose integral
-        # is the exact band logarithm, and integrate the bounded remainder.
-        width = self.model.char_width()
-        a, b = max(lo, x - width / 4), min(hi, x + width / 4)
-        d0 = float(dens(x)) if abs(omega.imag) < 0.01 * width else 0.0
-        total = d0 * np.log((omega - a) / (omega - b))
-        # Every finite edge splits the range, so that the pole and the
-        # density's structure lie in finite pieces, not in an infinite tail.
-        edges = sorted({lo, hi, a, b, x, *points})
-        for start, stop in zip(edges[:-1], edges[1:]):
-            flat = d0 if a <= start and stop <= b else 0.0
-            total += self._quad(lambda e: (dens(e) - flat) / (omega - e), start, stop)
-        return total
-
     def sigma_panel_rule(self, omega: complex) -> complex:
-        """Same as sigma_physical.
-
-        The fixed panel rule this name once selected is gone; the name
-        stays because the benchmark's tracer (bench/spans.py) wraps it.
-        """
+        """Same as sigma_physical; the benchmark's tracer wraps this name."""
         return self.sigma_physical(omega)
 
-    def _principal_value(self, w: float) -> complex:
-        """PV integral of D(e)/(w - e) with a symmetric window around w."""
-        m = self.model
-        lo, hi = m.support()
-        delta = min(w - lo, hi - w, m.char_width())
-        dens = m.density
-        total = self._quad(lambda u: (dens(w - u) - dens(w + u)) / u, 0.0, delta)
-        if lo < w - delta:
-            total += self._quad(lambda e: dens(e) / (w - e), lo, w - delta,
-                                points=m.breakpoints())
-        if w + delta < hi:
-            total += self._quad(lambda e: dens(e) / (w - e), w + delta, hi,
-                                points=m.breakpoints())
-        return total
-
-    def sigma_upper(self, omega: complex, force_quadrature: bool = False) -> complex:
+    def sigma_upper(self, omega: complex) -> complex:
         """Self-energy on the physical sheet for Im omega >= 0.
 
         Real omega returns the boundary value from above, whose imaginary
@@ -149,16 +114,12 @@ class SelfEnergy:
         omega = complex(omega)
         if omega.imag < 0:
             raise DomainError("sigma_upper requires Im omega >= 0")
-        if force_quadrature:
-            return self._sigma_quadrature(omega)
         value = complex(self.model.cauchy(omega))
         if not np.isfinite(value):
             raise DomainError("boundary value diverges at a band edge")
         return value
 
-    # -- second sheet ----------------------------------------------------
-
-    def sigma_continued(self, omega: complex, force_quadrature: bool = False) -> complex:
+    def sigma_continued(self, omega: complex) -> complex:
         """Second-sheet self-energy, continuous across the support interior.
 
         For Im omega >= 0 this coincides with the physical sheet; below the
@@ -168,18 +129,14 @@ class SelfEnergy:
         """
         omega = complex(omega)
         if omega.imag >= 0:
-            return self.sigma_upper(omega, force_quadrature=force_quadrature)
-        base = self._sigma_quadrature(omega) if force_quadrature else self.sigma_physical(omega)
-        return base - 2j * np.pi * self.model.density_complex(omega)
+            return self.sigma_upper(omega)
+        return self.sigma_physical(omega) - 2j * np.pi * self.model.density_complex(omega)
 
-    def cut_discontinuity(self, xi: float, verify: bool = False) -> complex:
+    def cut_discontinuity(self, xi: float) -> complex:
         """Jump of the self-energy across the cut hung from the threshold.
 
         Returns -2*pi*i times the continued density evaluated a distance
-        xi up the imaginary direction from the lower support edge.  With
-        ``verify=True`` the jump is instead measured directly as the
-        difference of the two one-sided evaluations at depth xi below the
-        threshold (offset by eta on either side of the vertical line).
+        xi up the imaginary direction from the lower support edge.
         """
         xi = float(xi)
         if xi < 0:
@@ -187,20 +144,11 @@ class SelfEnergy:
         mu, _ = self.model.support()
         if not np.isfinite(mu):
             raise DomainError("cut discontinuity requires a finite lower support bound")
-        if verify:
-            if xi <= 0:
-                raise DomainError("two-sided verification requires xi > 0")
-            w = mu - 1j * xi
-            right = self.sigma_continued(w + self.eta)
-            left = self.sigma_physical(w - self.eta)
-            return right - left
         z = mu + 1j * max(xi, 5e-324)
         val = -2j * np.pi * self.model.density_complex(z)
         if xi == 0 and abs(val) < 1e-150:
             return 0j  # vanishing density at the threshold
         return val
-
-    # -- bound state below threshold ------------------------------------
 
     def renormalize_below_threshold(self, omega0: float) -> Renormalization:
         """Dressed weight and energy of a level lying below the threshold.
@@ -223,14 +171,8 @@ class SelfEnergy:
         z = 1.0 / (1.0 + curvature)
         return Renormalization(Z=z, omega_tilde=omega0 + z * shift(omega0))
 
-    # -- vectorized contour evaluation -----------------------------------
-
     def sigma_upper_grid(self, omegas: np.ndarray) -> np.ndarray:
-        """Physical-sheet self-energy on an array of points off the real axis.
-
-        Used by the Laplace-Fourier inversion, which needs the integrand
-        on many contour nodes at once.
-        """
+        """Physical-sheet self-energy on an array of points off the real axis."""
         omegas = np.asarray(omegas, dtype=complex)
         if np.any(omegas.imag == 0):
             raise DomainError("contour nodes must lie off the real axis")

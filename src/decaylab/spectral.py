@@ -286,6 +286,8 @@ class Tabulated(SpectralModel):
         vals = np.asarray(values, dtype=float)
         if eps.ndim != 1 or eps.shape != vals.shape or eps.size < 2:
             raise DomainError("Tabulated model needs matching 1-d eps/values arrays (>= 2 samples)")
+        if not (np.all(np.isfinite(eps)) and np.all(np.isfinite(vals))):
+            raise DomainError("Tabulated energies and density values must be finite")
         if np.any(np.diff(eps) <= 0):
             raise DomainError("Tabulated energies must be strictly increasing")
         if np.any(vals < 0):

@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import DomainError, GridTooNarrow, NumericalError
 
@@ -174,14 +174,17 @@ def golden_rule_rate(coupling: float, beta_slope: float) -> GoldenRule:
     """
     if beta_slope <= 0:
         raise DomainError("beta_slope must be positive")
-    b3 = beta_slope ** (1.0 / 3.0)
+    # The overlap of beta^(-1/6) Ai(-beta^(1/3) x) with the ground state
+    # N exp(-x^2 / (2 sqrt 2)) is, with y = -beta^(1/3) x, a Gaussian
+    # average of Ai.  The heat kernel identity
+    #   int Ai(y) exp(-y^2 / 4a) dy = sqrt(4 pi a) Ai(a^2) exp(2a^3 / 3)
+    # gives it in closed form (Vallee & Soares, Airy Functions and
+    # Applications to Physics, 2004).  The scaled airye absorbs the
+    # exponential, which overflows past beta ~ 55.
+    a = beta_slope ** (2.0 / 3.0) / np.sqrt(2.0)
     norm_g = (np.pi * np.sqrt(2.0)) ** -0.25
-
-    def integrand(x):
-        return (beta_slope ** (-1.0 / 6.0) * special.airy(-b3 * x)[0]
-                * norm_g * np.exp(-x**2 / (2.0 * np.sqrt(2.0))))
-
-    overlap, _ = integrate.quad(integrand, -20.0, 20.0, limit=400)
+    overlap = float(beta_slope ** (-1.0 / 6.0) * norm_g * beta_slope ** (-1.0 / 3.0)
+                    * np.sqrt(4.0 * np.pi * a) * special.airye(a * a)[0])
     rate = 2.0 * np.pi * coupling**2 * overlap**2
     ratio = (coupling**2 / beta_slope) / OMEGA_OSC
     return GoldenRule(rate=rate, perturbative_ratio=ratio)

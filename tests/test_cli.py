@@ -138,6 +138,22 @@ class TestOtherCommands:
         data = read_csv(out / "selfenergy.csv")
         assert np.all(data["im_sigma"][np.isfinite(data["im_sigma"])] <= 1e-12)
 
+    def test_selfenergy_on_band_edges(self, tmp_path):
+        # the grid lands exactly on the edges +-L, where the boundary value diverges
+        text = ("model.type = box\nmodel.A2 = 0.05\nmodel.L = 2\n"
+                "selfenergy.grid_min = -4\nselfenergy.grid_max = 4\nselfenergy.grid_n = 9\n")
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "run"
+        assert main(["selfenergy", "-c", str(cfg), "--out", str(out)]) == 0
+        data = read_csv(out / "selfenergy.csv")
+        edge = np.abs(data["omega"]) == 2.0
+        assert edge.sum() == 2
+        assert np.all(np.isnan(data["re_sigma"][edge]) & np.isnan(data["im_sigma"][edge]))
+        se = dl.SelfEnergy(dl.Box(amplitude_sq=0.05, half_width=2.0))
+        expected = [se.sigma_upper(w) for w in data["omega"][~edge]]
+        np.testing.assert_allclose(data["re_sigma"][~edge] + 1j * data["im_sigma"][~edge],
+                                   expected, rtol=1e-13, atol=0)
+
     def test_poles(self, tmp_path):
         cfg = write_config(tmp_path, LORENTZIAN_CONFIG)
         out = tmp_path / "run"
@@ -257,6 +273,14 @@ BAD_INPUTS = {
                               "model.table_path = no_such_table.csv\n", "no_such_table.csv"),
     "non-integral count": ("survival", LORENTZIAN_CONFIG.replace(
         "survival.nt = 51", "survival.nt = 2.5"), "survival.nt"),
+    "nan band width": ("survival", LORENTZIAN_CONFIG.replace(
+        "model.b = 1.0", "model.b = nan"), "model.b"),
+    "nan level energy": ("survival", LORENTZIAN_CONFIG.replace(
+        "system.omega0 = 0.0", "system.omega0 = nan"), "system.omega0"),
+    "infinite coupling": ("spectral", LORENTZIAN_CONFIG.replace(
+        "model.A2 = 0.1", "model.A2 = inf"), "model.A2"),
+    "integer past the float range": ("spectral", LORENTZIAN_CONFIG.replace(
+        "model.A2 = 0.1", "model.A2 = 1" + "0" * 400), "model.A2"),
 }
 
 

@@ -127,6 +127,13 @@ class TestTabulated:
             dl.Tabulated(eps=[0.0, 0.0], values=[1.0, 1.0])
         with pytest.raises(DomainError):
             dl.Tabulated(eps=[0.0, 1.0], values=[1.0, -1.0])
+        # nan slips past both comparisons above, since nan < 0 is False
+        for eps, values in (([0.0, 1.0, 2.0], [1.0, np.nan, 1.0]),
+                            ([0.0, 1.0, 2.0], [1.0, np.inf, 1.0]),
+                            ([0.0, np.nan, 2.0], [1.0, 1.0, 1.0]),
+                            ([0.0, 1.0, np.inf], [1.0, 1.0, 1.0])):
+            with pytest.raises(DomainError):
+                dl.Tabulated(eps=eps, values=values)
 
 
 MODELS = [

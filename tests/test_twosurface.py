@@ -123,15 +123,16 @@ class TestGoldenRule:
         assert gr.perturbative_ratio < 0.1
         assert 0.05 < gr.rate < 1.0
 
-    def test_grid_oracle_agrees_with_adaptive_overlap(self):
+    @pytest.mark.parametrize("beta", [1.0, 3.0, 6.0, 100.0])
+    def test_grid_oracle_agrees_with_adaptive_overlap(self, beta):
         # same overlap by dense trapezoid quadrature
         x = np.linspace(-20.0, 20.0, 200_001)
-        phi = dl.airy_slope_eigenfunction(np.array([1.0 / np.sqrt(2.0)]), x, 3.0,
+        phi = dl.airy_slope_eigenfunction(np.array([1.0 / np.sqrt(2.0)]), x, beta,
                                           offset=1.0 / np.sqrt(2.0))[:, 0]
         ground = (np.pi * np.sqrt(2.0)) ** -0.25 * np.exp(-x**2 / (2 * np.sqrt(2.0)))
         overlap = np.trapezoid(phi * ground, x)
         expected = 2.0 * np.pi * 0.25 * overlap**2
-        assert golden_rule_rate(0.5, 3.0).rate == pytest.approx(expected, rel=1e-6)
+        assert golden_rule_rate(0.5, beta).rate == pytest.approx(expected, rel=1e-6)
 
 
 class TestRun:
