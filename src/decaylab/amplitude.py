@@ -7,6 +7,9 @@
 * closed forms for the two exactly solvable models (Lorentzian density
   and the wide flat band).
 
+The cut integral is one fixed exp-sinh rule (Takahasi & Mori 1974) in the
+depth below the threshold, shared by all times; twice its step bounds the error.
+
 The numeric inversion subtracts the free propagator pole analytically,
 so the quadrature only sees a smooth difference that decays like the
 inverse cube of frequency, and the subtracted part is restored exactly.
@@ -23,11 +26,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as sfft, integrate, special
+from scipy import fft as sfft, special
 
 from .errors import (DomainError, QuadratureFailure, SingularDenominator,
                      TruncationError)
-from .poles import PoleResult, find_pole, lorentzian_poles
+from .poles import find_pole, lorentzian_poles
 from .selfenergy import SelfEnergy
 from .spectral import Lorentzian
 
@@ -84,6 +87,12 @@ def default_contour_offset(se: SelfEnergy, omega0: float, t_max: float) -> float
 # Nodes per chirp-z block, and complex elements per batch of blocks (4 MB).
 _CZT_BLOCK = 4096
 _BATCH_ELEMENTS = 1 << 18
+# Exp-sinh nodes exp(pi/2 sinh(k h)) for |k h| <= 4.5, h = 1/64: 2e-31 to 5e30.
+# Column 0 weights the rule at step h, column 1 the rule at 2h (even k only).
+_DE_KH = np.arange(-288, 289) / 64
+_DE_NODES = np.exp(0.5 * np.pi * np.sinh(_DE_KH))
+_DE_WEIGHTS = np.outer(np.pi / 128 * np.cosh(_DE_KH) * _DE_NODES, [1.0, 2.0])
+_DE_WEIGHTS[1::2, 1] = 0.0
 # Times count as uniform when max_k |t_k - (t0 + k dt)| * max_j |x_j|, the
 # largest phase error of treating them as such, is at most this.
 _UNIFORM_PHASE = 1e-10
@@ -187,10 +196,10 @@ def survival_numeric(se: SelfEnergy, omega0: float, times,
     else:
         omega_max = float(omega_max)
     margin = omega_max - reach
-    if margin <= 0:
-        raise TruncationError("omega_max does not clear the spectral support")
+    if not np.isfinite(omega_max) or margin <= 0:
+        raise TruncationError("omega_max must be finite and clear the spectral support")
     tail_estimate = growth * weight / (np.pi * margin**2)
-    if tail_estimate > 1e-4:
+    if not tail_estimate <= 1e-4:
         raise TruncationError(
             f"estimated truncated-tail contribution {tail_estimate:.3e} > 1e-4; "
             "increase omega_max or lower the contour")
@@ -252,49 +261,38 @@ def survival_box(amplitude_sq: float, half_width: float, omega0: float,
                           info={"gamma": gamma})
 
 
-def cut_integral(se: SelfEnergy, omega0: float, t: float) -> complex:
+def cut_integral(se: SelfEnergy, omega0: float, times):
     """Branch-cut contribution to A(t) from the cut hung below the threshold.
 
-    Integrates exp(-xi*t) times the sheet discontinuity over the vertical
-    cut, divided by the one-sided propagator denominators, after the
-    substitution u = xi*t that keeps the quadrature well scaled at all
-    times.
+    exp(-i mu t) / (2 pi) times the integral over xi > 0 of exp(-xi t) J(xi)
+    / ((w - omega0 - Sigma - J)(w - omega0 - Sigma)) at w = mu - i xi, with
+    J the sheet jump and Sigma the physical sheet, at a positive time or an
+    array of them (same shape out).
     """
-    omega0 = float(omega0)
-    t = float(t)
-    if t <= 0:
-        raise DomainError("cut_integral requires t > 0")
+    t = np.asarray(times, dtype=float)
+    if not np.all((t > 0) & (t < np.inf)):
+        raise DomainError("cut_integral requires finite t > 0")
+    jump = se.cut_discontinuity(_DE_NODES)
     mu, _ = se.model.support()
-    if not np.isfinite(mu):
-        raise DomainError("cut integral requires a finite lower support bound")
-
-    def integrand(u: float) -> complex:
-        xi = u / t
-        jump = se.cut_discontinuity(xi)
-        sheet1 = se.sigma_physical(mu - 1j * xi)
-        sheet2 = sheet1 + jump
-        w = mu - 1j * xi
-        return np.exp(-u) * jump / ((w - omega0 - sheet2) * (w - omega0 - sheet1))
-
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(integrand, 0.0, np.inf, complex_func=True,
-                                  epsabs=1e-13, epsrel=1e-10, limit=400)
-    if not np.isfinite(val):
-        raise QuadratureFailure("cut integral did not converge")
-    if abs(err) > 1e-6 * max(1e-30, abs(val)) + 1e-13:
-        raise QuadratureFailure(f"cut integral error estimate {abs(err):.3e} too large")
-    return np.exp(-1j * mu * t) / (2.0 * np.pi * t) * complex(val)
+    w = mu - 1j * _DE_NODES
+    sheet1 = se.sigma_physical(w)
+    f = _DE_WEIGHTS * (jump / ((w - omega0 - sheet1 - jump) * (w - omega0 - sheet1)))[:, None]
+    rows = max(1, _BATCH_ELEMENTS // _DE_NODES.size)
+    fine, coarse = np.vstack([np.exp(-np.outer(t.ravel()[i:i + rows], _DE_NODES)) @ f
+                              for i in range(0, t.size, rows)]).T
+    err = np.abs(fine - coarse)
+    if not np.all(err <= 1e-6 * np.abs(fine) + 1e-13):
+        raise QuadratureFailure(f"cut integral error estimate {np.max(err):.3e} too large")
+    return (np.exp(-1j * mu * t) / (2.0 * np.pi) * fine.reshape(t.shape))[()]
 
 
 def tail_asymptote(beta_th: float, alpha: float, mu: float, omega0: float,
                    sigma_at_mu: complex, t: float) -> complex:
     """Leading long-time power law of the cut contribution.
 
-    Closed form: beta * exp(-i*mu*t) * i^(alpha+3) * Gamma(alpha+1)
+    Closed form: beta * exp(-i*mu*t) * (-i)^(alpha+1) * Gamma(alpha+1)
     / ((mu - omega0 - Sigma(mu))^2 * t^(alpha+1)), principal branch of
-    the power of i.
+    the power of -i.
     """
     t = float(t)
     if t <= 0:
@@ -302,25 +300,25 @@ def tail_asymptote(beta_th: float, alpha: float, mu: float, omega0: float,
     h_mu = mu - omega0 - sigma_at_mu
     if abs(h_mu) < 1e-12:
         raise SingularDenominator("threshold denominator mu - omega0 - Sigma(mu) vanishes")
-    phase = np.exp(1j * (alpha + 3.0) * np.pi / 2.0)
+    phase = np.exp(-1j * (alpha + 1.0) * np.pi / 2.0)
     return (beta_th * np.exp(-1j * mu * t) * phase * special.gamma(alpha + 1.0)
             / (h_mu**2 * t ** (alpha + 1.0)))
 
 
-def survival_pole_cut(se: SelfEnergy, omega0: float, times,
-                      pole: PoleResult | None = None) -> SurvivalSeries:
-    """Residue exponential plus the branch-cut correction, per time point.
+def survival_pole_cut(se: SelfEnergy, omega0: float, times) -> SurvivalSeries:
+    """Residue exponential plus the branch-cut correction.
 
     At t = 0 the cut term is fixed by completeness (A(0) = 1) instead of
     the divergent-looking integral representation.
     """
     times = _check_times(times)
     omega0 = float(omega0)
-    if pole is None:
-        pole = find_pole(se, omega0)
+    pole = find_pole(se, omega0)
     pole_term = pole.residue * np.exp(-1j * pole.omega * times)
-    cut_term = np.array([cut_integral(se, omega0, t) if t > 0 else 1.0 - pole.residue
-                         for t in times], dtype=complex)
+    cut_term = np.full(times.shape, 1.0 - pole.residue, dtype=complex)
+    late = times > 0
+    if late.any():
+        cut_term[late] = cut_integral(se, omega0, times[late])
     return SurvivalSeries(
         times=times, amplitude=pole_term + cut_term, method="pole_cut",
         pole_term=pole_term, cut_term=cut_term,

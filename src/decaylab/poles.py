@@ -46,6 +46,10 @@ class LorentzianPoles:
     residue_minus: complex
 
 
+# Newton steps allowed from each start before it counts as stalled.
+_MAX_ITERATIONS = 200
+
+
 def weisskopf_wigner_rate(se: SelfEnergy, omega0: float) -> tuple[float, float]:
     """Weak-coupling decay rate gamma = 2*pi*D(omega0) and half-rate pi*D."""
     omega0 = float(omega0)
@@ -56,8 +60,7 @@ def weisskopf_wigner_rate(se: SelfEnergy, omega0: float) -> tuple[float, float]:
     return 2.0 * np.pi * d0, np.pi * d0
 
 
-def find_pole(se: SelfEnergy, omega0: float, guess: complex | None = None,
-              max_iterations: int = 200) -> PoleResult:
+def find_pole(se: SelfEnergy, omega0: float, guess: complex | None = None) -> PoleResult:
     """Newton iteration for the second-sheet zero of omega - omega0 - Sigma.
 
     Sigma on the second sheet comes from the model's exact Cauchy
@@ -74,7 +77,7 @@ def find_pole(se: SelfEnergy, omega0: float, guess: complex | None = None,
     guess = complex(guess)
 
     def h(z: complex) -> complex:
-        return z - omega0 - se.sigma_continued(z)
+        return z - omega0 - complex(se.sigma_continued(z))
 
     tol = 1e-10 * max(1.0, abs(omega0))
     # A guess on a symmetry line of h can trap Newton there (e.g. the
@@ -84,7 +87,7 @@ def find_pole(se: SelfEnergy, omega0: float, guess: complex | None = None,
     last_error: Exception | None = None
     for shift in (0.0, kick, -kick, 3.0 * kick, -3.0 * kick):
         try:
-            return _newton(h, guess + shift, tol, max_iterations)
+            return _newton(h, guess + shift, tol)
         except (NoConvergence, DomainError) as exc:
             # DomainError here means the iterate left the model's
             # continuation domain; treat it as a failed start
@@ -94,9 +97,9 @@ def find_pole(se: SelfEnergy, omega0: float, guess: complex | None = None,
     raise NoConvergence(f"every Newton start failed; last error: {last_error}")
 
 
-def _newton(h, w: complex, tol: float, max_iterations: int) -> PoleResult:
+def _newton(h, w: complex, tol: float) -> PoleResult:
     hw = h(w)
-    for iteration in range(max_iterations + 1):
+    for iteration in range(_MAX_ITERATIONS + 1):
         residual = abs(hw)
         deriv = central_difference(h, w)
         if deriv == 0:
@@ -119,7 +122,7 @@ def _newton(h, w: complex, tol: float, max_iterations: int) -> PoleResult:
         w = w - hw / deriv
         hw = h(w)
     raise NoConvergence(
-        f"no pole after {max_iterations} iterations; last iterate {w}, |h| = {abs(hw):.3e}")
+        f"no pole after {_MAX_ITERATIONS} iterations; last iterate {w}, |h| = {abs(hw):.3e}")
 
 
 def lorentzian_poles(amplitude_sq: float, center: float, width: float,

@@ -93,33 +93,33 @@ class SelfEnergy:
     def __init__(self, model: SpectralModel):
         self.model = model
 
-    def sigma_physical(self, omega: complex) -> complex:
+    def sigma_physical(self, omega):
         """Cauchy integral of the density at Im omega != 0 (either sign)."""
-        omega = complex(omega)
-        if omega.imag == 0:
+        omega = np.asarray(omega, dtype=complex)
+        if np.any(omega.imag == 0):
             raise DomainError("sigma_physical requires Im omega != 0; "
                               "use sigma_upper for boundary values")
-        return complex(self.model.cauchy(omega))
+        return self.model.cauchy(omega)
 
-    def sigma_panel_rule(self, omega: complex) -> complex:
+    def sigma_panel_rule(self, omega):
         """Same as sigma_physical; the benchmark's tracer wraps this name."""
         return self.sigma_physical(omega)
 
-    def sigma_upper(self, omega: complex) -> complex:
+    def sigma_upper(self, omega):
         """Self-energy on the physical sheet for Im omega >= 0.
 
         Real omega returns the boundary value from above, whose imaginary
         part is -pi * D(omega) inside the support.
         """
-        omega = complex(omega)
-        if omega.imag < 0:
+        omega = np.asarray(omega, dtype=complex)
+        if np.any(omega.imag < 0):
             raise DomainError("sigma_upper requires Im omega >= 0")
-        value = complex(self.model.cauchy(omega))
-        if not np.isfinite(value):
+        value = self.model.cauchy(omega)
+        if not np.all(np.isfinite(value)):
             raise DomainError("boundary value diverges at a band edge")
         return value
 
-    def sigma_continued(self, omega: complex) -> complex:
+    def sigma_continued(self, omega):
         """Second-sheet self-energy, continuous across the support interior.
 
         For Im omega >= 0 this coincides with the physical sheet; below the
@@ -127,28 +127,32 @@ class SelfEnergy:
         every omega where the model's continuation exists, so root finders
         may cross the axis freely.
         """
-        omega = complex(omega)
-        if omega.imag >= 0:
-            return self.sigma_upper(omega)
-        return self.sigma_physical(omega) - 2j * np.pi * self.model.density_complex(omega)
+        omega = np.asarray(omega, dtype=complex)
+        below = omega.imag < 0
+        value = np.array(self.model.cauchy(omega))
+        if not np.all(np.isfinite(value[~below])):
+            raise DomainError("boundary value diverges at a band edge")
+        if below.any():
+            value[below] -= 2j * np.pi * self.model.density_complex(omega[below])
+        return value[()]
 
-    def cut_discontinuity(self, xi: float) -> complex:
+    def cut_discontinuity(self, xi):
         """Jump of the self-energy across the cut hung from the threshold.
 
-        Returns -2*pi*i times the continued density evaluated a distance
-        xi up the imaginary direction from the lower support edge.
+        The cut runs from the lower support edge mu straight down, and the
+        jump from its left side (physical sheet) to its right side (second
+        sheet) is -2*pi*i times the continued density at mu - i*xi,
+        elementwise in the depth xi >= 0.
         """
-        xi = float(xi)
-        if xi < 0:
+        xi = np.asarray(xi, dtype=float)
+        if np.any(xi < 0):
             raise DomainError("xi must be nonnegative")
         mu, _ = self.model.support()
         if not np.isfinite(mu):
             raise DomainError("cut discontinuity requires a finite lower support bound")
-        z = mu + 1j * max(xi, 5e-324)
-        val = -2j * np.pi * self.model.density_complex(z)
-        if xi == 0 and abs(val) < 1e-150:
-            return 0j  # vanishing density at the threshold
-        return val
+        val = -2j * np.pi * self.model.density_complex(mu - 1j * np.maximum(xi, 5e-324))
+        # a vanishing density at the threshold
+        return np.where((xi == 0) & (np.abs(val) < 1e-150), 0j, val)[()]
 
     def renormalize_below_threshold(self, omega0: float) -> Renormalization:
         """Dressed weight and energy of a level lying below the threshold.

@@ -58,8 +58,8 @@ class SpectralModel:
         """D(eps) on the real axis; exactly zero outside the support."""
         raise NotImplementedError
 
-    def density_complex(self, z: complex) -> complex:
-        """Analytic continuation of D at complex z (principal branch)."""
+    def density_complex(self, z):
+        """Analytic continuation of D at complex z (principal branch), elementwise."""
         raise UnsupportedContinuation(
             f"{type(self).__name__} does not support complex continuation"
         )
@@ -111,11 +111,11 @@ class Lorentzian(SpectralModel):
         return out[()]
 
     def density_complex(self, z):
-        z = complex(z)
+        z = np.asarray(z, dtype=complex)
         denom = (z - self.center) ** 2 + self.width**2
-        if denom == 0:
+        if np.any(denom == 0):
             raise BranchPointError("Lorentzian continuation is singular at center ± i*width")
-        return self.amplitude_sq / denom
+        return (self.amplitude_sq / denom)[()]
 
     def cauchy(self, omega):
         # the pole of D in the half-plane opposite to omega
@@ -160,12 +160,12 @@ class AsymmetricBox(SpectralModel):
         # The interior value continues as a constant through the strip
         # lower <= Re z <= upper (off the real axis); the real edge points
         # are the branch points of the induced self-energy.
-        z = complex(z)
-        if z.imag == 0 and (z.real <= self.lower or z.real >= self.upper):
+        z = np.asarray(z, dtype=complex)
+        if np.any((z.imag == 0) & ((z.real <= self.lower) | (z.real >= self.upper))):
             raise BranchPointError("continuation undefined at/beyond the real band edges")
-        if z.real < self.lower or z.real > self.upper:
+        if np.any((z.real < self.lower) | (z.real > self.upper)):
             raise DomainError("continuation is defined on the strip lower <= Re z <= upper")
-        return complex(self.amplitude_sq)
+        return np.full(z.shape, self.amplitude_sq, dtype=complex)[()]
 
     def cauchy(self, omega):
         # A difference of principal logs, not the log of their ratio, gives
@@ -236,14 +236,12 @@ class ThresholdPower(SpectralModel):
     def density_complex(self, z):
         # Principal branch of (z - threshold)^exponent, cut along
         # (-inf, threshold) on the real axis.  The hard cutoff is not part
-        # of the continued local form.
-        z = complex(z)
-        w = z - self.threshold
-        if w == 0:
-            if self.exponent >= 0 and self.exponent == int(self.exponent):
-                return complex(self.beta * (0.0 if self.exponent > 0 else 1.0))
+        # of the continued local form.  An integer exponent has no branch
+        # point there: numpy's complex power gives 0**0 = 1 and 0**n = 0.
+        w = np.asarray(z, dtype=complex) - self.threshold
+        if np.any(w == 0) and not (self.exponent >= 0 and self.exponent == int(self.exponent)):
             raise BranchPointError("threshold is a branch point of the continuation")
-        return self.beta * w**self.exponent
+        return (self.beta * w**self.exponent)[()]
 
     def cauchy(self, omega):
         # beta * S^a / (a * w) * 2F1(1, a; a + 1; S / w) with w = omega - mu,

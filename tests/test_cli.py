@@ -320,13 +320,17 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
-        # omega_max far below the spectral support triggers a truncation error
-        text = LORENTZIAN_CONFIG.replace("survival.method = closed",
-                                         "survival.method = numeric\n"
-                                         "survival.omega_max = 0.5")
-        cfg = write_config(tmp_path, text)
-        assert main(["survival", "-c", str(cfg), "--out", str(tmp_path / "x")]) == 3
-        capsys.readouterr()
+        # omega_max far below the spectral support, and a support so wide
+        # that the default omega_max overflows, are truncation errors
+        low_cutoff = LORENTZIAN_CONFIG.replace("survival.method = closed",
+                                               "survival.method = numeric\n"
+                                               "survival.omega_max = 0.5")
+        huge_support = ("model.type = box\nmodel.A2 = 0.05\nmodel.L = 1e308\n"
+                        "system.omega0 = 0.0\nsurvival.method = numeric\n")
+        for text in (low_cutoff, huge_support):
+            cfg = write_config(tmp_path, text)
+            assert main(["survival", "-c", str(cfg), "--out", str(tmp_path / "x")]) == 3
+            capsys.readouterr()
 
 
 class TestDeterminism:

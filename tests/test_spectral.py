@@ -25,13 +25,18 @@ class TestBox:
         box = dl.Box(amplitude_sq=0.3, half_width=2.0)
         for z in (0.5 + 1j, -1.9 - 0.3j, 1e-3j):
             assert box.density_complex(z) == 0.3
+        values = box.density_complex(np.array([[0.5 + 1j, -2.0 - 0.3j]]))
+        assert values.shape == (1, 2) and np.all(values == 0.3)
 
     def test_continuation_rejected_outside_strip(self):
         box = dl.Box(amplitude_sq=0.3, half_width=2.0)
-        with pytest.raises(DomainError):
-            box.density_complex(3.0 + 1j)
-        with pytest.raises(BranchPointError):
-            box.density_complex(2.0)
+        # an array raises when any of its elements does
+        for bad in (3.0 + 1j, np.array([0.5 + 1j, 3.0 + 1j])):
+            with pytest.raises(DomainError):
+                box.density_complex(bad)
+        for bad in (2.0, np.array([0.5 + 1j, -2.0])):
+            with pytest.raises(BranchPointError):
+                box.density_complex(bad)
 
     def test_total_weight(self):
         assert dl.Box(amplitude_sq=0.05, half_width=100.0).total_weight() == pytest.approx(10.0)
@@ -53,8 +58,9 @@ class TestLorentzian:
 
     def test_singular_point(self):
         m = dl.Lorentzian(amplitude_sq=0.2, center=0.0, width=1.0)
-        with pytest.raises(BranchPointError):
-            m.density_complex(1j)
+        for bad in (1j, np.array([0.5, -1j])):
+            with pytest.raises(BranchPointError):
+                m.density_complex(bad)
 
     def test_weight(self):
         m = dl.Lorentzian(amplitude_sq=0.1, width=2.0)
@@ -80,15 +86,19 @@ class TestThresholdPower:
         m = dl.ThresholdPower(beta=0.7, exponent=0.5, threshold=1.0, cutoff=9.0)
         for eps in (1.5, 2.0, 8.0):
             assert abs(m.density_complex(eps) - m.density(eps)) < 1e-12
+        eps = np.array([1.5, 2.0, 8.0])
+        np.testing.assert_allclose(m.density_complex(eps), m.density(eps), atol=1e-12)
 
     def test_branch_point(self):
         m = dl.ThresholdPower(beta=1.0, exponent=0.5, threshold=3.0, cutoff=10.0)
-        with pytest.raises(BranchPointError):
-            m.density_complex(3.0)
+        for bad in (3.0, np.array([4.0 - 1j, 3.0])):
+            with pytest.raises(BranchPointError):
+                m.density_complex(bad)
 
     def test_integer_exponent_has_no_branch_point(self):
         m = dl.ThresholdPower(beta=1.0, exponent=1.0, threshold=3.0, cutoff=10.0)
         assert m.density_complex(3.0) == 0.0
+        assert np.array_equal(m.density_complex(np.array([3.0, 4.0 - 1j])), [0.0, 1.0 - 1j])
 
     def test_validation(self):
         with pytest.raises(DomainError):
