@@ -198,15 +198,20 @@ def survival_numeric(se: SelfEnergy, omega0: float, times,
     margin = omega_max - reach
     if not np.isfinite(omega_max) or margin <= 0:
         raise TruncationError("omega_max must be finite and clear the spectral support")
-    tail_estimate = growth * weight / (np.pi * margin**2)
+    tail_estimate = growth * weight / (np.pi * margin * margin)  # inf, not OverflowError
     if not tail_estimate <= 1e-4:
         raise TruncationError(
             f"estimated truncated-tail contribution {tail_estimate:.3e} > 1e-4; "
             "increase omega_max or lower the contour")
 
     if n_points is None:
-        n_points = int(np.ceil(2.0 * omega_max * max(t_max, 1.0) / 0.08))
-        n_points = min(max(n_points, 20_001), 4_000_001)
+        # nodes for a step h with h * t_max = 0.08; a coarser step aliases
+        needed = 2.0 * omega_max * max(t_max, 1.0) / 0.08
+        if not needed <= 4_000_001:
+            raise TruncationError(
+                f"the default contour needs {needed:.4g} nodes to resolve t = {t_max:g} "
+                "with step 0.08 / t, above its cap of 4000001; pass n_points explicitly")
+        n_points = max(int(np.ceil(needed)), 20_001)
     n_points = int(n_points)
     if n_points < 3:
         raise DomainError("n_points must be at least 3")

@@ -45,6 +45,16 @@ class TestNumericInversion:
         with pytest.raises(TruncationError):
             dl.survival_numeric(lorentzian_se, 0.0, [0.0, 1.0], omega_max=5.0)
 
+    def test_node_cap_guard(self):
+        # the default step for t = 20 over a support of half-width 1e6 needs
+        # about 1e9 nodes; capped, it aliased to |A|^2 = 5130 at t = 20
+        se = dl.SelfEnergy(dl.Box(amplitude_sq=0.05, half_width=1e6))
+        times = np.linspace(0.0, 20.0, 5)
+        with pytest.raises(TruncationError, match="pass n_points"):
+            dl.survival_numeric(se, 0.0, times)
+        explicit = dl.survival_numeric(se, 0.0, times, n_points=20_001)
+        assert explicit.info["n_points"] == 20_001
+
     def test_validation(self, lorentzian_se):
         with pytest.raises(DomainError):
             dl.survival_numeric(lorentzian_se, 0.0, [-1.0])

@@ -320,14 +320,17 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
-        # omega_max far below the spectral support, and a support so wide
-        # that the default omega_max overflows, are truncation errors
+        # omega_max far below the spectral support, a support so wide that
+        # the default omega_max overflows, and supports so wide that the
+        # default contour would need more nodes than its cap (at 1e154 the
+        # squared tail margin overflows too), are truncation errors
         low_cutoff = LORENTZIAN_CONFIG.replace("survival.method = closed",
                                                "survival.method = numeric\n"
                                                "survival.omega_max = 0.5")
         huge_support = ("model.type = box\nmodel.A2 = 0.05\nmodel.L = 1e308\n"
                         "system.omega0 = 0.0\nsurvival.method = numeric\n")
-        for text in (low_cutoff, huge_support):
+        capped_nodes = [huge_support.replace("1e308", L) for L in ("1e6", "1e154")]
+        for text in (low_cutoff, huge_support, *capped_nodes):
             cfg = write_config(tmp_path, text)
             assert main(["survival", "-c", str(cfg), "--out", str(tmp_path / "x")]) == 3
             capsys.readouterr()

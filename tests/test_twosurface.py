@@ -95,17 +95,101 @@ class TestStep:
         assert coupled_run.norm_deviation_max < 1e-6
         assert coupled_run.absorbed[-1] > 0.5
 
-    def test_lossy_propagator_fails_the_audit(self, monkeypatch):
-        # a kinetic phase of modulus 0.999 loses 0.2 % of the norm per step,
-        # which must show as drift, not pass as absorbed probability
+    @staticmethod
+    def assert_drift_raises(monkeypatch, lossy):
         config = TwoSurfaceConfig(n_x=256, t_max=1.0)
-        operators = list(twosurface._operators(config))
-        operators[2] = 0.999 * operators[2]
-        monkeypatch.setattr(twosurface, "_operators", lambda c: tuple(operators))
+        operators = lossy(twosurface._operators(config))
+        monkeypatch.setattr(twosurface, "_operators", lambda c: operators)
         state = init_state(config)
         with pytest.raises(NumericalError, match="drift"):
             for _ in range(10):
                 step(state, config)
+
+    def test_lossy_propagator_fails_the_audit(self, monkeypatch):
+        # a kinetic phase of modulus 0.999 loses 0.2 % of the norm per step,
+        # which must show as drift, not pass as absorbed probability
+        self.assert_drift_raises(monkeypatch, lambda ops: ops._replace(
+            kinetic_phase=0.999 * ops.kinetic_phase))
+
+    def test_lossy_potential_unitary_fails_the_audit(self, monkeypatch):
+        # so must a half-step potential unitary whose diagonal is scaled by 0.999
+        self.assert_drift_raises(monkeypatch, lambda ops: ops._replace(
+            u11=0.999 * ops.u11, u22=0.999 * ops.u22))
+
+
+def reference_step(state, config):
+    """The Strang step written out plainly: the 2x2 exponential from its
+    scalar formula in each half step, and one numpy FFT pair per surface."""
+    x, dx = state.x, state.dx
+    k = 2.0 * np.pi * np.fft.fftfreq(config.n_x, d=dx)
+    kinetic_phase = np.exp(-1j * k**2 * config.dt)
+    pot1 = 0.5 * x**2
+    pot2 = -config.beta_slope * x + twosurface.OFFSET
+    mean, delta = 0.5 * (pot1 + pot2), 0.5 * (pot1 - pot2)
+    tau = 0.5 * config.dt
+    rabi = np.hypot(delta, config.coupling)
+    mean_phase = np.exp(-1j * mean * tau)
+    cos_r = np.cos(rabi * tau)
+    sinc_r = tau * np.sinc(rabi * tau / np.pi)
+    v = config.coupling
+
+    def half_potential(p1, p2):
+        return (mean_phase * (cos_r * p1 - 1j * sinc_r * (delta * p1 + v * p2)),
+                mean_phase * (cos_r * p2 - 1j * sinc_r * (v * p1 - delta * p2)))
+
+    def norm(p1, p2):
+        return (np.sum(np.abs(p1) ** 2) + np.sum(np.abs(p2) ** 2)) * dx
+
+    ramp_start = config.x_max - config.absorber_width
+    on_ramp = x >= ramp_start
+    ramp = np.sin(0.5 * np.pi * (x[on_ramp] - ramp_start) / config.absorber_width)
+    mask = 1.0 - config.absorber_strength * ramp**2
+
+    before = norm(state.psi1, state.psi2)
+    p1, p2 = half_potential(state.psi1, state.psi2)
+    p1 = np.fft.ifft(kinetic_phase * np.fft.fft(p1))
+    p2 = np.fft.ifft(kinetic_phase * np.fft.fft(p2))
+    p1, p2 = half_potential(p1, p2)
+    state.drift += norm(p1, p2) - before
+    state.absorbed += np.sum((np.abs(p1[on_ramp]) ** 2 + np.abs(p2[on_ramp]) ** 2)
+                             * (1.0 - mask**2)) * dx
+    p1[on_ramp] *= mask
+    p2[on_ramp] *= mask
+    state.psi1, state.psi2 = p1, p2
+    state.t += config.dt
+
+
+class TestFusedStep:
+    def test_matches_reference_step(self):
+        # coupling on, and a packet on the slope that runs into the absorber
+        config = TwoSurfaceConfig(x_min=-10.0, x_max=30.0, n_x=256, dt=1e-3)
+        fused, plain = init_state(config), init_state(config)
+        for state in (fused, plain):
+            state.psi2 = (np.exp(-(state.x - 20.0) ** 2 + 4j * state.x)
+                          / (np.pi / 2.0) ** 0.25 / 2.0)
+        for _ in range(500):
+            step(fused, config)
+            reference_step(plain, config)
+        assert plain.absorbed > 1e-3
+        assert np.max(np.abs(fused.psi1 - plain.psi1)) < 1e-12
+        assert np.max(np.abs(fused.psi2 - plain.psi2)) < 1e-12
+        assert abs(fused.absorbed - plain.absorbed) < 1e-12
+        assert abs(fused.drift - plain.drift) < 1e-12
+
+    def test_run_records_match_a_plain_step_loop(self):
+        config = TwoSurfaceConfig(n_x=256, dt=0.005, t_max=3.0, snapshot_stride=100)
+        result = run(config)
+        state = init_state(config)
+        near_sel = np.abs(state.x) < twosurface.TRAP_RADIUS
+        p1, near = [], []
+        for i in range(result.times.size):
+            if i:
+                step(state, config)
+            p1.append(np.sum(np.abs(state.psi1) ** 2) * state.dx)
+            near.append((np.sum(np.abs(state.psi1[near_sel]) ** 2)
+                         + np.sum(np.abs(state.psi2[near_sel]) ** 2)) * state.dx)
+        np.testing.assert_allclose(result.p1, p1, rtol=1e-13, atol=1e-16)
+        np.testing.assert_allclose(result.near_origin, near, rtol=1e-13, atol=1e-16)
 
 
 class TestGoldenRule:
