@@ -13,8 +13,10 @@ depth below the threshold, shared by all times; twice its step bounds the error.
 The numeric inversion subtracts the free propagator pole analytically,
 so the quadrature only sees a smooth difference that decays like the
 inverse cube of frequency, and the subtracted part is restored exactly.
-Its sum over N uniform contour nodes at M times is a chirp-z transform
-when the times are uniform too: split into blocks of 4096 nodes, each
+It takes one pass over the N uniform contour nodes, in stretches of
+262,144: each stretch's Sigma and integrand are formed and its time sums
+added into A(t), so no array spans the whole contour.  On uniform times
+those sums are a chirp-z transform: split into blocks of 4096 nodes, each
 block is one Bluestein FFT convolution (Rabiner, Schafer & Rader 1969),
 O((N + M) log) in place of the O(N M) direct sum, which stays for
 non-uniform time grids.
@@ -84,9 +86,11 @@ def default_contour_offset(se: SelfEnergy, omega0: float, t_max: float) -> float
     return max(offset, 1e-8)
 
 
-# Nodes per chirp-z block, and complex elements per batch of blocks (4 MB).
+# Nodes per chirp-z block, complex elements per batch of a direct sum (4 MB),
+# and contour nodes per stretch of the inversion's one pass over its grid.
 _CZT_BLOCK = 4096
 _BATCH_ELEMENTS = 1 << 18
+_STRETCH = 64 * _CZT_BLOCK
 # Exp-sinh nodes exp(pi/2 sinh(k h)) for |k h| <= 4.5, h = 1/64: 2e-31 to 5e30.
 # Column 0 weights the rule at step h, column 1 the rule at 2h (even k only).
 _DE_KH = np.arange(-288, 289) / 64
@@ -96,25 +100,6 @@ _DE_WEIGHTS[1::2, 1] = 0.0
 # Times count as uniform when max_k |t_k - (t0 + k dt)| * max_j |x_j|, the
 # largest phase error of treating them as such, is at most this.
 _UNIFORM_PHASE = 1e-10
-
-
-def _time_transform(f: np.ndarray, omega_max: float,
-                    times: np.ndarray) -> tuple[np.ndarray, str]:
-    """Sum_j f_j exp(-i x_j t_k) on x = linspace(-omega_max, omega_max, f.size).
-
-    Uniform times take the blocked chirp-z transform, any other grid the
-    direct O(N M) sum.  Returns the sums and the name of the route taken.
-    """
-    m = times.size
-    dt = (times[-1] - times[0]) / max(m - 1, 1)
-    if np.max(np.abs(times - (times[0] + dt * np.arange(m)))) * omega_max > _UNIFORM_PHASE:
-        x = np.linspace(-omega_max, omega_max, f.size)
-        rows = max(1, _BATCH_ELEMENTS // m)
-        return sum(f[s:s + rows] @ np.exp(-1j * np.outer(x[s:s + rows], times))
-                   for s in range(0, f.size, rows)), "direct"
-    # linspace's own step; x[1] - x[0] loses digits to cancellation (~1e-10 at 4e6 nodes)
-    h = 2.0 * omega_max / (f.size - 1)
-    return _chirp_z(f, -omega_max, h, times, dt), "chirp_z"
 
 
 def _chirp_z(f: np.ndarray, x0: float, h: float, times: np.ndarray,
@@ -135,17 +120,11 @@ def _chirp_z(f: np.ndarray, x0: float, h: float, times: np.ndarray,
     lags = np.zeros(nfft, dtype=complex)      # exp(i theta j^2 / 2), j = -(L-1) .. m-1
     lags[:m] = _chirp(0.5 * theta, k * k)
     lags[nfft - L + 1:] = _chirp(0.5 * theta, n[:0:-1] * n[:0:-1])
-    kernel = sfft.fft(lags)
-    rows = max(1, _BATCH_ELEMENTS // nfft)
-    out = np.zeros(m, dtype=complex)
-    for start in range(0, f.size, rows * L):
-        seg = f[start:start + rows * L]
-        blocks = np.zeros((-(-seg.size // L), L), dtype=complex)
-        blocks.reshape(-1)[:seg.size] = seg
-        conv = sfft.ifft(sfft.fft(blocks * pre, nfft) * kernel)[:, :m]
-        x_b = x0 + h * np.arange(start, start + seg.size, L)
-        out += (np.exp(-1j * np.outer(x_b, times)) * conv).sum(axis=0)
-    return out * _chirp(-0.5 * theta, k * k)
+    blocks = np.zeros((-(-f.size // L), L), dtype=complex)
+    blocks.reshape(-1)[:f.size] = f
+    conv = sfft.ifft(sfft.fft(blocks * pre, nfft) * sfft.fft(lags))[:, :m]
+    x_b = x0 + h * np.arange(0, f.size, L)
+    return (np.exp(-1j * np.outer(x_b, times)) * conv).sum(axis=0) * _chirp(-0.5 * theta, k * k)
 
 
 def _chirp(c: float, squares: np.ndarray) -> np.ndarray:
@@ -164,10 +143,11 @@ def survival_numeric(se: SelfEnergy, omega0: float, times,
     Composite Simpson quadrature on the truncated contour, applied to the
     dressed-minus-free difference; the free pole contributes its exact
     exponential, which also guarantees A(0) -> 1 as the truncation grows.
-    On uniform times (to a phase error of 1e-10) the sum over nodes is the
-    blocked chirp-z transform, otherwise the direct sum; ``info["transform"]``
-    names the one taken ("chirp_z" or "direct") and ``info["tail_estimate"]``
-    bounds the truncated tail.
+    The nodes are visited one stretch at a time.  On uniform times (to a
+    phase error of 1e-10) the sum over nodes is the blocked chirp-z
+    transform, otherwise the direct sum; ``info["transform"]`` names the one
+    taken ("chirp_z" or "direct") and ``info["tail_estimate"]`` bounds the
+    truncated tail.  The amplitude has the shape of ``times``.
     """
     times = _check_times(times)
     omega0 = float(omega0)
@@ -219,23 +199,33 @@ def survival_numeric(se: SelfEnergy, omega0: float, times,
         n_points += 1
 
     h = 2.0 * omega_max / (n_points - 1)
-    nodes = np.linspace(-omega_max, omega_max, n_points) + 1j * offset
-    sigma = se.sigma_upper_grid(nodes)
-    diff = 1.0 / (nodes - omega0 - sigma) - 1.0 / (nodes - omega0)
-    w = np.full(n_points, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    f = (1j / (2.0 * np.pi)) * diff * (w * h / 3.0)
-
-    amp, transform = _time_transform(f, omega_max, times)
-    amp *= np.exp(offset * times)
-    amp += np.exp(-1j * omega0 * times)
+    t = times.ravel()
+    m = t.size
+    dt = (t[-1] - t[0]) / max(m - 1, 1)
+    uniform = np.max(np.abs(t - (t[0] + dt * np.arange(m)))) * omega_max <= _UNIFORM_PHASE
+    rows = max(1, _BATCH_ELEMENTS // m)
+    amp = np.zeros(m, dtype=complex)
+    for start in range(0, n_points, _STRETCH):
+        j = np.arange(start, min(start + _STRETCH, n_points))
+        x = j * h - omega_max
+        nodes = x + 1j * offset
+        f = 1.0 / (nodes - omega0 - se.sigma_upper_grid(nodes)) - 1.0 / (nodes - omega0)
+        # composite Simpson weights 1, 4, 2, 4, ..., 2, 4, 1 by the parity of j
+        f *= np.where(j % 2 == 1, 4.0, np.where((j == 0) | (j == n_points - 1), 1.0, 2.0))
+        if uniform:
+            amp += _chirp_z(f, x[0], h, t, dt)
+        else:
+            for s in range(0, j.size, rows):
+                amp += f[s:s + rows] @ np.exp(-1j * np.outer(x[s:s + rows], t))
+    # Simpson's h / 3 and the inversion's i / (2 pi), then the free pole's exact term
+    amp *= 1j * h / (6.0 * np.pi) * np.exp(offset * t)
+    amp = (amp + np.exp(-1j * omega0 * t)).reshape(times.shape)
 
     return SurvivalSeries(
         times=times, amplitude=amp, method="numeric_inversion",
         info={"contour_offset": offset, "omega_max": omega_max,
               "n_points": n_points, "tail_estimate": tail_estimate,
-              "transform": transform})
+              "transform": "chirp_z" if uniform else "direct"})
 
 
 def survival_lorentzian(model: Lorentzian, omega0: float, times) -> SurvivalSeries:

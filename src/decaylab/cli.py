@@ -254,6 +254,8 @@ def _packet(cfg):
     eps = default_energy_grid(omega0, gamma, n=block["n_eps"], span=block["span"])
     times = np.linspace(0.0, block["tmax"], block["nt"])
     basis = block["basis"]
+    if basis is None and (block["beta_slope"] is not None or block["offset"] != 0.0):
+        raise DomainError("packet.beta_slope and packet.offset need packet.basis")
     x = np.linspace(block["x_min"], block["x_max"], block["n_x"]) if basis else None
     packet = evolve_packet(lambda e: np.sqrt(model.density(e)), omega0, gamma,
                            eps, times, x=x, basis=basis or "plane_wave",

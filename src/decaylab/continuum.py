@@ -135,6 +135,8 @@ def synthesize_packet(eps: np.ndarray, coeffs: np.ndarray, x: np.ndarray,
     phi = BASES.get(basis)
     if phi is None:
         raise BasisUnavailable(f"unknown basis '{basis}'")
+    if basis == "plane_wave" and (beta_slope is not None or offset != 0.0):
+        raise BasisUnavailable("the plane-wave basis takes neither beta_slope nor offset")
     weighted = coeffs * np.gradient(eps)
     psi = np.zeros(coeffs.shape[:-1] + x.shape, dtype=complex)
     chunk = max(1, 4_000_000 // max(x.size, 1))

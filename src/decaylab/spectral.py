@@ -328,7 +328,7 @@ class Tabulated(SpectralModel):
         with np.errstate(divide="ignore", invalid="ignore"):
             out = (special.xlogy(y[0], flat - x[0]) - special.xlogy(y[-1], flat - x[-1])
                    + (y[0] - y[-1]))
-            chunk = max(1, 2_000_000 // x.size)
+            chunk = max(1, (1 << 18) // x.size)   # 4 MB of (point, knot) pairs
             for start in range(0, flat.size, chunk):
                 u = flat[start:start + chunk, None] - x
                 out[start:start + chunk] += special.xlogy(u, u) @ self._kinks

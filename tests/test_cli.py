@@ -252,6 +252,10 @@ class TestManifest:
             assert recorded["packet"]["n_x"] == 2048
 
 
+# A packet whose energy window stays above zero, where plane waves exist.
+PACKET_CONFIG = ("model.type = box\nmodel.A2 = 0.05\nmodel.L = 100\nsystem.omega0 = 50.0\n"
+                 "packet.nt = 2\npacket.n_eps = 51\npacket.n_x = 64\n")
+
 BAD_INPUTS = {
     "misspelled model key": ("survival", LORENTZIAN_CONFIG.replace("model.a", "model.centre"),
                              "'a'"),
@@ -281,6 +285,11 @@ BAD_INPUTS = {
         "model.A2 = 0.1", "model.A2 = inf"), "model.A2"),
     "integer past the float range": ("spectral", LORENTZIAN_CONFIG.replace(
         "model.A2 = 0.1", "model.A2 = 1" + "0" * 400), "model.A2"),
+    "slope keys on plane waves": ("packet", PACKET_CONFIG + "packet.basis = plane_wave\n"
+                                  "packet.beta_slope = 3.0\npacket.offset = 0.5\n",
+                                  "beta_slope"),
+    "slope key without a basis": ("packet", PACKET_CONFIG + "packet.offset = 0.5\n",
+                                  "packet.basis"),
 }
 
 
