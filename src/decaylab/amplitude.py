@@ -13,6 +13,10 @@ depth below the threshold, shared by all times; twice its step bounds the error.
 The numeric inversion subtracts the free propagator pole analytically,
 so the quadrature only sees a smooth difference that decays like the
 inverse cube of frequency, and the subtracted part is restored exactly.
+The difference is analytic above the contour, so the trapezoid rule on it
+errs only by aliasing, at most 2q/(1 - q) with q = exp(-2 pi offset / h) for
+t < 2 pi / h by Poisson summation (Dubner & Abate 1968; Trefethen & Weideman
+2014); the default step makes that bound 1e-12.
 It takes one pass over the N uniform contour nodes, in stretches of
 262,144: each stretch's Sigma and integrand are formed and its time sums
 added into A(t), so no array spans the whole contour.  On uniform times
@@ -71,21 +75,8 @@ def _check_times(times) -> np.ndarray:
     return times
 
 
-def default_contour_offset(se: SelfEnergy, omega0: float, t_max: float) -> float:
-    """Contour height: half the weak-coupling rate plus a slice of the width.
-
-    Capped at 3/t_max because the integrand carries exp(offset * t); a
-    contour far above the axis makes late times numerically hopeless
-    while any positive offset is analytically valid.
-    """
-    lo, hi = se.model.support()
-    gamma_ww = 2.0 * np.pi * float(se.model.density(omega0)) if lo < omega0 < hi else 0.0
-    offset = 0.5 * gamma_ww + 0.1 * se.model.char_width()
-    if t_max > 0:
-        offset = min(offset, 3.0 / t_max)
-    return max(offset, 1e-8)
-
-
+# Aliasing bound of the default contour step h = 2 pi offset / ln(2 / eps).
+_ALIAS_EPS = 1e-12
 # Nodes per chirp-z block, complex elements per batch of a direct sum (4 MB),
 # and contour nodes per stretch of the inversion's one pass over its grid.
 _CZT_BLOCK = 4096
@@ -120,11 +111,16 @@ def _chirp_z(f: np.ndarray, x0: float, h: float, times: np.ndarray,
     lags = np.zeros(nfft, dtype=complex)      # exp(i theta j^2 / 2), j = -(L-1) .. m-1
     lags[:m] = _chirp(0.5 * theta, k * k)
     lags[nfft - L + 1:] = _chirp(0.5 * theta, n[:0:-1] * n[:0:-1])
+    kernel = sfft.fft(lags)
     blocks = np.zeros((-(-f.size // L), L), dtype=complex)
     blocks.reshape(-1)[:f.size] = f
-    conv = sfft.ifft(sfft.fft(blocks * pre, nfft) * sfft.fft(lags))[:, :m]
     x_b = x0 + h * np.arange(0, f.size, L)
-    return (np.exp(-1j * np.outer(x_b, times)) * conv).sum(axis=0) * _chirp(-0.5 * theta, k * k)
+    rows = max(1, _BATCH_ELEMENTS // nfft)    # blocks per FFT call, so memory stays O(nfft)
+    out = np.zeros(m, dtype=complex)
+    for s in range(0, x_b.size, rows):
+        conv = sfft.ifft(sfft.fft(blocks[s:s + rows] * pre, nfft) * kernel)[:, :m]
+        out += (np.exp(-1j * np.outer(x_b[s:s + rows], times)) * conv).sum(axis=0)
+    return out * _chirp(-0.5 * theta, k * k)
 
 
 def _chirp(c: float, squares: np.ndarray) -> np.ndarray:
@@ -140,21 +136,23 @@ def survival_numeric(se: SelfEnergy, omega0: float, times,
                      n_points: int | None = None) -> SurvivalSeries:
     """Invert the transform of the dressed propagator along Im omega = offset.
 
-    Composite Simpson quadrature on the truncated contour, applied to the
+    The trapezoid rule on the truncated contour, applied to the
     dressed-minus-free difference; the free pole contributes its exact
     exponential, which also guarantees A(0) -> 1 as the truncation grows.
-    The nodes are visited one stretch at a time.  On uniform times (to a
-    phase error of 1e-10) the sum over nodes is the blocked chirp-z
+    The default height is 3/t_max (0.1 of the model's width at t_max = 0).
+    ``info["alias_bound"]`` bounds the aliasing (inf if 2 pi / h <= t_max)
+    and ``info["tail_estimate"]`` the truncated tail.  On uniform times (to
+    a phase error of 1e-10) the sum over nodes is the blocked chirp-z
     transform, otherwise the direct sum; ``info["transform"]`` names the one
-    taken ("chirp_z" or "direct") and ``info["tail_estimate"]`` bounds the
-    truncated tail.  The amplitude has the shape of ``times``.
+    taken ("chirp_z" or "direct").  The amplitude has the shape of ``times``.
     """
     times = _check_times(times)
     omega0 = float(omega0)
     t_max = float(times.max())
 
     if contour_offset is None:
-        offset = default_contour_offset(se, omega0, t_max)
+        # with h ~ offset the node count grows as exp(offset t_max / 2) / offset
+        offset = 3.0 / t_max if t_max > 0 else 0.1 * se.model.char_width()
     else:
         offset = float(contour_offset)
         if offset <= 0:
@@ -185,20 +183,21 @@ def survival_numeric(se: SelfEnergy, omega0: float, times,
             "increase omega_max or lower the contour")
 
     if n_points is None:
-        # nodes for a step h with h * t_max = 0.08; a coarser step aliases
-        needed = 2.0 * omega_max * max(t_max, 1.0) / 0.08
+        # 1 + 2 omega_max / h nodes at the default step
+        needed = 1.0 + omega_max * math.log(2.0 / _ALIAS_EPS) / (np.pi * offset)
         if not needed <= 4_000_001:
             raise TruncationError(
-                f"the default contour needs {needed:.4g} nodes to resolve t = {t_max:g} "
-                "with step 0.08 / t, above its cap of 4000001; pass n_points explicitly")
-        n_points = max(int(np.ceil(needed)), 20_001)
+                f"the default contour needs {needed:.4g} nodes to bound the aliasing by "
+                f"{_ALIAS_EPS:g} at t = {t_max:g}, above its cap of 4000001; "
+                "pass n_points explicitly")
+        n_points = math.ceil(needed)
     n_points = int(n_points)
-    if n_points < 3:
-        raise DomainError("n_points must be at least 3")
-    if n_points % 2 == 0:
-        n_points += 1
+    if n_points < 2:
+        raise DomainError("n_points must be at least 2")
 
     h = 2.0 * omega_max / (n_points - 1)
+    q = math.exp(-2.0 * np.pi * offset / h)
+    alias_bound = 2.0 * q / (1.0 - q) if q < 1.0 and 2.0 * np.pi / h > t_max else math.inf
     t = times.ravel()
     m = t.size
     dt = (t[-1] - t[0]) / max(m - 1, 1)
@@ -210,21 +209,20 @@ def survival_numeric(se: SelfEnergy, omega0: float, times,
         x = j * h - omega_max
         nodes = x + 1j * offset
         f = 1.0 / (nodes - omega0 - se.sigma_upper_grid(nodes)) - 1.0 / (nodes - omega0)
-        # composite Simpson weights 1, 4, 2, 4, ..., 2, 4, 1 by the parity of j
-        f *= np.where(j % 2 == 1, 4.0, np.where((j == 0) | (j == n_points - 1), 1.0, 2.0))
+        f *= np.where((j == 0) | (j == n_points - 1), 0.5, 1.0)   # trapezoid end nodes
         if uniform:
             amp += _chirp_z(f, x[0], h, t, dt)
         else:
             for s in range(0, j.size, rows):
                 amp += f[s:s + rows] @ np.exp(-1j * np.outer(x[s:s + rows], t))
-    # Simpson's h / 3 and the inversion's i / (2 pi), then the free pole's exact term
-    amp *= 1j * h / (6.0 * np.pi) * np.exp(offset * t)
+    # the trapezoid's h and the inversion's i / (2 pi), then the free pole's exact term
+    amp *= 1j * h / (2.0 * np.pi) * np.exp(offset * t)
     amp = (amp + np.exp(-1j * omega0 * t)).reshape(times.shape)
 
     return SurvivalSeries(
         times=times, amplitude=amp, method="numeric_inversion",
         info={"contour_offset": offset, "omega_max": omega_max,
-              "n_points": n_points, "tail_estimate": tail_estimate,
+              "n_points": n_points, "alias_bound": alias_bound, "tail_estimate": tail_estimate,
               "transform": "chirp_z" if uniform else "direct"})
 
 

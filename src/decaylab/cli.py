@@ -191,7 +191,7 @@ def _survival(cfg):
                                   omega_max=block["omega_max"], n_points=block["n_points"])
         block.update(contour_a=series.info["contour_offset"],
                      omega_max=series.info["omega_max"], n_points=series.info["n_points"])
-        results = {key: series.info[key] for key in ("transform", "tail_estimate")}
+        results = {key: series.info[key] for key in ("transform", "alias_bound", "tail_estimate")}
     elif method == "pole-cut":
         series = survival_pole_cut(SelfEnergy(model), omega0, times)
     elif method == "closed":

@@ -49,8 +49,8 @@ def default_energy_grid(omega0: float, gamma: float, n: int = 2001,
     The default span keeps more than 99 percent of the Lorentzian weight
     on the grid; the window always appears in run manifests.
     """
-    if gamma <= 0 or n < 2:
-        raise DomainError("need gamma > 0 and at least two grid points")
+    if gamma <= 0 or span <= 0 or n < 2:
+        raise DomainError("need gamma > 0, span > 0 and at least two grid points")
     return np.linspace(omega0 - span * gamma, omega0 + span * gamma, int(n))
 
 

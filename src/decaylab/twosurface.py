@@ -57,6 +57,8 @@ class TwoSurfaceConfig:
             raise DomainError("absorber width must fit inside the grid")
         if not 0 < self.absorber_strength < 1:
             raise DomainError("absorber strength must be in (0, 1)")
+        if self.snapshot_stride < 1:
+            raise DomainError("snapshot_stride must be at least 1")
 
     def grid(self) -> np.ndarray:
         return self.x_min + self.dx() * np.arange(self.n_x)

@@ -48,7 +48,7 @@ class TestNumericInversion:
 
     def test_node_cap_guard(self):
         # the default step for t = 20 over a support of half-width 1e6 needs
-        # about 1e9 nodes; capped, it aliased to |A|^2 = 5130 at t = 20
+        # about 1.2e8 nodes; capped, it would alias
         se = dl.SelfEnergy(dl.Box(amplitude_sq=0.05, half_width=1e6))
         times = np.linspace(0.0, 20.0, 5)
         with pytest.raises(TruncationError, match="pass n_points"):
@@ -67,6 +67,27 @@ class TestNumericInversion:
         series = dl.survival_numeric(lorentzian_se, 0.0, times)
         assert np.max(np.abs(series.amplitude)) <= 1.0 + series.info["tail_estimate"]
 
+    def test_budget_bounds_the_error(self, lorentzian_se):
+        times = np.linspace(0.0, 20.0, 201)
+        closed = dl.survival_lorentzian(lorentzian_se.model, 0.0, times).amplitude
+        series = dl.survival_numeric(lorentzian_se, 0.0, times)
+        err = np.max(np.abs(series.amplitude - closed))
+        assert err <= series.info["alias_bound"] + series.info["tail_estimate"]
+
+    @pytest.mark.parametrize("n_points", [10_001, 7_001, 5_001])
+    def test_coarse_step_error_is_aliasing(self, lorentzian_se, n_points):
+        """A step coarser than the default aliases; the bound holds, within 4x."""
+        times = np.linspace(0.0, 20.0, 201)
+        closed = dl.survival_lorentzian(lorentzian_se.model, 0.0, times).amplitude
+        series = dl.survival_numeric(lorentzian_se, 0.0, times, n_points=n_points)
+        err = np.max(np.abs(series.amplitude - closed))
+        assert max(1e-10, series.info["alias_bound"] / 4) < err <= series.info["alias_bound"]
+
+    def test_alias_bound_infinite_past_the_period(self, lorentzian_se):
+        # 2 pi / h = 14 < t_max = 20: the aliased copies overlap the window
+        series = dl.survival_numeric(lorentzian_se, 0.0, [0.0, 20.0], n_points=2001)
+        assert series.info["alias_bound"] == np.inf
+
     def test_non_uniform_times_take_direct_sum(self, lorentzian_se):
         times = np.linspace(0.0, 10.0, 41)
         uniform = dl.survival_numeric(lorentzian_se, 0.0, times)
@@ -81,14 +102,13 @@ class TestNumericInversion:
 
 
 def full_array_inversion(se, omega0, times, offset, omega_max, n_points):
-    """The inversion in one piece: linspace nodes, a Simpson weight array, the dense sum."""
+    """The inversion in one piece: linspace nodes, a trapezoid weight array, the dense sum."""
     h = 2.0 * omega_max / (n_points - 1)
     nodes = np.linspace(-omega_max, omega_max, n_points) + 1j * offset
     diff = 1.0 / (nodes - omega0 - se.sigma_physical(nodes)) - 1.0 / (nodes - omega0)
-    w = np.full(n_points, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    f = (1j / (2.0 * np.pi)) * diff * (w * h / 3.0)
+    w = np.full(n_points, h)
+    w[0] = w[-1] = 0.5 * h
+    f = (1j / (2.0 * np.pi)) * diff * w
     dense = sum(np.exp(-1j * np.outer(times, nodes.real[s:s + 4096])) @ f[s:s + 4096]
                 for s in range(0, n_points, 4096))
     return dense * np.exp(offset * times) + np.exp(-1j * omega0 * times)
@@ -114,16 +134,18 @@ class TestOnePass:
                                          info["omega_max"], info["n_points"])
         assert np.max(np.abs(series.amplitude - reference)) <= 1e-11
 
-    @pytest.mark.parametrize("model, omega0, n_points", [
-        (dl.Lorentzian(0.1, 0.0, 1.0), 0.0, 4_000_001),
+    @pytest.mark.parametrize("model, omega0, n_points, n_times", [
+        (dl.Lorentzian(0.1, 0.0, 1.0), 0.0, 4_000_001, 11),
         (dl.Tabulated(TABLE_EPS, dl.ThresholdPower(0.01, 0.5, 0.0, 20.0).density(TABLE_EPS)),
-         5.0, None),
-    ], ids=["lorentzian_at_node_cap", "tabulated_200_knots"])
-    def test_traced_peak_is_bounded(self, model, omega0, n_points):
+         5.0, None, 11),
+        (dl.Lorentzian(0.1, 0.0, 1.0), 0.0, 300_001, 20_001),
+    ], ids=["lorentzian_at_node_cap", "tabulated_200_knots", "lorentzian_20001_times"])
+    def test_traced_peak_is_bounded(self, model, omega0, n_points, n_times):
         """Full-length node, Sigma and integrand arrays took 305 MiB on the
-        Lorentzian; (point, knot) chunks of 2e6 took 68 MiB on the table."""
+        Lorentzian; (point, knot) chunks of 2e6 took 68 MiB on the table;
+        a whole stretch in one FFT call took 80 MiB at 20,001 times."""
         se = dl.SelfEnergy(model)
-        times = np.linspace(0.0, 10.0, 11)
+        times = np.linspace(0.0, 10.0, n_times)
         tracemalloc.start()
         try:
             dl.survival_numeric(se, omega0, times, n_points=n_points)

@@ -97,6 +97,7 @@ class TestSurvivalCommand:
             assert key in survival
         assert manifest["config"]["model"]["a"] == 0.0
         assert manifest["results"]["transform"] == "chirp_z"
+        assert manifest["results"]["alias_bound"] < 1e-11
         # the default omega_max is set by the 1e-5 truncated-tail target
         assert manifest["results"]["tail_estimate"] == pytest.approx(1e-5)
 
@@ -290,6 +291,9 @@ BAD_INPUTS = {
                                   "beta_slope"),
     "slope key without a basis": ("packet", PACKET_CONFIG + "packet.offset = 0.5\n",
                                   "packet.basis"),
+    "reversed energy window": ("packet", PACKET_CONFIG + "packet.span = -5\n", "span"),
+    "zero snapshot stride": ("twosurface", "twosurface.snapshot_stride = 0\n",
+                             "snapshot_stride"),
 }
 
 

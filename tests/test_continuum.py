@@ -36,6 +36,11 @@ class TestSpectralDistribution:
 
 
 class TestCoefficients:
+    @pytest.mark.parametrize("span", [0.0, -5.0])
+    def test_grid_requires_positive_span(self, span):
+        with pytest.raises(DomainError, match="span"):
+            dl.default_energy_grid(0.0, GAMMA, span=span)
+
     def test_exactly_zero_at_start(self):
         eps = dl.default_energy_grid(0.0, GAMMA, n=501)
         coeffs = dl.packet_coefficients(flat_coupling, 0.0, GAMMA, eps, 0.0)

@@ -291,3 +291,8 @@ class TestConfigValidation:
     def test_absorber_fits(self):
         with pytest.raises(DomainError):
             TwoSurfaceConfig(absorber_width=1000.0)
+
+    @pytest.mark.parametrize("stride", [0, -5])
+    def test_positive_snapshot_stride(self, stride):
+        with pytest.raises(DomainError):
+            TwoSurfaceConfig(snapshot_stride=stride)
