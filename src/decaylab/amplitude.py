@@ -173,6 +173,8 @@ def survival_numeric(se: SelfEnergy, omega0: float, times,
         )
     else:
         omega_max = float(omega_max)
+        if omega_max <= 0:
+            raise DomainError("omega_max must be positive")
     margin = omega_max - reach
     if not np.isfinite(omega_max) or margin <= 0:
         raise TruncationError("omega_max must be finite and clear the spectral support")

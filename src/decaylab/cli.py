@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .amplitude import (SurvivalSeries, survival_box, survival_lorentzian,
                         survival_numeric, survival_pole_cut)
-from .config import did_you_mean, load_config, resolve_section
+from .config import Count, did_you_mean, load_config, resolve_section
 from .continuum import default_energy_grid, evolve_packet
 from .discrete_oracle import (build_discrete, resolvent_direct,
                               resolvent_partitioned, survival_exact_discrete,
@@ -52,20 +52,20 @@ SCHEMA = {
     "output": {"dir": (str, "out")},
     "model": model_keys,
     "system": {"omega0": (float, 0.0)},
-    "spectral": {"eps_min": (float, None), "eps_max": (float, None), "n": (int, 401)},
+    "spectral": {"eps_min": (float, None), "eps_max": (float, None), "n": (Count, 401)},
     "selfenergy": {"grid_min": (float, None), "grid_max": (float, None),
-                   "grid_n": (int, 201)},
+                   "grid_n": (Count, 201)},
     "poles": {"guess_re": (float, None), "guess_im": (float, None)},
-    "survival": {"method": (str, "numeric"), "tmax": (float, 10.0), "nt": (int, 201),
+    "survival": {"method": (str, "numeric"), "tmax": (float, 10.0), "nt": (Count, 201),
                  "contour_a": (float, None), "omega_max": (float, None),
-                 "n_points": (int, None)},
-    "oracle": {"n_bins": (int, 1000), "binning": (str, "uniform"),
+                 "n_points": (Count, None)},
+    "oracle": {"n_bins": (Count, 1000), "binning": (str, "uniform"),
                "window_lo": (float, None), "window_hi": (float, None),
-               "tmax": (float, 10.0), "nt": (int, 201)},
-    "verify": {"n": (int, 100), "n_omega": (int, 20), "seed": (int, 12345)},
-    "packet": {"gamma": (float, None), "span": (float, 40.0), "n_eps": (int, 2001),
-               "tmax": (float, None), "nt": (int, 5), "basis": (str, None),
-               "x_min": (float, -100.0), "x_max": (float, 300.0), "n_x": (int, 2048),
+               "tmax": (float, 10.0), "nt": (Count, 201)},
+    "verify": {"n": (Count, 100), "n_omega": (Count, 20), "seed": (int, 12345)},
+    "packet": {"gamma": (float, None), "span": (float, 40.0), "n_eps": (Count, 2001),
+               "tmax": (float, None), "nt": (Count, 5), "basis": (str, None),
+               "x_min": (float, -100.0), "x_max": (float, 300.0), "n_x": (Count, 2048),
                "beta_slope": (float, None), "offset": (float, 0.0)},
     "twosurface": {_TWOSURFACE_KEYS[f.name]: (type(f.default), f.default)
                    for f in fields(TwoSurfaceConfig)},

@@ -15,10 +15,14 @@ from pathlib import Path
 
 from .errors import ConfigParseError, DomainError, ValidationError
 
-__all__ = ["REQUIRED", "parse_config_text", "load_config", "resolve_section",
+__all__ = ["REQUIRED", "Count", "parse_config_text", "load_config", "resolve_section",
            "did_you_mean"]
 
 REQUIRED = object()  # schema default of a key that must be given
+
+
+class Count(int):
+    """Schema type of a number of points or steps, >= 1; any other int key is >= 0."""
 
 
 def _parse_value(raw: str):
@@ -82,9 +86,10 @@ def _coerce(where: str, kind: type, value):
         raise ValidationError(f"{where} = {value!r} is not a number")
     if not abs(value) <= sys.float_info.max:  # nan, +-inf, or an int past the float range
         raise ValidationError(f"{where} = {value!r} is not a finite number")
-    if kind is int and not float(value).is_integer():
-        raise ValidationError(f"{where} = {value!r} is not an integer")
-    return kind(value)
+    least = {int: 0, Count: 1}.get(kind)
+    if least is not None and not (float(value).is_integer() and value >= least):
+        raise ValidationError(f"{where} = {value!r} is not an integer >= {least}")
+    return kind(value) if least is None else int(value)
 
 
 def resolve_section(name: str, block: dict, keys: dict) -> dict:

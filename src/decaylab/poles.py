@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateRoots, DomainError, NoConvergence
-from .selfenergy import SelfEnergy, central_difference
+from .selfenergy import SelfEnergy
 
 __all__ = ["PoleResult", "LorentzianPoles", "weisskopf_wigner_rate",
            "find_pole", "lorentzian_poles"]
@@ -63,9 +63,9 @@ def weisskopf_wigner_rate(se: SelfEnergy, omega0: float) -> tuple[float, float]:
 def find_pole(se: SelfEnergy, omega0: float, guess: complex | None = None) -> PoleResult:
     """Newton iteration for the second-sheet zero of omega - omega0 - Sigma.
 
-    Sigma on the second sheet comes from the model's exact Cauchy
-    transform; the derivative, and with it the residue, is a central
-    finite difference of that.
+    Sigma on the second sheet and its derivative come from the model's
+    exact Cauchy transform and its closed-form derivative, so the residue
+    1 / (1 - Sigma'(pole)) is exact to rounding as well.
     """
     omega0 = float(omega0)
     lo, hi = se.model.support()
@@ -79,6 +79,9 @@ def find_pole(se: SelfEnergy, omega0: float, guess: complex | None = None) -> Po
     def h(z: complex) -> complex:
         return z - omega0 - complex(se.sigma_continued(z))
 
+    def dh(z: complex) -> complex:
+        return 1.0 - complex(se.sigma_continued_derivative(z))
+
     tol = 1e-10 * max(1.0, abs(omega0))
     # A guess on a symmetry line of h can trap Newton there (e.g. the
     # band-centered flat or Lorentzian density); deterministic sideways
@@ -87,7 +90,7 @@ def find_pole(se: SelfEnergy, omega0: float, guess: complex | None = None) -> Po
     last_error: Exception | None = None
     for shift in (0.0, kick, -kick, 3.0 * kick, -3.0 * kick):
         try:
-            return _newton(h, guess + shift, tol)
+            return _newton(h, dh, guess + shift, tol)
         except (NoConvergence, DomainError) as exc:
             # DomainError here means the iterate left the model's
             # continuation domain; treat it as a failed start
@@ -97,11 +100,11 @@ def find_pole(se: SelfEnergy, omega0: float, guess: complex | None = None) -> Po
     raise NoConvergence(f"every Newton start failed; last error: {last_error}")
 
 
-def _newton(h, w: complex, tol: float) -> PoleResult:
+def _newton(h, dh, w: complex, tol: float) -> PoleResult:
     hw = h(w)
     for iteration in range(_MAX_ITERATIONS + 1):
         residual = abs(hw)
-        deriv = central_difference(h, w)
+        deriv = dh(w)
         if deriv == 0:
             raise NoConvergence(f"vanishing derivative at iterate {w}")
         if residual < tol:

@@ -2,7 +2,8 @@
 
 The physical-sheet function is the Cauchy integral of the spectral
 density over its support, which every model evaluates exactly and
-vectorized as ``model.cauchy``.  Crossing the real axis from above
+vectorized as ``model.cauchy``, and its derivative as
+``model.cauchy_derivative``.  Crossing the real axis from above
 continues it onto the second sheet by subtracting 2*pi*i times the
 analytically continued density.  ``sigma_quadrature`` evaluates the same
 integral by adaptive quadrature; it is an independent reference for
@@ -20,7 +21,7 @@ from scipy import integrate
 from .errors import DomainError, QuadratureFailure
 from .spectral import SpectralModel
 
-__all__ = ["SelfEnergy", "Renormalization", "central_difference", "sigma_quadrature"]
+__all__ = ["SelfEnergy", "Renormalization", "sigma_quadrature"]
 
 
 @dataclass(frozen=True)
@@ -29,18 +30,6 @@ class Renormalization:
 
     Z: float
     omega_tilde: float
-
-
-def central_difference(f, w: complex, max_step: float = np.inf) -> complex:
-    """Derivative of f at w by a central difference of relative step 1e-7.
-
-    ``max_step`` caps the step, e.g. to keep both nodes clear of a
-    singularity near w.  The quotient divides by the spacing of the nodes
-    as rounded, which a step far below the spacing of floats near w needs.
-    """
-    step = min(1e-7 * max(1.0, abs(w)), max_step)
-    right, left = w + step, w - step
-    return (f(right) - f(left)) / (right - left)
 
 
 def sigma_quadrature(model: SpectralModel, omega: complex) -> complex:
@@ -110,13 +99,9 @@ class SelfEnergy:
         Real omega returns the boundary value from above, whose imaginary
         part is -pi * D(omega) inside the support.
         """
-        omega = np.asarray(omega, dtype=complex)
-        if np.any(omega.imag < 0):
+        if np.any(np.imag(omega) < 0):
             raise DomainError("sigma_upper requires Im omega >= 0")
-        value = self.model.cauchy(omega)
-        if not np.all(np.isfinite(value)):
-            raise DomainError("boundary value diverges at a band edge")
-        return value
+        return _second_sheet(omega, self.model.cauchy, self.model.density_complex)
 
     def sigma_continued(self, omega):
         """Second-sheet self-energy, continuous across the support interior.
@@ -126,14 +111,12 @@ class SelfEnergy:
         every omega where the model's continuation exists, so root finders
         may cross the axis freely.
         """
-        omega = np.asarray(omega, dtype=complex)
-        below = omega.imag < 0
-        value = np.array(self.model.cauchy(omega))
-        if not np.all(np.isfinite(value[~below])):
-            raise DomainError("boundary value diverges at a band edge")
-        if below.any():
-            value[below] -= 2j * np.pi * self.model.density_complex(omega[below])
-        return value[()]
+        return _second_sheet(omega, self.model.cauchy, self.model.density_complex)
+
+    def sigma_continued_derivative(self, omega):
+        """Derivative of ``sigma_continued``, exact and on the same domain."""
+        return _second_sheet(omega, self.model.cauchy_derivative,
+                             self.model.density_complex_derivative)
 
     def cut_discontinuity(self, xi):
         """Jump of the self-energy across the cut hung from the threshold.
@@ -156,20 +139,25 @@ class SelfEnergy:
     def renormalize_below_threshold(self, omega0: float) -> Renormalization:
         """Dressed weight and energy of a level lying below the threshold.
 
-        The shift is Sigma(omega0); the curvature, the integral of
-        D / (omega0 - eps)^2, is -Sigma'(omega0).
+        The shift is Sigma(omega0) and the weight Z = 1 / (1 - Sigma'(omega0)),
+        both real below the support.
         """
         omega0 = float(omega0)
         lo, hi = self.model.support()
         if not np.isfinite(lo) or omega0 >= lo:
             raise DomainError("renormalization requires omega0 strictly below a finite threshold")
+        z = 1.0 / (1.0 - complex(self.model.cauchy_derivative(omega0)).real)
+        shift = complex(self.model.cauchy(omega0)).real
+        return Renormalization(Z=z, omega_tilde=omega0 + z * shift)
 
-        def shift(w):
-            return complex(self.model.cauchy(w)).real
 
-        # The threshold is a log singularity for a flat band; with the step
-        # capped at 1e-3 of the distance to it, the difference stays exact
-        # to about 1e-7 however close omega0 lies.
-        curvature = -central_difference(shift, omega0, max_step=1e-3 * (lo - omega0))
-        z = 1.0 / (1.0 + curvature)
-        return Renormalization(Z=z, omega_tilde=omega0 + z * shift(omega0))
+def _second_sheet(omega, upper, density):
+    """upper(omega), finite on and above the axis, less 2 pi i density(omega) below."""
+    omega = np.asarray(omega, dtype=complex)
+    below = omega.imag < 0
+    value = np.array(upper(omega))
+    if not np.all(np.isfinite(value[~below])):
+        raise DomainError("boundary value diverges at a band edge")
+    if below.any():
+        value[below] -= 2j * np.pi * density(omega[below])
+    return value[()]

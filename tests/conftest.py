@@ -20,6 +20,17 @@ def threshold_se():
                                            threshold=0.0, cutoff=20.0))
 
 
+def circle_derivative(f, omega, radius, n=128):
+    """Derivative of an analytic f at omega by Cauchy's formula on a circle.
+
+    The n-point mean over the circle of the given radius errs by about
+    (radius / d)^n, d being the distance from omega to f's nearest
+    singularity or cut.
+    """
+    phase = np.exp(2j * np.pi * np.arange(n) / n)
+    return complex(np.mean(f(omega + radius * phase) / phase)) / radius
+
+
 def linear_fit_r2(x, y):
     """Least-squares slope, intercept and R^2."""
     x = np.asarray(x, float)

@@ -42,9 +42,12 @@ class TestNumericInversion:
         ratio = numeric.probability() / closed.probability()
         assert np.max(np.abs(ratio - 1.0)) < 0.02
 
-    def test_truncation_guard(self, lorentzian_se):
+    def test_truncation_guard(self, lorentzian_se, box_se):
         with pytest.raises(TruncationError):
             dl.survival_numeric(lorentzian_se, 0.0, [0.0, 1.0], omega_max=5.0)
+        # a positive cutoff inside the support truncates it
+        with pytest.raises(TruncationError, match="clear the spectral support"):
+            dl.survival_numeric(box_se, 0.0, [0.0, 1.0], omega_max=50.0)
 
     def test_node_cap_guard(self):
         # the default step for t = 20 over a support of half-width 1e6 needs
@@ -61,6 +64,9 @@ class TestNumericInversion:
             dl.survival_numeric(lorentzian_se, 0.0, [-1.0])
         with pytest.raises(DomainError):
             dl.survival_numeric(lorentzian_se, 0.0, [1.0], contour_offset=-0.1)
+        for omega_max in (-1.0, 0.0):
+            with pytest.raises(DomainError, match="omega_max must be positive"):
+                dl.survival_numeric(lorentzian_se, 0.0, [1.0], omega_max=omega_max)
 
     def test_unit_bound(self, lorentzian_se):
         times = np.linspace(0.0, 10.0, 60)

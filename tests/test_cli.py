@@ -294,6 +294,15 @@ BAD_INPUTS = {
     "reversed energy window": ("packet", PACKET_CONFIG + "packet.span = -5\n", "span"),
     "zero snapshot stride": ("twosurface", "twosurface.snapshot_stride = 0\n",
                              "snapshot_stride"),
+    "negative omega_max": ("survival", LORENTZIAN_CONFIG.replace(
+        "survival.method = closed", "survival.method = numeric\nsurvival.omega_max = -1"),
+        "omega_max"),
+    "negative seed": ("verify-partition", "verify.seed = -1\n", "verify.seed"),
+    "no verification points": ("verify-partition", "verify.n_omega = 0\n", "verify.n_omega"),
+    **{f"negative {key}": (command, LORENTZIAN_CONFIG + f"{key} = -3\n", key)
+       for command, key in (("spectral", "spectral.n"), ("selfenergy", "selfenergy.grid_n"),
+                            ("survival", "survival.nt"), ("oracle-survival", "oracle.nt"),
+                            ("packet", "packet.nt"), ("packet", "packet.n_x"))},
 }
 
 

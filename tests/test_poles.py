@@ -69,6 +69,9 @@ class TestFindPole:
         lp = dl.lorentzian_poles(a2, center, width, omega0)
         dist = min(abs(pr.omega - lp.omega_plus), abs(pr.omega - lp.omega_minus))
         assert dist < 1e-10
+        near_plus = abs(pr.omega - lp.omega_plus) < abs(pr.omega - lp.omega_minus)
+        residue = lp.residue_plus if near_plus else lp.residue_minus
+        assert abs(pr.residue - residue) < 5e-11
 
     def test_threshold_model_converges(self, threshold_se):
         pr = dl.find_pole(threshold_se, 5.0)

@@ -8,6 +8,8 @@ import decaylab as dl
 from decaylab.errors import DomainError
 from decaylab.selfenergy import sigma_quadrature
 
+from conftest import circle_derivative
+
 
 class TestUpperSheet:
     def test_lorentzian_closed_form(self, lorentzian_se):
@@ -294,6 +296,13 @@ class TestCauchyTransform:
         # the adaptive reference is good to about quad's epsabs of 1e-10
         return abs(value - reference) < 1e-9 + 1e-7 * abs(reference)
 
+    @staticmethod
+    def _close_derivative(value, reference):
+        # The circle reference is good to about 1e-11 relative; the absolute
+        # term covers the tabulated knot sum, which at |omega| = 1e4 cancels
+        # down to a value of 6e-9 and is exact there only to about 1e-8 of it.
+        return abs(value - reference) <= 1e-9 * abs(reference) + 1e-15
+
     @pytest.mark.parametrize("model", CAUCHY_MODELS, ids=_model_id)
     def test_matches_adaptive_quadrature(self, model):
         for omega in self.OFF_AXIS:
@@ -308,29 +317,58 @@ class TestCauchyTransform:
                                                          abs=1e-15)
 
     @pytest.mark.parametrize("model", CAUCHY_MODELS, ids=_model_id)
+    def test_derivative_matches_circle_average(self, model):
+        lo, hi = model.support()
+        below = [lo - 1.0, lo - 5.0] if np.isfinite(lo) else []
+        for omega in (*self.OFF_AXIS, *np.conj(self.OFF_AXIS), *below):
+            # the physical sheet is analytic off the support
+            radius = 0.5 * abs(omega - np.clip(omega.real, lo, hi))
+            reference = circle_derivative(model.cauchy, omega, radius)
+            assert self._close_derivative(model.cauchy_derivative(omega), reference), omega
+
+    @pytest.mark.parametrize("model", CAUCHY_MODELS[:-1], ids=_model_id)
+    def test_continued_derivative_matches_circle_average(self, model):
+        se = dl.SelfEnergy(model)
+        lo, hi = model.support()
+        for omega in np.conj(self.OFF_AXIS):
+            if not lo < omega.real < hi:
+                continue
+            # below the axis and inside the strip where the density continues
+            radius = 0.5 * min(-omega.imag, omega.real - lo, hi - omega.real)
+            reference = circle_derivative(se.sigma_continued, omega, radius)
+            assert self._close_derivative(se.sigma_continued_derivative(omega), reference), omega
+
+    @pytest.mark.parametrize("model", CAUCHY_MODELS, ids=_model_id)
     def test_vectorized_matches_scalar(self, model):
         omegas = np.array([*self.OFF_AXIS, *np.conj(self.OFF_AXIS), *self.ON_AXIS])
-        grid = model.cauchy(omegas.reshape(4, -1))
-        assert grid.shape == (4, omegas.size // 4)
-        scalars = np.array([complex(model.cauchy(w)) for w in omegas])
         # The tabulated sum cancels terms of size |omega| log|omega| down to
         # a value of size 1/|omega|, so at |omega| = 1e4 the summation order
-        # shows at 1e-12 absolute.
-        np.testing.assert_allclose(grid.ravel(), scalars, rtol=1e-13, atol=1e-11)
+        # shows at 1e-12 absolute; its derivative's terms are of size log|omega|.
+        for transform, atol in ((model.cauchy, 1e-11), (model.cauchy_derivative, 1e-15)):
+            grid = transform(omegas.reshape(4, -1))
+            assert grid.shape == (4, omegas.size // 4)
+            scalars = np.array([complex(transform(w)) for w in omegas])
+            np.testing.assert_allclose(grid.ravel(), scalars, rtol=1e-13, atol=atol)
 
-    @pytest.mark.parametrize("x", [0.5, 5.0, 19.5, -3.0, 30.0])
+    @pytest.mark.parametrize("x", [0.5, 5.0, 19.5, -3.0, 30.0, -1e-9])
     def test_threshold_near_axis_against_elementary_form(self, x):
-        # For alpha = 1 the transform is elementary; at Im omega = 1e-4 this
-        # is the check, since the adaptive reference itself errs there.
+        # For alpha = 1 the transform and its derivative are elementary; at
+        # Im omega = 1e-4 this is the check, since the adaptive reference
+        # itself errs there, and x = -1e-9 tests just below the threshold.
         beta, cutoff = 0.01, 20.0
         model = dl.ThresholdPower(beta=beta, exponent=1.0, threshold=0.0, cutoff=cutoff)
         for omega in (x + 1e-4j, x - 1e-4j, x + 1e-9j):
             exact = beta * (omega * np.log(omega / (omega - cutoff)) - cutoff)
             assert abs(model.cauchy(omega) - exact) <= 1e-13 * abs(exact), omega
+            exact = beta * (np.log(omega / (omega - cutoff)) - cutoff / (omega - cutoff))
+            assert abs(model.cauchy_derivative(omega) - exact) <= 1e-12 * abs(exact), omega
         # boundary value from above, with log|x / (x - cutoff)| - i*pi inside
         inside = 1.0 if 0.0 < x < cutoff else 0.0
-        exact = beta * (x * (np.log(abs(x / (x - cutoff))) - 1j * np.pi * inside) - cutoff)
+        log = np.log(abs(x / (x - cutoff))) - 1j * np.pi * inside
+        exact = beta * (x * log - cutoff)
         assert abs(model.cauchy(x) - exact) <= 1e-13 * abs(exact)
+        exact = beta * (log - cutoff / (x - cutoff))
+        assert abs(model.cauchy_derivative(x) - exact) <= 1e-12 * abs(exact)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 1.5])
     def test_threshold_value_at_threshold(self, alpha):
@@ -340,6 +378,9 @@ class TestCauchyTransform:
         expected = -beta * (cutoff - mu) ** alpha / alpha
         assert se.sigma_upper(mu) == pytest.approx(expected, rel=1e-14)
         assert sigma_quadrature(se.model, mu) == pytest.approx(expected, rel=1e-8)
+        # minus the integral of beta (eps - mu)^(alpha - 2), finite for alpha > 1 only
+        slope = -beta * (cutoff - mu) ** (alpha - 1) / (alpha - 1) if alpha > 1 else -np.inf
+        assert se.model.cauchy_derivative(mu) == pytest.approx(slope, rel=1e-14)
 
     @pytest.mark.parametrize("model,edge", [
         (CAUCHY_MODELS[1], 100.0), (CAUCHY_MODELS[2], -3.0), (CAUCHY_MODELS[4], 20.0),
@@ -347,6 +388,8 @@ class TestCauchyTransform:
     def test_divergent_band_edge_rejected(self, model, edge):
         with pytest.raises(DomainError):
             dl.SelfEnergy(model).sigma_upper(edge)
+        # the derivative is infinite there, without a warning
+        assert np.isinf(model.cauchy_derivative(edge))
 
     def test_reference_quadrature_on_a_long_table(self):
         # every interior knot is a quadrature breakpoint, however many there are
