@@ -2,8 +2,8 @@
 
 * direct numerical inversion of the Laplace-Fourier transform along a
   horizontal contour above the real axis,
-* the residue-plus-branch-cut decomposition built from the second-sheet
-  pole and the threshold cut integral,
+* the residue-plus-branch-cut decomposition built from ``find_pole``'s
+  zero (a resonance, or a bound state) and the threshold cut integral,
 * closed forms for the two exactly solvable models (Lorentzian density
   and the wide flat band).
 
@@ -282,27 +282,31 @@ def cut_integral(se: SelfEnergy, omega0: float, times):
 
 
 def tail_asymptote(beta_th: float, alpha: float, mu: float, omega0: float,
-                   sigma_at_mu: complex, t: float) -> complex:
+                   sigma_at_mu: complex, t):
     """Leading long-time power law of the cut contribution.
 
     Closed form: beta * exp(-i*mu*t) * (-i)^(alpha+1) * Gamma(alpha+1)
     / ((mu - omega0 - Sigma(mu))^2 * t^(alpha+1)), principal branch of
-    the power of -i.
+    the power of -i, at a time t > 0 or an array of them (same shape out).
     """
-    t = float(t)
-    if t <= 0:
+    t = np.asarray(t, dtype=float)
+    if not np.all(t > 0):
         raise DomainError("tail asymptote requires t > 0")
     h_mu = mu - omega0 - sigma_at_mu
     if abs(h_mu) < 1e-12:
         raise SingularDenominator("threshold denominator mu - omega0 - Sigma(mu) vanishes")
     phase = np.exp(-1j * (alpha + 1.0) * np.pi / 2.0)
     return (beta_th * np.exp(-1j * mu * t) * phase * special.gamma(alpha + 1.0)
-            / (h_mu**2 * t ** (alpha + 1.0)))
+            / (h_mu**2 * t ** (alpha + 1.0)))[()]
 
 
 def survival_pole_cut(se: SelfEnergy, omega0: float, times) -> SurvivalSeries:
     """Residue exponential plus the branch-cut correction.
 
+    The pole is ``find_pole``'s zero, a resonance or the bound state of a
+    level below the threshold.  The cut from a finite upper edge is left out;
+    below the threshold its error is 2.8e-5 / t on ThresholdPower(0.01, 0.5,
+    1, 50) at omega0 = 0, 1.2e-2 / t on Box(0.3, 2) at omega0 = -5 (t in [1, 100]).
     At t = 0 the cut term is fixed by completeness (A(0) = 1) instead of
     the divergent-looking integral representation.
     """

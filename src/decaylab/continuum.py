@@ -69,8 +69,8 @@ def packet_coefficients(v_eps, omega0: float, gamma: float, eps, t) -> np.ndarra
     if coupling.shape not in ((), eps.shape):
         raise DomainError("coupling array must match the energy grid")
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise DomainError("t must be nonnegative")
+    if not np.all(t >= 0):
+        raise DomainError("t must be nonnegative, not NaN")
     prefactor = coupling / (eps - omega0 + 0.5j * gamma)
     saturated = np.isinf(t)[..., None]
     t_finite = np.where(saturated, 0.0, t[..., None])

@@ -1,20 +1,24 @@
-"""Resonance poles of the dressed propagator on the second sheet.
+"""Zeros of g(omega) = omega - omega0 - Sigma(omega): resonances and bound states.
 
-The propagator pole solves omega - omega0 - Sigma(omega) = 0 with the
-self-energy continued below the real axis.  A complex Newton iteration
-started from the weak-coupling value converges in a handful of steps for
-every model treated here; the Lorentzian case is also solved exactly by
-the quadratic formula as an independent reference.
+Inside the support the zero is the second-sheet resonance, which complex
+Newton from the weak-coupling value finds in a handful of steps; outside,
+a real bound state, where g' >= 1 and g is convex below the support and
+concave above, so real Newton from omega0 runs monotonically to it.  The
+Lorentzian case is also solved exactly by the quadratic formula as an
+independent reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DegenerateRoots, DomainError, NoConvergence
-from .selfenergy import SelfEnergy
+
+if TYPE_CHECKING:
+    from .selfenergy import SelfEnergy
 
 __all__ = ["PoleResult", "LorentzianPoles", "weisskopf_wigner_rate",
            "find_pole", "lorentzian_poles"]
@@ -22,7 +26,7 @@ __all__ = ["PoleResult", "LorentzianPoles", "weisskopf_wigner_rate",
 
 @dataclass(frozen=True)
 class PoleResult:
-    """Converged resonance pole omega_prime - i*omega_dprime and its residue."""
+    """Converged zero omega_prime - i*omega_dprime of g and its residue (a bound state's Z)."""
 
     omega_prime: float
     omega_dprime: float
@@ -61,36 +65,31 @@ def weisskopf_wigner_rate(se: SelfEnergy, omega0: float) -> tuple[float, float]:
 
 
 def find_pole(se: SelfEnergy, omega0: float, guess: complex | None = None) -> PoleResult:
-    """Newton iteration for the second-sheet zero of omega - omega0 - Sigma.
+    """Newton iteration for the zero of g = omega - omega0 - Sigma.
 
-    Sigma on the second sheet and its derivative come from the model's
-    exact Cauchy transform and its closed-form derivative, so the residue
-    1 / (1 - Sigma'(pole)) is exact to rounding as well.
+    Inside the support, the second-sheet resonance, from ``guess`` or the
+    weak-coupling value; outside, the real bound state on omega0's side.
+    Sigma and Sigma' come from the model's exact Cauchy transform and its
+    closed-form derivative, so the residue 1 / (1 - Sigma') is exact to
+    rounding as well.
     """
     omega0 = float(omega0)
     lo, hi = se.model.support()
     if not lo < omega0 < hi:
-        raise DomainError("find_pole handles the embedded case only; "
-                          "use renormalize_below_threshold below the threshold")
+        return _bound_state(se.model, omega0, guess)
     if guess is None:
         guess = omega0 - 1j * np.pi * float(se.model.density(omega0))
     guess = complex(guess)
-
-    def h(z: complex) -> complex:
-        return z - omega0 - complex(se.sigma_continued(z))
-
-    def dh(z: complex) -> complex:
-        return 1.0 - complex(se.sigma_continued_derivative(z))
-
     tol = 1e-10 * max(1.0, abs(omega0))
-    # A guess on a symmetry line of h can trap Newton there (e.g. the
+    # A guess on a symmetry line of g can trap Newton there (e.g. the
     # band-centered flat or Lorentzian density); deterministic sideways
     # kicks break the degeneracy if the plain start stalls.
     kick = 0.25 * max(abs(guess.imag), 0.05 * se.model.char_width(), 1e-3)
     last_error: Exception | None = None
     for shift in (0.0, kick, -kick, 3.0 * kick, -3.0 * kick):
         try:
-            return _newton(h, dh, guess + shift, tol)
+            return _newton(se.sigma_continued, se.sigma_continued_derivative, omega0,
+                           guess + shift, tol)
         except (NoConvergence, DomainError) as exc:
             # DomainError here means the iterate left the model's
             # continuation domain; treat it as a failed start
@@ -100,32 +99,42 @@ def find_pole(se: SelfEnergy, omega0: float, guess: complex | None = None) -> Po
     raise NoConvergence(f"every Newton start failed; last error: {last_error}")
 
 
-def _newton(h, dh, w: complex, tol: float) -> PoleResult:
-    hw = h(w)
+def _bound_state(model, omega0: float, guess) -> PoleResult:
+    if guess is not None:
+        raise DomainError("a guess steers only the resonance search; "
+                          "omega0 lies outside the spectral support")
+    if not np.all(np.isfinite([model.cauchy(omega0), model.cauchy_derivative(omega0)])):
+        raise DomainError("Sigma or Sigma' diverges at omega0, a band edge")
+    # Real parts keep the iterate on the physical sheet, whatever the rounding
+    # of Im Sigma.  g' >= 1 bounds the root's error by the residual, and g's
+    # terms are of the size of omega0 or of the weight W: (E_b - omega0)^2 <= W.
+    return _newton(lambda x: complex(model.cauchy(x)).real,
+                   lambda x: complex(model.cauchy_derivative(x)).real,
+                   omega0, omega0, 1e-13 * max(1.0, abs(omega0), model.total_weight()))
+
+
+def _newton(sigma, dsigma, omega0: float, w: complex, tol: float) -> PoleResult:
+    """Newton on g(w) = w - omega0 - sigma(w), with g' = 1 - dsigma(w)."""
     for iteration in range(_MAX_ITERATIONS + 1):
+        hw = w - omega0 - complex(sigma(w))
         residual = abs(hw)
-        deriv = dh(w)
+        deriv = 1.0 - complex(dsigma(w))
         if deriv == 0:
             raise NoConvergence(f"vanishing derivative at iterate {w}")
         if residual < tol:
-            damping = -w.imag
-            if damping < 0:
-                if damping > -10 * tol:
-                    damping = 0.0
-                else:
-                    raise NoConvergence(f"iteration converged above the axis at {w}")
+            if w.imag >= 10 * tol:
+                raise NoConvergence(f"iteration converged above the axis at {w}")
             return PoleResult(
                 omega_prime=w.real,
-                omega_dprime=damping,
+                omega_dprime=max(0.0, -w.imag),
                 residue=1.0 / deriv,
                 iterations=iteration,
                 converged=True,
                 final_residual=residual,
             )
         w = w - hw / deriv
-        hw = h(w)
     raise NoConvergence(
-        f"no pole after {_MAX_ITERATIONS} iterations; last iterate {w}, |h| = {abs(hw):.3e}")
+        f"no pole after {_MAX_ITERATIONS} iterations; |g| = {residual:.3e}, next iterate {w}")
 
 
 def lorentzian_poles(amplitude_sq: float, center: float, width: float,

@@ -19,6 +19,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import DomainError, QuadratureFailure
+from .poles import find_pole
 from .spectral import SpectralModel
 
 __all__ = ["SelfEnergy", "Renormalization", "sigma_quadrature"]
@@ -139,16 +140,16 @@ class SelfEnergy:
     def renormalize_below_threshold(self, omega0: float) -> Renormalization:
         """Dressed weight and energy of a level lying below the threshold.
 
-        The shift is Sigma(omega0) and the weight Z = 1 / (1 - Sigma'(omega0)),
-        both real below the support.
+        omega_tilde is the bound state, the real zero of omega - omega0 - Sigma
+        below the support that ``find_pole`` solves, and Z = 1 / (1 - Sigma'(omega_tilde))
+        its weight, the late-time |A|^2 being Z^2.
         """
         omega0 = float(omega0)
-        lo, hi = self.model.support()
+        lo, _ = self.model.support()
         if not np.isfinite(lo) or omega0 >= lo:
             raise DomainError("renormalization requires omega0 strictly below a finite threshold")
-        z = 1.0 / (1.0 - complex(self.model.cauchy_derivative(omega0)).real)
-        shift = complex(self.model.cauchy(omega0)).real
-        return Renormalization(Z=z, omega_tilde=omega0 + z * shift)
+        bound = find_pole(self, omega0)
+        return Renormalization(Z=bound.residue.real, omega_tilde=bound.omega_prime)
 
 
 def _second_sheet(omega, upper, density):

@@ -74,7 +74,7 @@ class SpectralModel:
         Off the real axis this is the physical-sheet value, in either
         half-plane.  On the real axis it is the boundary value from above,
         whose imaginary part is -pi * D(omega) inside the support; it is
-        infinite at a band edge where D does not vanish.
+        infinite at a band edge where D does not vanish, and zero for a zero D.
         """
         raise NotImplementedError
 
@@ -193,13 +193,14 @@ class AsymmetricBox(SpectralModel):
         w = _as_complex_array(omega)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = self.amplitude_sq * (np.log(w - self.lower) - np.log(w - self.upper))
-        return out[()]
+        return np.where(self.amplitude_sq > 0, out, 0j)[()]
 
     def cauchy_derivative(self, omega):
         w = _as_complex_array(omega)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return (self.amplitude_sq * (self.lower - self.upper)
-                    / ((w - self.lower) * (w - self.upper)))[()]
+            out = (self.amplitude_sq * (self.lower - self.upper)
+                   / ((w - self.lower) * (w - self.upper)))
+        return np.where(self.amplitude_sq > 0, out, 0j)[()]
 
     def support(self):
         return (self.lower, self.upper)
@@ -291,8 +292,7 @@ class ThresholdPower(SpectralModel):
                            * np.abs(w.real) ** self.exponent, out)
         at_threshold = (-self.beta * span**self.exponent / self.exponent
                         if self.exponent > 0 else -np.inf)
-        out = np.where(w == 0, at_threshold, out)
-        return out[()]
+        return np.where(self.beta > 0, np.where(w == 0, at_threshold, out), 0j)[()]
 
     def cauchy_derivative(self, omega):
         # The series above through d/dz [z 2F1(1, a; a + 1; z)] = 2F1(2, a; a + 1; z):
@@ -306,7 +306,8 @@ class ThresholdPower(SpectralModel):
         out = np.where((w.imag == 0) & (w.real > 0) & (w.real < span), np.conj(out), out)
         # at the threshold, minus the integral of beta (eps - mu)^(alpha - 2)
         at_threshold = -self.beta * span ** (a - 2.0) / (a - 2.0) if a > 2.0 else -np.inf
-        return np.where(w == 0, at_threshold, np.where(w == span, np.inf, out))[()]
+        out = np.where(w == 0, at_threshold, np.where(w == span, np.inf, out))
+        return np.where(self.beta > 0, out, 0j)[()]
 
     def support(self):
         return (self.threshold, self.cutoff)

@@ -131,8 +131,12 @@ def test_criterion_6_below_threshold_non_decay():
     floor = renorm.Z**2 - 0.05
     lowest = float(np.min(series.probability()))
     assert lowest >= floor
+    # the bound state's weight, Z^2, is the late-time mean of |A|^2
+    late = float(np.mean(series.probability()[times >= 20.0]))
+    assert abs(late - renorm.Z**2) <= 1e-4
     report(6, time.monotonic() - start, 30.0,
-           f"min |A|^2 = {lowest:.4f} >= Z^2 - 0.05 = {floor:.4f}")
+           f"min |A|^2 = {lowest:.4f} >= Z^2 - 0.05 = {floor:.4f}; "
+           f"late mean |A|^2 - Z^2 = {late - renorm.Z**2:.1e}")
 
 
 def test_criterion_7_continuum_packet_unitarity():

@@ -332,6 +332,19 @@ class TestTailAsymptote:
         with pytest.raises(SingularDenominator):
             dl.tail_asymptote(1.0, 0.5, 0.0, 0.0, 0.0, 10.0)
 
+    def test_array_matches_scalars(self):
+        times = np.geomspace(0.5, 400.0, 6).reshape(2, 3)
+        values = dl.tail_asymptote(0.01, 0.5, 0.0, 5.0, 0.1 + 0.2j, times)
+        assert values.shape == times.shape
+        scalars = [dl.tail_asymptote(0.01, 0.5, 0.0, 5.0, 0.1 + 0.2j, t) for t in times.ravel()]
+        assert all(np.ndim(v) == 0 for v in scalars)
+        np.testing.assert_array_equal(values.ravel(), scalars)
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, np.nan, [10.0, 0.0]])
+    def test_requires_positive_time(self, t):
+        with pytest.raises(DomainError):
+            dl.tail_asymptote(0.01, 0.5, 0.0, 5.0, 0.1 + 0.2j, t)
+
 
 class TestPoleCut:
     def test_box_cut_is_negligible(self, box_se):
@@ -364,6 +377,18 @@ class TestPoleCut:
         numeric = dl.survival_numeric(threshold_se, 5.0, times)
         decomposed = dl.survival_pole_cut(threshold_se, 5.0, times)
         assert np.max(np.abs(numeric.amplitude - decomposed.amplitude)) <= 1e-4
+
+    def test_bound_state_plus_cut_below_the_threshold(self):
+        # below the threshold the pole term is the real bound state, and the
+        # cut from the threshold carries the rest; the upper edge's cut, still
+        # left out, costs about 2.8e-5 / t here
+        se = dl.SelfEnergy(dl.ThresholdPower(0.01, 0.5, 1.0, 50.0))
+        times = np.linspace(1.0, 100.0, 34)
+        decomposed = dl.survival_pole_cut(se, 0.0, np.concatenate([[0.0], times]))
+        assert decomposed.info["pole"].omega_dprime == 0.0
+        assert abs(decomposed.amplitude[0] - 1.0) <= 1e-12
+        numeric = dl.survival_numeric(se, 0.0, times)
+        assert np.max(np.abs(numeric.amplitude - decomposed.amplitude[1:])) <= 1e-4
 
     def test_cut_phase_against_numeric_inversion(self):
         # The cutoff far above the level makes the upper edge's own cut

@@ -24,6 +24,12 @@ survival.tmax = 5.0
 survival.nt = 51
 """
 
+# a level below the threshold mu = 1
+BELOW_THRESHOLD_CONFIG = ("model.type = thresholdpower\nmodel.beta_th = 0.01\n"
+                          "model.alpha = 0.5\nmodel.mu = 1.0\nmodel.Lambda = 50.0\n"
+                          "system.omega0 = 0.0\nsurvival.tmax = 10.0\nsurvival.nt = 11\n")
+
+
 
 def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
@@ -163,6 +169,27 @@ class TestOtherCommands:
         lp = dl.lorentzian_poles(0.1, 0.0, 1.0, 0.0)
         found = complex(float(data["omega_prime"]), -float(data["omega_dprime"]))
         assert min(abs(found - lp.omega_plus), abs(found - lp.omega_minus)) < 1e-9
+
+    def test_poles_below_the_threshold(self, tmp_path, capsys):
+        # a level below mu has a real bound state, whose residue is the weight Z
+        cfg = write_config(tmp_path, BELOW_THRESHOLD_CONFIG)
+        out = tmp_path / "run"
+        assert main(["poles", "-c", str(cfg), "--out", str(out)]) == 0
+        data = read_csv(out / "poles.csv")
+        assert data["omega_dprime"] == 0.0
+        se = dl.SelfEnergy(dl.ThresholdPower(0.01, 0.5, 1.0, 50.0))
+        renorm = se.renormalize_below_threshold(0.0)
+        assert data["residue_re"] == pytest.approx(renorm.Z, rel=1e-12)
+        assert data["omega_prime"] == pytest.approx(renorm.omega_tilde, rel=1e-12)
+        assert main(["survival", "-c", str(cfg), "--method", "pole-cut",
+                     "--out", str(tmp_path / "pole-cut")]) == 0
+        survival = read_csv(tmp_path / "pole-cut" / "survival.csv")
+        assert survival["re_A"][0] == pytest.approx(1.0, abs=1e-12)
+        assert survival["im_A"][0] == pytest.approx(0.0, abs=1e-12)
+        # a guess steers only the resonance search, which this level has not
+        cfg = write_config(tmp_path, BELOW_THRESHOLD_CONFIG + "poles.guess_re = -0.1\n")
+        assert main(["poles", "-c", str(cfg), "--out", str(tmp_path / "guess")]) == 2
+        assert "guess" in capsys.readouterr().err
 
     def test_oracle_survival(self, tmp_path):
         text = ("model.type = box\nmodel.A2 = 0.05\nmodel.L = 100\n"

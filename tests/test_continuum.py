@@ -81,6 +81,8 @@ class TestCoefficients:
             dl.packet_coefficients(flat_coupling, 0.0, GAMMA, eps, -1.0)
         with pytest.raises(DomainError):
             dl.packet_coefficients(flat_coupling, 0.0, GAMMA, eps, [1.0, -1.0])
+        with pytest.raises(DomainError):   # nan, unlike inf, is no time
+            dl.packet_coefficients(flat_coupling, 0.0, GAMMA, eps, [1.0, np.nan])
         with pytest.raises(DomainError):
             dl.packet_coefficients(flat_coupling, 0.0, 0.0, eps, 1.0)
         with pytest.raises(DomainError):

@@ -140,6 +140,8 @@ class TestExactSurvival:
         assert times[-1] < 0.5 * m.recurrence_time()
         series, _ = dl.survival_exact_discrete(m, times)
         assert np.min(series.probability()) >= renorm.Z**2 - 0.05
+        late = series.probability()[times >= 20.0]
+        assert abs(np.mean(late) - renorm.Z**2) <= 1e-4
 
     def test_initial_amplitude(self):
         rng = np.random.default_rng(23)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 import decaylab as dl
 from decaylab.errors import DegenerateRoots, DomainError
@@ -89,9 +90,46 @@ class TestFindPole:
         assert abs(ratios[-1] - 1.0) < 0.01
         assert abs(ratios[1] - 1.0) < abs(ratios[0] - 1.0)
 
-    def test_below_threshold_rejected(self, threshold_se):
-        with pytest.raises(DomainError):
-            dl.find_pole(threshold_se, -1.0)
+    @pytest.mark.parametrize("omega0", [-1.0, 0.0, 25.0])
+    def test_bound_state_below_and_above_the_support(self, omega0):
+        # outside the support the zero of g is real: Sigma and Sigma' there
+        # are plain integrals, taken here by adaptive quadrature
+        beta, alpha, mu, lam = 0.01, 1.5, 0.0, 20.0
+        se = dl.SelfEnergy(dl.ThresholdPower(beta, alpha, mu, lam))
+        pr = dl.find_pole(se, omega0)
+        energy = pr.omega_prime
+        assert pr.converged and pr.omega_dprime == 0.0 and pr.residue.imag == 0.0
+        assert energy < min(omega0, mu) or energy > max(omega0, lam)
+        dens = lambda e: beta * (e - mu) ** alpha
+        sigma, _ = integrate.quad(lambda e: dens(e) / (energy - e), mu, lam, epsrel=1e-13)
+        curv, _ = integrate.quad(lambda e: dens(e) / (energy - e) ** 2, mu, lam, epsrel=1e-13)
+        assert energy - omega0 - sigma == pytest.approx(0.0, abs=1e-10)
+        assert pr.residue.real == pytest.approx(1.0 / (1.0 + curv), rel=1e-10)
+
+    @pytest.mark.parametrize("beta", [1e4, 1e8])
+    def test_bound_state_at_strong_coupling(self, beta):
+        # far below the band Sigma -> W / E, so E_b -> -sqrt(W) and Z -> 1/2;
+        # g's rounding there grows with W, and the stopping rule must follow it
+        model = dl.ThresholdPower(beta, 0.5, 1.0, 50.0)
+        pr = dl.find_pole(dl.SelfEnergy(model), 0.0)
+        assert pr.omega_prime == pytest.approx(-np.sqrt(model.total_weight()), rel=0.02)
+        assert 0.5 < pr.residue.real < 0.51
+
+    def test_bound_state_stays_on_the_physical_sheet(self):
+        # 2F1 gives this level's Sigma a rounding-size imaginary part
+        se = dl.SelfEnergy(dl.ThresholdPower(0.015, 1.0, 1.0, 50.0))
+        pr = dl.find_pole(se, 0.5)
+        assert pr.omega_dprime == 0.0
+        assert pr.omega_prime < 0.5 and 0.0 < pr.residue.real < 1.0
+
+    def test_outside_the_support_rejections(self, threshold_se):
+        with pytest.raises(DomainError, match="guess"):
+            dl.find_pole(threshold_se, -1.0, guess=-1.0 - 0.1j)
+        # on an edge where Sigma' (alpha <= 1) or Sigma (a flat band) diverges
+        with pytest.raises(DomainError, match="diverges"):
+            dl.find_pole(threshold_se, 0.0)
+        with pytest.raises(DomainError, match="diverges"):
+            dl.find_pole(dl.SelfEnergy(dl.Box(amplitude_sq=0.3, half_width=2.0)), -2.0)
 
 
 class TestLorentzianPoles:

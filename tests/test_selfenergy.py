@@ -189,48 +189,61 @@ class TestRenormalization:
         assert rn.omega_tilde == pytest.approx(-5.0)
 
     def test_threshold_model_against_fine_grid_oracle(self):
+        # the bound state is the zero of omega - omega0 - Sigma, and Z its weight
         beta, alpha, mu, lam = 0.01, 0.5, 1.0, 50.0
         omega0 = 0.0
         se = dl.SelfEnergy(dl.ThresholdPower(beta=beta, exponent=alpha,
                                              threshold=mu, cutoff=lam))
         rn = se.renormalize_below_threshold(omega0)
-        # independent fine-grid Simpson oracle
+        # independent fine-grid Simpson oracle of Sigma and Sigma' at the root
         eps = np.linspace(mu, lam, 2_000_001)
         dens = beta * (eps - mu) ** alpha
         from scipy.integrate import simpson
-        shift = simpson(dens / (omega0 - eps), x=eps)
-        curv = simpson(dens / (omega0 - eps) ** 2, x=eps)
-        z_oracle = 1.0 / (1.0 + curv)
-        assert rn.Z == pytest.approx(z_oracle, rel=1e-6)
-        assert rn.omega_tilde == pytest.approx(omega0 + z_oracle * shift, rel=1e-6)
+        shift = simpson(dens / (rn.omega_tilde - eps), x=eps)
+        curv = simpson(dens / (rn.omega_tilde - eps) ** 2, x=eps)
+        assert rn.omega_tilde - omega0 - shift == pytest.approx(0.0, abs=1e-9)
+        assert rn.Z == pytest.approx(1.0 / (1.0 + curv), rel=1e-8)
         assert 0.0 < rn.Z < 1.0
         assert rn.omega_tilde < omega0
 
+    @staticmethod
+    def box_residual_and_weight(a2, half_width, omega0, energy):
+        """g(E) and 1/(1 - Sigma'(E)) of a flat band from the elementary log."""
+        shift = a2 * np.log((energy + half_width) / (energy - half_width))
+        curv = a2 * (1.0 / (energy - half_width) - 1.0 / (energy + half_width))
+        return energy - omega0 - shift, 1.0 / (1.0 + curv)
+
     def test_box_against_log_antiderivative(self):
-        # both integrals have elementary closed forms for a flat band
         a2, half_width, omega0 = 0.3, 2.0, -5.0
         se = dl.SelfEnergy(dl.Box(amplitude_sq=a2, half_width=half_width))
         rn = se.renormalize_below_threshold(omega0)
-        shift = a2 * np.log((omega0 + half_width) / (omega0 - half_width))
-        curv = a2 * (1.0 / (omega0 - half_width) - 1.0 / (omega0 + half_width))
-        z = 1.0 / (1.0 + curv)
-        assert rn.Z == pytest.approx(z, abs=1e-8)
-        assert rn.omega_tilde == pytest.approx(omega0 + z * shift, abs=1e-8)
+        g, z = self.box_residual_and_weight(a2, half_width, omega0, rn.omega_tilde)
+        assert abs(g) <= 1e-12
+        assert rn.Z == pytest.approx(z, rel=1e-12)
         assert rn.omega_tilde < omega0
 
     @pytest.mark.parametrize("gap", [1e-9, 1e-6, 1e-3])
     def test_box_just_below_its_edge(self, gap):
-        # the log singularity at the edge may lie closer than the default
-        # difference step; the curvature must still be the elementary one
+        # the log singularity at the edge lies next to the level, but the
+        # bound state, 0.6 further down, keeps a weight near 0.7
         a2, half_width = 0.3, 2.0
         omega0 = -half_width - gap
         se = dl.SelfEnergy(dl.Box(amplitude_sq=a2, half_width=half_width))
         rn = se.renormalize_below_threshold(omega0)
-        shift = a2 * np.log((omega0 + half_width) / (omega0 - half_width))
-        curv = a2 * (1.0 / (omega0 - half_width) - 1.0 / (omega0 + half_width))
-        z = 1.0 / (1.0 + curv)
-        assert rn.Z == pytest.approx(z, rel=1e-6, abs=0)
-        assert rn.omega_tilde - omega0 == pytest.approx(z * shift, rel=1e-6)
+        g, z = self.box_residual_and_weight(a2, half_width, omega0, rn.omega_tilde)
+        assert abs(g) <= 1e-12
+        assert abs(rn.Z - z) <= 1e-10
+        assert 0.7000 <= rn.Z <= 0.7003
+
+    def test_box_weight_against_matrix_oracle(self):
+        # the late-time mean of |A|^2 before the recurrence is Z^2
+        model = dl.Box(amplitude_sq=0.3, half_width=2.0)
+        omega0 = -2.0 - 1e-3
+        rn = dl.SelfEnergy(model).renormalize_below_threshold(omega0)
+        discrete = dl.build_discrete(model, omega0, 3000)
+        times = np.linspace(0.0, 0.4 * discrete.recurrence_time(), 800)
+        series, _ = dl.survival_exact_discrete(discrete, times[400:])
+        assert abs(np.mean(series.probability()) - rn.Z**2) <= 1e-4
 
     def test_embedded_level_rejected(self, box_se, lorentzian_se):
         with pytest.raises(DomainError):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -180,6 +182,25 @@ def test_complex_continuation_matches_on_real_axis(model):
     hi = min(hi, 50.0)
     for eps in np.linspace(lo, hi, 19)[1:-1]:
         assert abs(model.density_complex(float(eps)) - model.density(float(eps))) < 1e-12
+
+
+ZERO_WEIGHT = [
+    *[dl.ThresholdPower(beta=0.0, exponent=alpha, threshold=1.0, cutoff=20.0)
+      for alpha in (-0.5, 0.5, 1.0, 1.5)],
+    dl.Box(amplitude_sq=0.0, half_width=2.0),
+    dl.AsymmetricBox(amplitude_sq=0.0, lower=-1.0, upper=3.0),
+]
+
+
+@pytest.mark.parametrize("model", ZERO_WEIGHT, ids=repr)
+def test_zero_weight_transform_vanishes_at_the_edges(model):
+    # where a nonzero density's transform diverges, a zero one's is zero
+    edges = np.array(model.support())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for values in (model.cauchy(edges), model.cauchy_derivative(edges),
+                       [model.cauchy(e) for e in edges], dl.SelfEnergy(model).sigma_upper(edges)):
+            assert np.all(np.asarray(values) == 0.0)
 
 
 def test_vectorized_density_matches_scalar():
