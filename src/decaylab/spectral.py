@@ -46,6 +46,16 @@ def _as_float_array(eps):
     return arr
 
 
+def _log1p(u):
+    """Real and imaginary parts of log(1 + u) for complex u, to full
+    relative accuracy at small |u|.
+
+    numpy's complex log1p forms 1 + u first and loses the digits of small u.
+    """
+    x, y = u.real, u.imag
+    return 0.5 * np.log1p(x * (2.0 + x) + y * y), np.arctan2(y, 1.0 + x)
+
+
 def _as_complex_array(omega):
     # Adding +0j turns a -0.0 imaginary part into +0.0, so that every real
     # omega is read as omega + i0 by the principal-branch logs.
@@ -188,12 +198,24 @@ class AsymmetricBox(SpectralModel):
         return 0.0 * self.density_complex(z)
 
     def cauchy(self, omega):
-        # A difference of principal logs, not the log of their ratio, gives
-        # Im = -pi * A^2 on the upper lip of the band without a special case.
+        # Near the band, a difference of principal logs, not the log of their
+        # ratio, gives Im = -pi * A^2 on the upper lip without a special case.
+        # Far from it the two logs cancel, so there the same function is taken
+        # as log1p(u), u = (upper - lower)/(omega - upper): off the real
+        # segment both are analytic and vanish at infinity.  "Far" is
+        # |u| < 1/2, which never reaches the segment, where |u| >= 1.
         w = _as_complex_array(omega)
+        width = self.upper - self.lower
+        far = np.abs(w - self.upper) > 2.0 * width
+        out = np.empty(w.shape, dtype=complex)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = self.amplitude_sq * (np.log(w - self.lower) - np.log(w - self.upper))
-        return np.where(self.amplitude_sq > 0, out, 0j)[()]
+            out.real[far], out.imag[far] = _log1p(width / (w[far] - self.upper))
+            near = w[~far]
+            out[~far] = np.log(near - self.lower) - np.log(near - self.upper)
+            out *= self.amplitude_sq
+        if self.amplitude_sq == 0:
+            out.fill(0.0)      # no infinities on the edges of a zero-weight band
+        return out[()]
 
     def cauchy_derivative(self, omega):
         w = _as_complex_array(omega)

@@ -3,7 +3,8 @@ import pytest
 from scipy.linalg import expm
 
 import decaylab as dl
-from decaylab.errors import DomainError
+from decaylab import discrete_oracle
+from decaylab.errors import DomainError, NoConvergence
 
 GAMMA_BOX = 2.0 * np.pi * 0.05
 
@@ -55,6 +56,32 @@ class TestBuild:
             dl.build_discrete(box, 0.0, 1)
         with pytest.raises(DomainError):
             dl.build_discrete(box, 0.0, 100, binning="random")
+
+
+class TestDiscreteModel:
+    @pytest.mark.parametrize("field, bad", [
+        ("omega0", np.nan), ("omega0", np.inf),
+        ("energies", np.array([0.0, np.nan, 1.0])), ("energies", np.array([0.0, 1.0, np.inf])),
+        ("couplings", np.array([0.1, np.inf, 0.1])), ("couplings", np.array([0.1, complex(0.1, np.nan), 0.1])),
+        ("widths", np.array([1.0, np.nan, 1.0]))])
+    def test_non_finite_input_rejected(self, field, bad):
+        fields = dict(omega0=0.0, energies=np.array([-1.0, 0.0, 1.0]),
+                      couplings=np.full(3, 0.1), widths=np.ones(3))
+        fields[field] = bad
+        with pytest.raises(DomainError):
+            dl.DiscreteModel(**fields)
+
+    def test_sigma_discrete_takes_arrays(self):
+        m = random_discrete(np.random.default_rng(7), 50)
+        omega = np.array([[0.3 + 0.5j, -1.0 - 2.0j, 2.5], [10.0j, -0.7 + 1e-3j, 3.0 - 1j]])
+        values = m.sigma_discrete(omega)
+        assert values.shape == omega.shape
+        elementwise = np.array([[m.sigma_discrete(w) for w in row] for row in omega])
+        np.testing.assert_allclose(values, elementwise, rtol=1e-14, atol=0)
+        scalar = m.sigma_discrete(0.3 + 0.5j)
+        assert np.ndim(scalar) == 0 and isinstance(scalar, complex)
+        direct = np.sum(np.abs(m.couplings) ** 2 / (0.3 + 0.5j - m.energies))
+        assert scalar == pytest.approx(direct, rel=1e-14)
 
 
 class TestResolventDirect:
@@ -158,3 +185,71 @@ class TestExactSurvival:
         columns = np.array([expm(-1j * m.hamiltonian() * t)[:, 0] for t in times]).T
         np.testing.assert_allclose(series.amplitude, columns[0], rtol=0, atol=1e-12)
         np.testing.assert_allclose(occ, columns[1:], rtol=0, atol=1e-12)
+
+
+def _uniform_box(omega0=0.3, n=200):
+    return dl.build_discrete(dl.Box(amplitude_sq=0.05, half_width=5.0), omega0, n)
+
+
+def _with_couplings(m, couplings):
+    return dl.DiscreteModel(omega0=m.omega0, energies=m.energies, couplings=couplings,
+                            widths=m.widths)
+
+
+def _some_zero():
+    m = _uniform_box()
+    couplings = m.couplings.copy()
+    couplings[np.random.default_rng(5).choice(m.size, 10, replace=False)] = 0.0
+    return _with_couplings(m, couplings)
+
+
+SECULAR_CASES = {
+    "random_complex": lambda: random_discrete(np.random.default_rng(41), 200),
+    "gauss_legendre": lambda: dl.build_discrete(dl.Box(amplitude_sq=0.05, half_width=5.0),
+                                                0.3, 200, binning="gauss-legendre"),
+    "tiny_couplings": lambda: _with_couplings(_uniform_box(), np.full(200, 1e-9)),
+    "omega0_on_a_bin": lambda: _uniform_box(omega0=float(_uniform_box().energies[77])),
+    "some_zero": _some_zero,
+    "all_zero": lambda: dl.build_discrete(dl.Box(amplitude_sq=0.0, half_width=5.0), 0.3, 200),
+}
+
+
+class TestSecularAgainstEigh:
+    """The secular-equation oracle against a dense eigh of the same matrix."""
+
+    @pytest.mark.parametrize("case", sorted(SECULAR_CASES))
+    def test_matches_dense_eigendecomposition(self, case):
+        m = SECULAR_CASES[case]()
+        times = np.linspace(0.0, 30.0, 31)
+        evals, evecs = np.linalg.eigh(m.hamiltonian())
+        phases = np.exp(-1j * np.outer(evals, times))
+        amp = (np.abs(evecs[0]) ** 2) @ phases
+        occupations = (evecs[1:] * np.conj(evecs[0])) @ phases
+
+        coupled, origin, tau, weights, _ = discrete_oracle._spectrum(m)
+        decoupled = np.setdiff1d(np.arange(m.size), coupled)
+        roots = np.concatenate((origin + tau, m.energies[decoupled]))
+        order = np.argsort(roots)
+        spread = evals[-1] - evals[0]
+        assert np.max(np.abs(roots[order] - evals)) <= 1e-13 * spread
+        all_weights = np.concatenate((weights, np.zeros(decoupled.size)))[order]
+        assert np.max(np.abs(all_weights - np.abs(evecs[0]) ** 2)) <= 1e-14
+
+        series, occ = dl.survival_exact_discrete(m, times, with_occupations=True)
+        assert np.max(np.abs(series.amplitude - amp)) <= 1e-12
+        assert np.max(np.abs(occ - occupations)) <= 1e-12
+        assert series.info["weight_defect"] <= 1e-13
+        assert np.all(occ[decoupled] == 0.0)
+
+    def test_weight_defect_and_sweeps_on_3000_bins(self):
+        m = dl.build_discrete(dl.Box(amplitude_sq=0.05, half_width=100.0), 0.3, 3000)
+        first, _ = dl.survival_exact_discrete(m, [0.0, 1.0])
+        again, _ = dl.survival_exact_discrete(m, [0.0, 1.0])
+        assert first.info["weight_defect"] <= 1e-13
+        assert 1 <= first.info["secular_sweeps"] < discrete_oracle._MAX_SWEEPS
+        assert first.info == again.info
+
+    def test_sweep_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(discrete_oracle, "_MAX_SWEEPS", 1)
+        with pytest.raises(NoConvergence):
+            dl.survival_exact_discrete(_uniform_box(), [0.0, 1.0])

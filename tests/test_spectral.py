@@ -121,6 +121,18 @@ class TestAsymmetricBox:
         with pytest.raises(DomainError):
             dl.AsymmetricBox(amplitude_sq=0.2, lower=3.0, upper=-1.0)
 
+    @pytest.mark.parametrize("omega", [1e3, 1e5, 1e7, -1e7, 1e5 * (1 + 1j), 5.0,
+                                       2.0 + 1e-3, -2.0 - 1e-10, 0.3, 0.3 + 1e-3j])
+    def test_cauchy_full_accuracy_against_mpmath(self, omega):
+        # far from the band log(w + 2) - log(w - 2) cancels to 4/w; near it
+        # and on the upper lip (Im = -pi) the difference of logs is exact
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            w = mpmath.mpc(omega)
+            exact = complex(mpmath.log(w + 2) - mpmath.log(w - 2))
+        got = dl.Box(amplitude_sq=1.0, half_width=2.0).cauchy(omega)
+        assert abs(got - exact) <= 1e-14 * abs(exact)
+
 
 class TestTabulated:
     def test_interpolation(self):
