@@ -18,7 +18,7 @@ errs only by aliasing, at most 2q/(1 - q) with q = exp(-2 pi offset / h) for
 t < 2 pi / h by Poisson summation (Dubner & Abate 1968; Trefethen & Weideman
 2014); the default step makes that bound 1e-12.
 It takes one pass over the N uniform contour nodes, in stretches of
-262,144: each stretch's Sigma and integrand are formed and its time sums
+131,072: each stretch's Sigma and integrand are formed and its time sums
 added into A(t), so no array spans the whole contour.  On uniform times
 those sums are a chirp-z transform: split into blocks of 4096 nodes, each
 block is one Bluestein FFT convolution (Rabiner, Schafer & Rader 1969),
@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import fft as sfft, special
 
+from ._blocks import row_blocks
 from .errors import (DomainError, QuadratureFailure, SingularDenominator,
                      TruncationError)
 from .poles import find_pole, lorentzian_poles
@@ -77,11 +78,9 @@ def _check_times(times) -> np.ndarray:
 
 # Aliasing bound of the default contour step h = 2 pi offset / ln(2 / eps).
 _ALIAS_EPS = 1e-12
-# Nodes per chirp-z block, complex elements per batch of a direct sum (4 MB),
-# and contour nodes per stretch of the inversion's one pass over its grid.
-_CZT_BLOCK = 4096
-_BATCH_ELEMENTS = 1 << 18
-_STRETCH = 64 * _CZT_BLOCK
+# Nodes per chirp-z block; FFT batches, direct-sum batches and the stretches
+# of the inversion's one pass over its grid all follow the shared block budget.
+_CZT_LEN = 4096
 # Exp-sinh nodes exp(pi/2 sinh(k h)) for |k h| <= 4.5, h = 1/64: 2e-31 to 5e30.
 # Column 0 weights the rule at step h, column 1 the rule at 2h (even k only).
 _DE_KH = np.arange(-288, 289) / 64
@@ -103,7 +102,7 @@ def _chirp_z(f: np.ndarray, x0: float, h: float, times: np.ndarray,
     FFT convolution, O((L + M) log) instead of O(L M).  The chirps are
     built from exact integer squares, never from a rounded power.
     """
-    L, m = _CZT_BLOCK, times.size
+    L, m = _CZT_LEN, times.size
     n, k = np.arange(L), np.arange(m)
     theta = h * dt
     nfft = sfft.next_fast_len(L + m - 1)
@@ -115,11 +114,10 @@ def _chirp_z(f: np.ndarray, x0: float, h: float, times: np.ndarray,
     blocks = np.zeros((-(-f.size // L), L), dtype=complex)
     blocks.reshape(-1)[:f.size] = f
     x_b = x0 + h * np.arange(0, f.size, L)
-    rows = max(1, _BATCH_ELEMENTS // nfft)    # blocks per FFT call, so memory stays O(nfft)
     out = np.zeros(m, dtype=complex)
-    for s in range(0, x_b.size, rows):
-        conv = sfft.ifft(sfft.fft(blocks[s:s + rows] * pre, nfft) * kernel)[:, :m]
-        out += (np.exp(-1j * np.outer(x_b[s:s + rows], times)) * conv).sum(axis=0)
+    for rows in row_blocks(x_b.size, nfft):   # blocks per FFT call, so memory stays O(nfft)
+        conv = sfft.ifft(sfft.fft(blocks[rows] * pre, nfft) * kernel)[:, :m]
+        out += (np.exp(-1j * np.outer(x_b[rows], times)) * conv).sum(axis=0)
     return out * _chirp(-0.5 * theta, k * k)
 
 
@@ -204,10 +202,9 @@ def survival_numeric(se: SelfEnergy, omega0: float, times,
     m = t.size
     dt = (t[-1] - t[0]) / max(m - 1, 1)
     uniform = np.max(np.abs(t - (t[0] + dt * np.arange(m)))) * omega_max <= _UNIFORM_PHASE
-    rows = max(1, _BATCH_ELEMENTS // m)
     amp = np.zeros(m, dtype=complex)
-    for start in range(0, n_points, _STRETCH):
-        j = np.arange(start, min(start + _STRETCH, n_points))
+    for stretch in row_blocks(n_points, 1):
+        j = np.arange(stretch.start, stretch.stop)
         x = j * h - omega_max
         nodes = x + 1j * offset
         f = 1.0 / (nodes - omega0 - se.sigma_upper_grid(nodes)) - 1.0 / (nodes - omega0)
@@ -215,8 +212,8 @@ def survival_numeric(se: SelfEnergy, omega0: float, times,
         if uniform:
             amp += _chirp_z(f, x[0], h, t, dt)
         else:
-            for s in range(0, j.size, rows):
-                amp += f[s:s + rows] @ np.exp(-1j * np.outer(x[s:s + rows], t))
+            for rows in row_blocks(j.size, m):
+                amp += f[rows] @ np.exp(-1j * np.outer(x[rows], t))
     # the trapezoid's h and the inversion's i / (2 pi), then the free pole's exact term
     amp *= 1j * h / (2.0 * np.pi) * np.exp(offset * t)
     amp = (amp + np.exp(-1j * omega0 * t)).reshape(times.shape)
@@ -272,9 +269,8 @@ def cut_integral(se: SelfEnergy, omega0: float, times):
     w = mu - 1j * _DE_NODES
     sheet1 = se.sigma_physical(w)
     f = _DE_WEIGHTS * (jump / ((w - omega0 - sheet1 - jump) * (w - omega0 - sheet1)))[:, None]
-    rows = max(1, _BATCH_ELEMENTS // _DE_NODES.size)
-    fine, coarse = np.vstack([np.exp(-np.outer(t.ravel()[i:i + rows], _DE_NODES)) @ f
-                              for i in range(0, t.size, rows)]).T
+    fine, coarse = np.vstack([np.exp(-np.outer(t.ravel()[rows], _DE_NODES)) @ f
+                              for rows in row_blocks(t.size, _DE_NODES.size)]).T
     err = np.abs(fine - coarse)
     if not np.all(err <= 1e-6 * np.abs(fine) + 1e-13):
         raise QuadratureFailure(f"cut integral error estimate {np.max(err):.3e} too large")

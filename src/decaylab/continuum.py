@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
+from ._blocks import row_blocks
 from .errors import BasisUnavailable, DomainError
 
 __all__ = [
@@ -124,8 +125,8 @@ def synthesize_packet(eps: np.ndarray, coeffs: np.ndarray, x: np.ndarray,
     """Spatial packet Psi(x) = sum_k phi_{eps_k}(x) c_k deps_k.
 
     Coefficients of shape (..., n_eps) give a packet of shape (..., n_x);
-    each eigenfunction is evaluated once, in energy chunks of at most
-    4e6 (x, eps) points.
+    each eigenfunction is evaluated once, in energy blocks of the shared
+    block budget of (x, eps) points.
     """
     eps = np.asarray(eps, dtype=float)
     coeffs = np.asarray(coeffs, dtype=complex)
@@ -139,10 +140,8 @@ def synthesize_packet(eps: np.ndarray, coeffs: np.ndarray, x: np.ndarray,
         raise BasisUnavailable("the plane-wave basis takes neither beta_slope nor offset")
     weighted = coeffs * np.gradient(eps)
     psi = np.zeros(coeffs.shape[:-1] + x.shape, dtype=complex)
-    chunk = max(1, 4_000_000 // max(x.size, 1))
-    for start in range(0, eps.size, chunk):
-        sl = slice(start, start + chunk)
-        psi += weighted[..., sl] @ phi(eps[sl], x, beta_slope, offset).T
+    for block in row_blocks(eps.size, x.size):
+        psi += weighted[..., block] @ phi(eps[block], x, beta_slope, offset).T
     return psi
 
 

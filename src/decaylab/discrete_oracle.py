@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blocks import row_blocks
 from .errors import DomainError, NoConvergence, SingularMatrix
 from .amplitude import SurvivalSeries, _check_times
 from .spectral import SpectralModel
@@ -65,7 +66,7 @@ class DiscreteModel:
         flat = w.ravel()
         out = np.empty(flat.size, dtype=complex)
         z2 = np.abs(self.couplings) ** 2
-        for rows in _row_blocks(flat.size, self.size):
+        for rows in row_blocks(flat.size, self.size):
             out[rows] = (1.0 / np.subtract.outer(flat[rows], self.energies)) @ z2
         return out.reshape(w.shape)[()]
 
@@ -144,10 +145,6 @@ def resolvent_partitioned(m: DiscreteModel, omega: complex) -> PartitionedResolv
     return PartitionedResolvent(g_p=g_p, g_qp=g_qp, g_q=g_q)
 
 
-# Elements per (roots x bins) block of the secular sums and the Cauchy
-# blocks of the occupations: 1 MB of float64 stays in cache, and blocks of
-# 1M elements made the root sweeps 40 % slower.
-_BLOCK = 1 << 17
 # A root is done when its last step is at most this fraction of its offset,
 # or when g is at its rounding level.
 _STEP_TOL = 1e-15
@@ -159,12 +156,6 @@ _MAX_SWEEPS = 50
 _MODEL_ITERATIONS = 100
 
 
-def _row_blocks(n_rows: int, n_cols: int):
-    step = max(1, _BLOCK // max(n_cols, 1))
-    for start in range(0, n_rows, step):
-        yield slice(start, min(start + step, n_rows))
-
-
 def _rest_sums(origin, tau, gap, poles, z2):
     """Sums of z2/(lam - d) and z2/(lam - d)^2 over all poles but the gap's two.
 
@@ -174,7 +165,7 @@ def _rest_sums(origin, tau, gap, poles, z2):
     s1 = np.empty(tau.size)
     s2 = np.empty(tau.size)
     m = poles.size
-    for rows in _row_blocks(tau.size, m):
+    for rows in row_blocks(tau.size, m):
         inv = np.subtract.outer(origin[rows], poles)
         inv += tau[rows, None]
         np.reciprocal(inv, out=inv)
@@ -337,7 +328,7 @@ def survival_exact_discrete(m: DiscreteModel, times, with_occupations: bool = Fa
         occupations = np.zeros((m.size, t.size), dtype=complex)
         weighted = phases.view(float)
         poles = m.energies[coupled]
-        for rows in _row_blocks(coupled.size, tau.size):
+        for rows in row_blocks(coupled.size, tau.size):
             # the Cauchy block 1/(lam_k - eps_i), with lam_k - eps_i as (origin - eps_i) + tau
             cauchy = np.subtract.outer(-poles[rows], -origin)
             cauchy += tau

@@ -68,10 +68,10 @@ def find_pole(se: SelfEnergy, omega0: float, guess: complex | None = None) -> Po
     """Newton iteration for the zero of g = omega - omega0 - Sigma.
 
     Inside the support, the second-sheet resonance, from ``guess`` or the
-    weak-coupling value; outside, the real bound state on omega0's side.
-    Sigma and Sigma' come from the model's exact Cauchy transform and its
-    closed-form derivative, so the residue 1 / (1 - Sigma') is exact to
-    rounding as well.
+    weak-coupling value (a start whose zero lies off the support fails);
+    outside, the real bound state on omega0's side.  Sigma and Sigma' come
+    from the model's exact Cauchy transform and its closed-form derivative,
+    so the residue 1 / (1 - Sigma') is exact to rounding as well.
     """
     omega0 = float(omega0)
     lo, hi = se.model.support()
@@ -85,18 +85,21 @@ def find_pole(se: SelfEnergy, omega0: float, guess: complex | None = None) -> Po
     # band-centered flat or Lorentzian density); deterministic sideways
     # kicks break the degeneracy if the plain start stalls.
     kick = 0.25 * max(abs(guess.imag), 0.05 * se.model.char_width(), 1e-3)
-    last_error: Exception | None = None
+    failures = []
     for shift in (0.0, kick, -kick, 3.0 * kick, -3.0 * kick):
         try:
-            return _newton(se.sigma_continued, se.sigma_continued_derivative, omega0,
+            pole = _newton(se.sigma_continued, se.sigma_continued_derivative, omega0,
                            guess + shift, tol)
         except (NoConvergence, DomainError) as exc:
             # DomainError here means the iterate left the model's
             # continuation domain; treat it as a failed start
-            last_error = exc
-    if isinstance(last_error, NoConvergence):
-        raise last_error
-    raise NoConvergence(f"every Newton start failed; last error: {last_error}")
+            failures.append(str(exc))
+            continue
+        if lo < pole.omega_prime < hi:
+            return pole
+        # off the support a zero of the continued g may lie under its own cut
+        failures.append(f"zero {pole.omega:.6g} lies outside the support ({lo:g}, {hi:g})")
+    raise NoConvergence("every Newton start failed: " + "; ".join(dict.fromkeys(failures)))
 
 
 def _bound_state(model, omega0: float, guess) -> PoleResult:

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
+from ._blocks import row_blocks
 from .config import REQUIRED, did_you_mean, resolve_section
 from .errors import BranchPointError, DomainError, UnsupportedContinuation
 
@@ -392,12 +393,11 @@ class Tabulated(SpectralModel):
         flat = w.ravel()
         with np.errstate(divide="ignore", invalid="ignore"):
             out = ends(flat - x[0], flat - x[-1])
-            chunk = max(1, (1 << 18) // x.size)   # 4 MB of (point, knot) pairs
-            for start in range(0, flat.size, chunk):
-                # u lives until the next chunk's is made: freeing it at once
+            for rows in row_blocks(flat.size, x.size):
+                # u lives until the next block's is made: freeing it at once
                 # measured about 20 % slower on a 200-knot table
-                u = flat[start:start + chunk, None] - x
-                out[start:start + chunk] += knots(u)
+                u = flat[rows, None] - x
+                out[rows] += knots(u)
         return out.reshape(w.shape)[()]
 
     def cauchy(self, omega):

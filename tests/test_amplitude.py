@@ -9,7 +9,7 @@ import pytest
 from scipy import integrate
 
 import decaylab as dl
-from decaylab import amplitude
+from decaylab import _blocks, amplitude
 from decaylab.errors import DomainError, SingularDenominator, TruncationError
 
 GAMMA_BOX = 2.0 * np.pi * 0.05
@@ -126,8 +126,8 @@ TABLE_EPS = np.linspace(0.0, 20.0, 200)
 class TestOnePass:
     """The inversion walks its contour in stretches, never holding all of it."""
 
-    # three stretches, the last one ragged
-    N_POINTS = 2 * amplitude._STRETCH + 50_001
+    # three stretches of the shared block budget, the last one ragged
+    N_POINTS = 2 * _blocks.BLOCK_ELEMENTS + 50_001
 
     @pytest.mark.parametrize("perturb", [0.0, 0.013], ids=["uniform", "non_uniform"])
     def test_matches_full_array_formula(self, threshold_se, perturb):

@@ -191,6 +191,13 @@ class TestOtherCommands:
         assert main(["poles", "-c", str(cfg), "--out", str(tmp_path / "guess")]) == 2
         assert "guess" in capsys.readouterr().err
 
+    def test_poles_without_a_resonance_exit_3(self, tmp_path, capsys):
+        text = ("model.type = thresholdpower\nmodel.beta_th = 1.0\nmodel.alpha = 0.5\n"
+                "model.mu = 0.0\nmodel.Lambda = 20.0\nsystem.omega0 = 5.0\n")
+        cfg = write_config(tmp_path, text)
+        assert main(["poles", "-c", str(cfg), "--out", str(tmp_path / "run")]) == 3
+        assert "outside the support" in capsys.readouterr().err
+
     def test_oracle_survival(self, tmp_path):
         text = ("model.type = box\nmodel.A2 = 0.05\nmodel.L = 100\n"
                 "system.omega0 = 0.0\noracle.n_bins = 400\n"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -124,6 +126,22 @@ class TestPlaneWaveSynthesis:
         assert r2 > 0.995
         assert slope == pytest.approx(2.0 * np.sqrt(self.OMEGA0), rel=0.12)
 
+    def test_traced_peak_is_bounded(self):
+        """The benchmark's plane-wave packet: energy chunks of 4e6 (x, eps)
+        points took 122.7 MiB; blocks of the shared budget hold 2 MB each."""
+        a2, omega0 = 0.005, 10.0
+        gamma = 2.0 * np.pi * a2
+        eps = dl.default_energy_grid(omega0, gamma, n=4001, span=200.0)
+        x = np.linspace(-50.0, 250.0, 1024)
+        tracemalloc.start()
+        try:
+            dl.evolve_packet(np.sqrt(a2), omega0, gamma, eps,
+                             [0.0, 0.5 / gamma, 1.0 / gamma], x=x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     def test_energies_must_be_positive(self):
         eps = np.linspace(-1.0, 1.0, 21)
         with pytest.raises(BasisUnavailable):
@@ -199,19 +217,20 @@ class TestBlockSynthesis:
         return dl.evolve_packet(flat_coupling, omega0, GAMMA, eps, self.TIMES, x=x, **kwargs)
 
     def test_block_equals_row_by_row(self, basis, kwargs, window):
-        # 4e6 // 40000 = 100 energies a chunk: chunks of 100, 100 and 1; the
-        # short x range keeps the Airy arguments where they are cheap
-        x = np.linspace(-1.0, 1.0, 40_000)
+        # the block budget 2**17 // 50,000 = 2 energies a block: 100 blocks of
+        # 2 and one of 1; the short x range keeps the Airy arguments where
+        # they are cheap
+        x = np.linspace(-1.0, 1.0, 50_000)
         packet = self.packet(window, x, basis, **kwargs)
         assert packet.psi.shape == (self.TIMES.size, x.size)
         for row, psi in zip(packet.coeffs, packet.psi):
             alone = dl.synthesize_packet(packet.eps, row, x, basis, **kwargs)
             np.testing.assert_allclose(psi, alone, rtol=0, atol=1e-13)
         # psi at a point does not depend on the rest of the grid, and a few
-        # points take a single chunk: this checks the sum over chunks
+        # points take a single block: this checks the sum over blocks
         few = slice(None, None, 997)
-        one_chunk = dl.synthesize_packet(packet.eps, packet.coeffs, x[few], basis, **kwargs)
-        np.testing.assert_allclose(packet.psi[:, few], one_chunk, rtol=0, atol=1e-13)
+        one_block = dl.synthesize_packet(packet.eps, packet.coeffs, x[few], basis, **kwargs)
+        np.testing.assert_allclose(packet.psi[:, few], one_block, rtol=0, atol=1e-13)
 
     def test_time_array_equals_stacked_scalar_calls(self, basis, kwargs, window):
         packet = self.packet(window, None, basis, **kwargs)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import decaylab as dl
-from decaylab.errors import DegenerateRoots, DomainError
+from decaylab.errors import DegenerateRoots, DomainError, NoConvergence
 
 
 def quadratic_oracle(a2, center, width, omega0):
@@ -130,6 +130,16 @@ class TestFindPole:
             dl.find_pole(threshold_se, 0.0)
         with pytest.raises(DomainError, match="diverges"):
             dl.find_pole(dl.SelfEnergy(dl.Box(amplitude_sq=0.3, half_width=2.0)), -2.0)
+
+    def test_zero_off_the_support_is_no_resonance(self):
+        # this embedded level also has a bound state (g(mu) > 0); one Newton
+        # start lands on the continued g's real zero near -31.83, under the
+        # continued density's own cut, where pole-cut missed the inversion by 2.6
+        se = dl.SelfEnergy(dl.ThresholdPower(1.0, 0.5, 0.0, 20.0))
+        with pytest.raises(NoConvergence, match=r"zero -31\.8\d*-[^ ]*j lies outside the support"):
+            dl.find_pole(se, 5.0)
+        with pytest.raises(NoConvergence):
+            dl.survival_pole_cut(se, 5.0, [0.5, 5.0])
 
 
 class TestLorentzianPoles:
