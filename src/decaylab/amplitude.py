@@ -129,7 +129,6 @@ def _chirp(c: float, squares: np.ndarray) -> np.ndarray:
 
 
 def survival_numeric(se: SelfEnergy, omega0: float, times,
-                     contour_offset: float | None = None,
                      omega_max: float | None = None,
                      n_points: int | None = None) -> SurvivalSeries:
     """Invert the transform of the dressed propagator along Im omega = offset.
@@ -137,7 +136,8 @@ def survival_numeric(se: SelfEnergy, omega0: float, times,
     The trapezoid rule on the truncated contour, applied to the
     dressed-minus-free difference; the free pole contributes its exact
     exponential, which also guarantees A(0) -> 1 as the truncation grows.
-    The default height is 3/t_max (0.1 of the model's width at t_max = 0).
+    The height is 3/t_max (0.1 of the model's width at t_max = 0), reported
+    as ``info["contour_offset"]``.
     ``info["alias_bound"]`` bounds the aliasing (inf if 2 pi / h <= t_max)
     and ``info["tail_estimate"]`` the truncated tail.  On uniform times (to
     a phase error of 1e-10) the sum over nodes is the blocked chirp-z
@@ -148,13 +148,8 @@ def survival_numeric(se: SelfEnergy, omega0: float, times,
     omega0 = float(omega0)
     t_max = float(times.max())
 
-    if contour_offset is None:
-        # with h ~ offset the node count grows as exp(offset t_max / 2) / offset
-        offset = 3.0 / t_max if t_max > 0 else 0.1 * se.model.char_width()
-    else:
-        offset = float(contour_offset)
-        if offset <= 0:
-            raise DomainError("contour offset must be positive")
+    # with h ~ offset the node count grows as exp(offset t_max / 2) / offset
+    offset = 3.0 / t_max if t_max > 0 else 0.1 * se.model.char_width()
 
     weight = se.model.total_weight()
     lo, hi = se.model.support()
@@ -180,7 +175,7 @@ def survival_numeric(se: SelfEnergy, omega0: float, times,
     if not tail_estimate <= 1e-4:
         raise TruncationError(
             f"estimated truncated-tail contribution {tail_estimate:.3e} > 1e-4; "
-            "increase omega_max or lower the contour")
+            "increase omega_max")
 
     if n_points is None:
         # 1 + 2 omega_max / h nodes at the default step

@@ -42,10 +42,6 @@ __all__ = ["main"]
 
 # ---------------------------------------------------------------- schema ----
 
-# TwoSurfaceConfig field -> config key; two fields take shorter names.
-_TWOSURFACE_KEYS = ({f.name: f.name for f in fields(TwoSurfaceConfig)}
-                    | {"coupling": "V", "beta_slope": "beta"})
-
 # section -> key -> (type, default).  A default of None is worked out by the
 # run, or marks an optional input; the manifest records the value used.
 SCHEMA = {
@@ -55,20 +51,17 @@ SCHEMA = {
     "spectral": {"eps_min": (float, None), "eps_max": (float, None), "n": (Count, 401)},
     "selfenergy": {"grid_min": (float, None), "grid_max": (float, None),
                    "grid_n": (Count, 201)},
-    "poles": {"guess_re": (float, None), "guess_im": (float, None)},
     "survival": {"method": (str, "numeric"), "tmax": (float, 10.0), "nt": (Count, 201),
-                 "contour_a": (float, None), "omega_max": (float, None),
-                 "n_points": (Count, None)},
+                 "omega_max": (float, None), "n_points": (Count, None)},
     "oracle": {"n_bins": (Count, 1000), "binning": (str, "uniform"),
                "window_lo": (float, None), "window_hi": (float, None),
                "tmax": (float, 10.0), "nt": (Count, 201)},
     "verify": {"n": (Count, 100), "n_omega": (Count, 20), "seed": (int, 12345)},
-    "packet": {"gamma": (float, None), "span": (float, 40.0), "n_eps": (Count, 2001),
+    "packet": {"span": (float, 40.0), "n_eps": (Count, 2001),
                "tmax": (float, None), "nt": (Count, 5), "basis": (str, None),
                "x_min": (float, -100.0), "x_max": (float, 300.0), "n_x": (Count, 2048),
                "beta_slope": (float, None), "offset": (float, 0.0)},
-    "twosurface": {_TWOSURFACE_KEYS[f.name]: (type(f.default), f.default)
-                   for f in fields(TwoSurfaceConfig)},
+    "twosurface": {f.name: (type(f.default), f.default) for f in fields(TwoSurfaceConfig)},
 }
 
 
@@ -153,14 +146,7 @@ def _selfenergy(cfg):
 
 
 def _poles(cfg):
-    omega0 = cfg["system"]["omega0"]
-    block = cfg["poles"]
-    guess = None
-    if block["guess_re"] is not None or block["guess_im"] is not None:
-        guess = complex(omega0 if block["guess_re"] is None else block["guess_re"],
-                        block["guess_im"] or 0.0)
-        block["guess_re"], block["guess_im"] = guess.real, guess.imag
-    result = find_pole(SelfEnergy(model_from_config(cfg["model"])), omega0, guess=guess)
+    result = find_pole(SelfEnergy(model_from_config(cfg["model"])), cfg["system"]["omega0"])
     print(f"pole: {result.omega_prime:.12g} - {result.omega_dprime:.12g}i "
           f"({result.iterations} iterations)")
     return {"poles.csv": (["omega_prime", "omega_dprime", "residue_re", "residue_im",
@@ -187,10 +173,9 @@ def _survival(cfg):
     results = None
     if method == "numeric":
         series = survival_numeric(SelfEnergy(model), omega0, times,
-                                  contour_offset=block["contour_a"],
                                   omega_max=block["omega_max"], n_points=block["n_points"])
-        block.update(contour_a=series.info["contour_offset"],
-                     omega_max=series.info["omega_max"], n_points=series.info["n_points"])
+        block.update({key: series.info[key]
+                      for key in ("contour_offset", "omega_max", "n_points")})
         results = {key: series.info[key] for key in ("transform", "alias_bound", "tail_estimate")}
     elif method == "pole-cut":
         series = survival_pole_cut(SelfEnergy(model), omega0, times)
@@ -246,12 +231,11 @@ def _packet(cfg):
     model = model_from_config(cfg["model"])
     omega0 = cfg["system"]["omega0"]
     block = cfg["packet"]
-    if block["gamma"] is None:
-        block["gamma"], _ = weisskopf_wigner_rate(SelfEnergy(model), omega0)
-    gamma = block["gamma"]
+    gamma, _ = weisskopf_wigner_rate(SelfEnergy(model), omega0)
+    block["gamma"] = gamma
+    eps = default_energy_grid(omega0, gamma, n=block["n_eps"], span=block["span"])
     if block["tmax"] is None:
         block["tmax"] = 3.0 / gamma
-    eps = default_energy_grid(omega0, gamma, n=block["n_eps"], span=block["span"])
     times = np.linspace(0.0, block["tmax"], block["nt"])
     basis = block["basis"]
     if basis is None and (block["beta_slope"] is not None or block["offset"] != 0.0):
@@ -273,8 +257,7 @@ def _packet(cfg):
 
 def _twosurface(cfg):
     block = cfg["twosurface"]
-    result = run_twosurface(TwoSurfaceConfig(
-        **{field: block[key] for field, key in _TWOSURFACE_KEYS.items()}))
+    result = run_twosurface(TwoSurfaceConfig(**block))
     print(f"fitted rate {result.fitted_rate:.6g}, golden rule {result.golden.rate:.6g}, "
           f"trapped {result.trapped_fraction:.4f}")
     snapshots = ((t, xv, d) for t, dens in zip(result.snapshot_times, result.snapshots_abs2)
@@ -303,7 +286,7 @@ class Command(NamedTuple):
 COMMANDS = {
     "spectral": Command(_spectral, ("model", "spectral")),
     "selfenergy": Command(_selfenergy, ("model", "selfenergy")),
-    "poles": Command(_poles, ("model", "system", "poles")),
+    "poles": Command(_poles, ("model", "system")),
     "survival": Command(_survival, ("model", "system", "survival")),
     "oracle-survival": Command(_oracle_survival, ("model", "system", "oracle")),
     "verify-partition": Command(_verify_partition, ("verify",), seeded=True),
@@ -340,11 +323,19 @@ def _run(args) -> int:
 
 
 def _read_survival_csv(path: str):
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    if data.dtype.names is None or "t" not in data.dtype.names:
-        raise DomainError(f"{path} is not a survival CSV")
-    return np.atleast_1d(data["t"]), (np.atleast_1d(data["re_A"])
-                                      + 1j * np.atleast_1d(data["im_A"]))
+    """t and A(t) from a CSV with t, re_A and im_A columns and one or more finite rows."""
+    try:
+        lines = Path(path).read_text().splitlines()
+        header = lines[0].split(",") if lines else []
+        if not {"t", "re_A", "im_A"} <= set(header):
+            raise DomainError(f"{path} is not a survival CSV: it needs t, re_A and im_A columns")
+        data = np.loadtxt(lines[1:], delimiter=",", ndmin=2) if lines[1:] else None
+    except (OSError, ValueError) as exc:
+        raise DomainError(f"cannot read {path}: {exc}") from None
+    if data is None or data.shape[1] != len(header) or not np.all(np.isfinite(data)):
+        raise DomainError(f"{path} needs at least one row of {len(header)} finite numbers")
+    t, re_a, im_a = (data[:, header.index(name)] for name in ("t", "re_A", "im_A"))
+    return t, re_a + 1j * im_a
 
 
 def _compare(args) -> int:

@@ -60,7 +60,6 @@ def packet_coefficients(v_eps, omega0: float, gamma: float, eps, t) -> np.ndarra
 
     c = V(eps)/(eps - omega0 + i*gamma/2) * (exp(-i*eps*t)
         - exp(-i*omega0*t) * exp(-gamma*t/2)); identically zero at t = 0.
-    ``t=inf`` drops the decaying term and the free phase (magnitudes only).
     A time array gives shape (n_t, n_eps); a scalar time gives (n_eps,).
     """
     if gamma <= 0:
@@ -70,14 +69,11 @@ def packet_coefficients(v_eps, omega0: float, gamma: float, eps, t) -> np.ndarra
     if coupling.shape not in ((), eps.shape):
         raise DomainError("coupling array must match the energy grid")
     t = np.asarray(t, dtype=float)
-    if not np.all(t >= 0):
-        raise DomainError("t must be nonnegative, not NaN")
-    prefactor = coupling / (eps - omega0 + 0.5j * gamma)
-    saturated = np.isinf(t)[..., None]
-    t_finite = np.where(saturated, 0.0, t[..., None])
-    bracket = (np.exp(-1j * eps * t_finite)
-               - np.exp(-1j * omega0 * t_finite - 0.5 * gamma * t_finite))
-    return prefactor * np.where(saturated, 1.0, bracket)
+    if not np.all((t >= 0) & (t < np.inf)):
+        raise DomainError("t must be finite and nonnegative")
+    t = t[..., None]
+    return (coupling / (eps - omega0 + 0.5j * gamma)
+            * (np.exp(-1j * eps * t) - np.exp(-1j * omega0 * t - 0.5 * gamma * t)))
 
 
 def packet_norm_sq(eps: np.ndarray, coeffs: np.ndarray) -> float | np.ndarray:

@@ -93,7 +93,6 @@ class PartitionedResolvent:
     g_p: complex
     g_qp: np.ndarray
     g_q: np.ndarray
-    delta_convention: str = "kronecker"
 
 
 def build_discrete(model: SpectralModel, omega0: float, n: int,

@@ -32,7 +32,6 @@ class PoleResult:
     omega_dprime: float
     residue: complex
     iterations: int
-    converged: bool
     final_residual: float
 
     @property
@@ -64,24 +63,22 @@ def weisskopf_wigner_rate(se: SelfEnergy, omega0: float) -> tuple[float, float]:
     return 2.0 * np.pi * d0, np.pi * d0
 
 
-def find_pole(se: SelfEnergy, omega0: float, guess: complex | None = None) -> PoleResult:
+def find_pole(se: SelfEnergy, omega0: float) -> PoleResult:
     """Newton iteration for the zero of g = omega - omega0 - Sigma.
 
-    Inside the support, the second-sheet resonance, from ``guess`` or the
-    weak-coupling value (a start whose zero lies off the support fails);
-    outside, the real bound state on omega0's side.  Sigma and Sigma' come
-    from the model's exact Cauchy transform and its closed-form derivative,
-    so the residue 1 / (1 - Sigma') is exact to rounding as well.
+    Inside the support, the second-sheet resonance, from the weak-coupling
+    value omega0 - i*pi*D(omega0) (a start whose zero lies off the support
+    fails); outside, the real bound state on omega0's side.  Sigma and
+    Sigma' come from the model's exact Cauchy transform and its closed-form
+    derivative, so the residue 1 / (1 - Sigma') is exact to rounding as well.
     """
     omega0 = float(omega0)
     lo, hi = se.model.support()
     if not lo < omega0 < hi:
-        return _bound_state(se.model, omega0, guess)
-    if guess is None:
-        guess = omega0 - 1j * np.pi * float(se.model.density(omega0))
-    guess = complex(guess)
+        return _bound_state(se.model, omega0)
+    guess = omega0 - 1j * np.pi * float(se.model.density(omega0))
     tol = 1e-10 * max(1.0, abs(omega0))
-    # A guess on a symmetry line of g can trap Newton there (e.g. the
+    # A start on a symmetry line of g can trap Newton there (e.g. the
     # band-centered flat or Lorentzian density); deterministic sideways
     # kicks break the degeneracy if the plain start stalls.
     kick = 0.25 * max(abs(guess.imag), 0.05 * se.model.char_width(), 1e-3)
@@ -102,10 +99,7 @@ def find_pole(se: SelfEnergy, omega0: float, guess: complex | None = None) -> Po
     raise NoConvergence("every Newton start failed: " + "; ".join(dict.fromkeys(failures)))
 
 
-def _bound_state(model, omega0: float, guess) -> PoleResult:
-    if guess is not None:
-        raise DomainError("a guess steers only the resonance search; "
-                          "omega0 lies outside the spectral support")
+def _bound_state(model, omega0: float) -> PoleResult:
     if not np.all(np.isfinite([model.cauchy(omega0), model.cauchy_derivative(omega0)])):
         raise DomainError("Sigma or Sigma' diverges at omega0, a band edge")
     # Real parts keep the iterate on the physical sheet, whatever the rounding
@@ -132,7 +126,6 @@ def _newton(sigma, dsigma, omega0: float, w: complex, tol: float) -> PoleResult:
                 omega_dprime=max(0.0, -w.imag),
                 residue=1.0 / deriv,
                 iterations=iteration,
-                converged=True,
                 final_residual=residual,
             )
         w = w - hw / deriv

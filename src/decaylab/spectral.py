@@ -102,8 +102,9 @@ class SpectralModel:
         raise NotImplementedError
 
     def char_width(self) -> float:
-        """Characteristic energy width used for numerical scale choices."""
-        raise NotImplementedError
+        """Characteristic energy width used for numerical scale choices: the support's."""
+        lo, hi = self.support()
+        return hi - lo
 
     def breakpoints(self) -> tuple[float, ...]:
         """Interior points where D is not smooth or peaks (quadrature hints)."""
@@ -231,12 +232,6 @@ class AsymmetricBox(SpectralModel):
     def total_weight(self):
         return (self.upper - self.lower) * self.amplitude_sq
 
-    def char_width(self):
-        return self.upper - self.lower
-
-    def breakpoints(self):
-        return (self.lower, self.upper)
-
 
 @dataclass(frozen=True)
 class Box(AsymmetricBox):
@@ -339,12 +334,6 @@ class ThresholdPower(SpectralModel):
         span = self.cutoff - self.threshold
         return self.beta * span ** (self.exponent + 1.0) / (self.exponent + 1.0)
 
-    def char_width(self):
-        return self.cutoff - self.threshold
-
-    def breakpoints(self):
-        return (self.threshold, self.cutoff)
-
 
 class Tabulated(SpectralModel):
     """Sampled density with linear interpolation, zero outside the samples."""
@@ -428,9 +417,6 @@ class Tabulated(SpectralModel):
 
     def total_weight(self):
         return float(np.trapezoid(self._vals, self._eps))
-
-    def char_width(self):
-        return float(self._eps[-1] - self._eps[0])
 
     def breakpoints(self):
         return tuple(self._eps[1:-1])

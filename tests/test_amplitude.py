@@ -62,8 +62,6 @@ class TestNumericInversion:
     def test_validation(self, lorentzian_se):
         with pytest.raises(DomainError):
             dl.survival_numeric(lorentzian_se, 0.0, [-1.0])
-        with pytest.raises(DomainError):
-            dl.survival_numeric(lorentzian_se, 0.0, [1.0], contour_offset=-0.1)
         for omega_max in (-1.0, 0.0):
             with pytest.raises(DomainError, match="omega_max must be positive"):
                 dl.survival_numeric(lorentzian_se, 0.0, [1.0], omega_max=omega_max)
@@ -406,7 +404,6 @@ class TestPoleCut:
         assert series.pole_term is not None and series.cut_term is not None
         np.testing.assert_allclose(series.amplitude,
                                    series.pole_term + series.cut_term)
-        assert series.info["pole"].converged
 
 
 class TestCrossModelRoutes:

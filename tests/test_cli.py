@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import decaylab as dl
 from decaylab.cli import COMMANDS, SCHEMA, main
 from decaylab.config import parse_config_text
 from decaylab.errors import ConfigParseError
+from decaylab.spectral import MODEL_TYPES
 
 LORENTZIAN_CONFIG = """\
 # closed-form reference model
@@ -99,8 +101,10 @@ class TestSurvivalCommand:
                      "--method", "numeric"]) == 0
         manifest = json.loads((out / "run_manifest.json").read_text())
         survival = manifest["config"]["survival"]
-        for key in ("contour_a", "omega_max", "n_points", "tmax", "nt", "method"):
+        for key in ("omega_max", "n_points", "tmax", "nt", "method"):
             assert key in survival
+        # the contour height is derived, 3/t_max, and recorded as such
+        assert survival["contour_offset"] == 3.0 / 5.0
         assert manifest["config"]["model"]["a"] == 0.0
         assert manifest["results"]["transform"] == "chirp_z"
         assert manifest["results"]["alias_bound"] < 1e-11
@@ -170,7 +174,7 @@ class TestOtherCommands:
         found = complex(float(data["omega_prime"]), -float(data["omega_dprime"]))
         assert min(abs(found - lp.omega_plus), abs(found - lp.omega_minus)) < 1e-9
 
-    def test_poles_below_the_threshold(self, tmp_path, capsys):
+    def test_poles_below_the_threshold(self, tmp_path):
         # a level below mu has a real bound state, whose residue is the weight Z
         cfg = write_config(tmp_path, BELOW_THRESHOLD_CONFIG)
         out = tmp_path / "run"
@@ -186,10 +190,6 @@ class TestOtherCommands:
         survival = read_csv(tmp_path / "pole-cut" / "survival.csv")
         assert survival["re_A"][0] == pytest.approx(1.0, abs=1e-12)
         assert survival["im_A"][0] == pytest.approx(0.0, abs=1e-12)
-        # a guess steers only the resonance search, which this level has not
-        cfg = write_config(tmp_path, BELOW_THRESHOLD_CONFIG + "poles.guess_re = -0.1\n")
-        assert main(["poles", "-c", str(cfg), "--out", str(tmp_path / "guess")]) == 2
-        assert "guess" in capsys.readouterr().err
 
     def test_poles_without_a_resonance_exit_3(self, tmp_path, capsys):
         text = ("model.type = thresholdpower\nmodel.beta_th = 1.0\nmodel.alpha = 0.5\n"
@@ -227,6 +227,9 @@ class TestOtherCommands:
         data = read_csv(out / "packet_coeff.csv")
         first_time = data["t"] == 0.0
         assert np.all(data["abs2_c"][first_time] == 0.0)
+        # the rate is derived, the golden rule's 2 pi D(omega0), and recorded as such
+        packet = json.loads((out / "run_manifest.json").read_text())["config"]["packet"]
+        assert packet["gamma"] == 2 * np.pi * 0.05
 
     def test_twosurface(self, tmp_path):
         text = ("twosurface.n_x = 1024\ntwosurface.dt = 0.001\n"
@@ -286,6 +289,19 @@ class TestManifest:
         if "packet" in recorded:
             assert recorded["packet"]["n_x"] == 2048
 
+    def test_readme_names_only_schema_keys(self):
+        # every `section.key` of a config section in the README is a key of
+        # it; the model's keys are those of every model type
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        model_keys = {"type", *(key for _, keys in MODEL_TYPES.values() for key in keys)}
+        valid = {name: model_keys if callable(keys) else set(keys)
+                 for name, keys in SCHEMA.items()}
+        tokens = re.findall(r"(?<![\w.])([A-Za-z_]\w*)\.(\w+)", readme)
+        named = [(section, key) for section, key in tokens
+                 if section in valid and key not in ("csv", "json", "cfg")]
+        assert named, "the README names no config key"
+        assert [f"{s}.{k}" for s, k in named if k not in valid[s]] == []
+
 
 # A packet whose energy window stays above zero, where plane waves exist.
 PACKET_CONFIG = ("model.type = box\nmodel.A2 = 0.05\nmodel.L = 100\nsystem.omega0 = 50.0\n"
@@ -326,17 +342,40 @@ BAD_INPUTS = {
     "slope key without a basis": ("packet", PACKET_CONFIG + "packet.offset = 0.5\n",
                                   "packet.basis"),
     "reversed energy window": ("packet", PACKET_CONFIG + "packet.span = -5\n", "span"),
+    "zero packet rate": ("packet", PACKET_CONFIG.replace("model.A2 = 0.05", "model.A2 = 0.0"),
+                         "gamma > 0"),
     "zero snapshot stride": ("twosurface", "twosurface.snapshot_stride = 0\n",
                              "snapshot_stride"),
     "negative omega_max": ("survival", LORENTZIAN_CONFIG.replace(
         "survival.method = closed", "survival.method = numeric\nsurvival.omega_max = -1"),
         "omega_max"),
     "negative seed": ("verify-partition", "verify.seed = -1\n", "verify.seed"),
+    # settings that restate what the run derives are not keys
+    "pole guess": ("poles", LORENTZIAN_CONFIG + "poles.guess_re = 0.1\n", "'poles'"),
+    "contour height": ("survival", LORENTZIAN_CONFIG + "survival.contour_a = 0.3\n",
+                       "'contour_a'"),
+    "packet rate": ("packet", PACKET_CONFIG + "packet.gamma = 0.3\n", "'gamma'"),
+    "two-surface coupling by its old name": ("twosurface", "twosurface.V = 0.5\n",
+                                             "'coupling'"),
+    "two-surface slope by its old name": ("twosurface", "twosurface.beta = 3.0\n",
+                                          "'beta_slope'"),
     "no verification points": ("verify-partition", "verify.n_omega = 0\n", "verify.n_omega"),
     **{f"negative {key}": (command, LORENTZIAN_CONFIG + f"{key} = -3\n", key)
        for command, key in (("spectral", "spectral.n"), ("selfenergy", "selfenergy.grid_n"),
                             ("survival", "survival.nt"), ("oracle-survival", "oracle.nt"),
                             ("packet", "packet.nt"), ("packet", "packet.n_x"))},
+}
+
+# survival CSVs that `compare` refuses, each with a hint its message carries
+BAD_SURVIVAL_CSVS = {
+    "missing file": (None, "bad.csv"),
+    "empty file": ("", "t, re_A and im_A"),
+    "no amplitude columns": ("t,P1\n0,1\n1,0.5\n", "t, re_A and im_A"),
+    "header only": ("t,re_A,im_A\n", "at least one row"),
+    "ragged row": ("t,re_A,im_A\n0,1,0\n1,0.5\n", "bad.csv"),
+    "short rows": ("t,re_A,im_A,abs2_A\n0,1,0\n1,0.5,0\n", "4 finite numbers"),
+    "non-numeric cell": ("t,re_A,im_A\n0,1,0\n1,abc,0\n", "bad.csv"),
+    "nan cell": ("t,re_A,im_A\n0,1,0\n1,nan,0\n", "finite"),
 }
 
 
@@ -360,6 +399,15 @@ class TestExitCodes:
     def test_bad_input(self, tmp_path, capsys, subcommand, text, hint):
         cfg = write_config(tmp_path, text)
         assert main([subcommand, "-c", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert hint in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, hint", BAD_SURVIVAL_CSVS.values(), ids=BAD_SURVIVAL_CSVS)
+    def test_compare_bad_input(self, tmp_path, capsys, text, hint):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text("t,re_A,im_A\n0,1,0\n1,0.5,0.5\n")
+        if text is not None:
+            bad.write_text(text)
+        assert main(["compare", str(good), str(bad)]) == 2
         assert hint in capsys.readouterr().err
 
     def test_unknown_subcommand(self, capsys):

@@ -10,6 +10,9 @@ from conftest import linear_fit_r2
 
 A2 = 0.05
 GAMMA = 2.0 * np.pi * A2
+# A time late enough that the decaying term exp(-GAMMA t / 2) = 3e-7 leaves
+# the saturated line shape to well within each check's tolerance.
+LATE = 30.0 / GAMMA
 
 
 def flat_coupling(eps):
@@ -50,7 +53,7 @@ class TestCoefficients:
 
     def test_saturated_norm_for_flat_coupling(self):
         eps = dl.default_energy_grid(0.0, GAMMA, n=4001, span=200.0)
-        coeffs = dl.packet_coefficients(flat_coupling, 0.0, GAMMA, eps, np.inf)
+        coeffs = dl.packet_coefficients(flat_coupling, 0.0, GAMMA, eps, LATE)
         assert dl.packet_norm_sq(eps, coeffs) == pytest.approx(1.0, abs=0.01)
 
     def test_unitarity_against_box_survival(self):
@@ -71,7 +74,7 @@ class TestCoefficients:
 
     def test_late_time_distribution_matches_line_shape(self):
         eps = dl.default_energy_grid(0.0, GAMMA, n=4001)
-        coeffs = dl.packet_coefficients(flat_coupling, 0.0, GAMMA, eps, np.inf)
+        coeffs = dl.packet_coefficients(flat_coupling, 0.0, GAMMA, eps, LATE)
         dist = dl.spectral_distribution(0.0, GAMMA)
         sel = np.abs(eps) <= 5 * GAMMA
         rel = np.abs(np.abs(coeffs[sel]) ** 2 / dist(eps[sel]) - 1.0)
@@ -83,8 +86,9 @@ class TestCoefficients:
             dl.packet_coefficients(flat_coupling, 0.0, GAMMA, eps, -1.0)
         with pytest.raises(DomainError):
             dl.packet_coefficients(flat_coupling, 0.0, GAMMA, eps, [1.0, -1.0])
-        with pytest.raises(DomainError):   # nan, unlike inf, is no time
-            dl.packet_coefficients(flat_coupling, 0.0, GAMMA, eps, [1.0, np.nan])
+        for bad in (np.inf, [1.0, np.nan], [1.0, np.inf]):
+            with pytest.raises(DomainError, match="finite"):
+                dl.packet_coefficients(flat_coupling, 0.0, GAMMA, eps, bad)
         with pytest.raises(DomainError):
             dl.packet_coefficients(flat_coupling, 0.0, 0.0, eps, 1.0)
         with pytest.raises(DomainError):
@@ -238,10 +242,10 @@ class TestBlockSynthesis:
         stacked = [dl.packet_coefficients(flat_coupling, omega0, GAMMA, packet.eps, t)
                    for t in self.TIMES]
         np.testing.assert_array_equal(packet.coeffs, stacked)
-        times = np.append(self.TIMES, np.inf)
+        times = np.append(self.TIMES, LATE)
         block = dl.packet_coefficients(flat_coupling, omega0, GAMMA, packet.eps, times)
         np.testing.assert_array_equal(
-            block[-1], dl.packet_coefficients(flat_coupling, omega0, GAMMA, packet.eps, np.inf))
+            block[-1], dl.packet_coefficients(flat_coupling, omega0, GAMMA, packet.eps, LATE))
         np.testing.assert_array_equal(packet.norm_sq(),
                                       [dl.packet_norm_sq(packet.eps, c) for c in stacked])
 

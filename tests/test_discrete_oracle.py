@@ -110,7 +110,6 @@ class TestPartitionIdentity:
         part = dl.resolvent_partitioned(m, 2j)
         assert part.g_p == pytest.approx(1.0 / (2j - 0.5))
         np.testing.assert_allclose(part.g_qp, 0.0)
-        assert part.delta_convention == "kronecker"
 
     def test_all_blocks_match_direct_solve(self):
         rng = np.random.default_rng(11)
