@@ -13,7 +13,7 @@ absorbed, and what the unitary substeps lose apart as drift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -47,6 +47,11 @@ class TwoSurfaceConfig:
     absorber_strength: float = 0.02
 
     def __post_init__(self):
+        bad = [f.name for f in fields(self) if not np.isfinite(getattr(self, f.name))]
+        if bad:
+            raise DomainError(f"{', '.join(bad)} must be finite")
+        if self.beta_slope <= 0:
+            raise DomainError("beta_slope must be positive")
         if self.n_x < 16 or (self.n_x & (self.n_x - 1)) != 0:
             raise DomainError("n_x must be a power of two (>= 16)")
         if self.dt <= 0 or self.t_max <= 0:
@@ -69,20 +74,38 @@ class TwoSurfaceConfig:
 
 @dataclass
 class TwoSurfaceState:
-    """Two complex wavefunctions on the shared grid, plus probability booked
-    as absorbed by the edge ramp and as drift of the unitary substeps."""
+    """Two complex wavefunctions on the shared grid, the rows of one (2, n_x)
+    array psi, plus probability booked as absorbed by the edge ramp and as
+    drift of the unitary substeps.  psi1 and psi2 are views of its rows and
+    assigning to them writes into psi, so swapping the surfaces needs copies."""
 
     x: np.ndarray
-    psi1: np.ndarray
-    psi2: np.ndarray
+    psi: np.ndarray
     t: float
     absorbed: float
     dx: float
     drift: float = 0.0
 
+    @property
+    def psi1(self) -> np.ndarray:
+        """The bound surface's wavefunction, the row psi[0]."""
+        return self.psi[0]
+
+    @psi1.setter
+    def psi1(self, value):
+        self.psi[0] = value
+
+    @property
+    def psi2(self) -> np.ndarray:
+        """The slope surface's wavefunction, the row psi[1]."""
+        return self.psi[1]
+
+    @psi2.setter
+    def psi2(self, value):
+        self.psi[1] = value
+
     def norm_total(self) -> float:
-        return float(np.vdot(self.psi1, self.psi1).real
-                     + np.vdot(self.psi2, self.psi2).real) * self.dx
+        return float(np.vdot(self.psi, self.psi).real) * self.dx
 
 
 class GoldenRule(NamedTuple):
@@ -91,11 +114,11 @@ class GoldenRule(NamedTuple):
 
 
 class _Operators(NamedTuple):
-    """A step's propagators, with the half-step potential unitary [[u11, u12], [u12, u22]]."""
+    """A step's propagators, with the half-step potential unitary [[u11, u12], [u12, u22]]
+    held as its diagonal rows diag = (u11, u22) and its off-diagonal u12."""
     kinetic_phase: np.ndarray
-    u11: np.ndarray
+    diag: np.ndarray
     u12: np.ndarray
-    u22: np.ndarray
     edge: slice
     mask: np.ndarray
     loss: np.ndarray
@@ -124,8 +147,8 @@ def _operators(config: TwoSurfaceConfig) -> _Operators:
     edge = slice(int(np.searchsorted(x, ramp_start)), None)
     ramp = np.sin(0.5 * np.pi * (x[edge] - ramp_start) / config.absorber_width)
     mask = 1.0 - config.absorber_strength * ramp**2
-    return _Operators(kinetic_phase, cosine + sine * delta, sine * config.coupling,
-                      cosine - sine * delta, edge, mask, 1.0 - mask**2)
+    diag = np.stack((cosine + sine * delta, cosine - sine * delta))
+    return _Operators(kinetic_phase, diag, sine * config.coupling, edge, mask, 1.0 - mask**2)
 
 
 def init_state(config: TwoSurfaceConfig) -> TwoSurfaceState:
@@ -134,15 +157,17 @@ def init_state(config: TwoSurfaceConfig) -> TwoSurfaceState:
     psi1 = (np.pi * np.sqrt(2.0)) ** -0.25 * np.exp(-x**2 / (2.0 * np.sqrt(2.0)))
     if max(abs(psi1[0]), abs(psi1[-1])) > 1e-12:
         raise GridTooNarrow("initial Gaussian does not vanish at the grid edges")
-    psi1 = psi1.astype(complex)
-    psi2 = np.zeros_like(psi1)
-    return TwoSurfaceState(x=x, psi1=psi1, psi2=psi2, t=0.0, absorbed=0.0,
-                           dx=config.dx())
+    psi = np.zeros((2, x.size), dtype=complex)
+    psi[0] = psi1
+    return TwoSurfaceState(x=x, psi=psi, t=0.0, absorbed=0.0, dx=config.dx())
 
 
 def _half_potential(psi: np.ndarray, ops: _Operators) -> np.ndarray:
-    p1, p2 = psi
-    return np.stack((ops.u11 * p1 + ops.u12 * p2, ops.u12 * p1 + ops.u22 * p2))
+    """(u11 p1 + u12 p2, u22 p2 + u12 p1) in three products: the rows swapped
+    by psi[::-1] meet u12."""
+    out = ops.diag * psi
+    out += ops.u12 * psi[::-1]
+    return out
 
 
 def step(state: TwoSurfaceState, config: TwoSurfaceConfig) -> TwoSurfaceState:
@@ -154,7 +179,7 @@ def step(state: TwoSurfaceState, config: TwoSurfaceConfig) -> TwoSurfaceState:
     NumericalError.  Only the loss across the absorber is booked as absorbed.
     """
     ops = _operators(config)
-    psi = np.stack((state.psi1, state.psi2))
+    psi = state.psi
     norm_before = np.vdot(psi, psi).real
     psi = fft.fft(_half_potential(psi, ops), axis=1)
     psi = _half_potential(fft.ifft(psi * ops.kinetic_phase, axis=1), ops)
@@ -162,7 +187,7 @@ def step(state: TwoSurfaceState, config: TwoSurfaceConfig) -> TwoSurfaceState:
     on_ramp = psi[:, ops.edge]
     state.absorbed += float(np.vdot(on_ramp, on_ramp * ops.loss).real) * state.dx
     on_ramp *= ops.mask
-    state.psi1, state.psi2 = psi
+    state.psi = psi
     state.drift += drift
     state.t += config.dt
     if abs(drift) > 1e-4:
@@ -238,6 +263,19 @@ class TwoSurfaceRun:
 TRAP_RADIUS = 4.0
 
 
+def _fit_window(config: TwoSurfaceConfig, rate: float, n_steps: int) -> tuple[float, float]:
+    """The exponential fit window [0.5/rate, min(2.5/rate, t_max)], refused
+    before the first step when it holds fewer than 10 step times."""
+    if rate == 0.0:
+        raise DomainError("zero coupling: P1 does not decay, so the fit window is empty")
+    t_lo = 0.5 / rate
+    t_hi = min(2.5 / rate, config.t_max)
+    step_times = config.dt * np.arange(n_steps + 1)
+    if np.count_nonzero((step_times >= t_lo) & (step_times <= t_hi)) < 10:
+        raise DomainError("t_max too short for the exponential fit window")
+    return t_lo, t_hi
+
+
 def run(config: TwoSurfaceConfig) -> TwoSurfaceRun:
     """Propagate to t_max; fit the exponential range of P1 against the
     golden-rule reference; report the late-time trapped remnant."""
@@ -247,6 +285,8 @@ def run(config: TwoSurfaceConfig) -> TwoSurfaceRun:
     trap = slice(np.searchsorted(x, -TRAP_RADIUS, side="right"),  # |x| < TRAP_RADIUS
                  np.searchsorted(x, TRAP_RADIUS))
     n_steps = int(round(config.t_max / config.dt))
+    golden = golden_rule_rate(config.coupling, config.beta_slope)
+    t_lo, t_hi = _fit_window(config, golden.rate, n_steps)
 
     times = np.empty(n_steps + 1)
     p1 = np.empty(n_steps + 1)
@@ -258,8 +298,7 @@ def run(config: TwoSurfaceConfig) -> TwoSurfaceRun:
     def record(i: int):
         times[i] = state.t
         p1[i] = survival_probability(state)
-        near[i] = (np.vdot(state.psi1[trap], state.psi1[trap]).real
-                   + np.vdot(state.psi2[trap], state.psi2[trap]).real) * dx
+        near[i] = np.vdot(state.psi[:, trap], state.psi[:, trap]).real * dx
         absorbed[i] = state.absorbed
 
     record(0)
@@ -273,12 +312,9 @@ def run(config: TwoSurfaceConfig) -> TwoSurfaceRun:
             snaps_t.append(state.t)
             snaps.append(np.abs(state.psi2) ** 2)
 
-    golden = golden_rule_rate(config.coupling, config.beta_slope)
-    t_lo = 0.5 / golden.rate
-    t_hi = min(2.5 / golden.rate, config.t_max)
     window = (times >= t_lo) & (times <= t_hi) & (p1 > 0)
     if window.sum() < 10:
-        raise DomainError("t_max too short for the exponential fit window")
+        raise DomainError("P1 is positive at fewer than 10 times of the exponential fit window")
     slope, intercept = np.polyfit(times[window], np.log(p1[window]), 1)
     log_fit = slope * times[window] + intercept
     ss_res = float(np.sum((np.log(p1[window]) - log_fit) ** 2))

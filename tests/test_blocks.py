@@ -17,7 +17,8 @@ from decaylab import _blocks, amplitude, continuum, discrete_oracle, spectral
 #   200-knot table: 102 points a block, 1,001 = 9 * 102 + 83;
 #   400-bin oracle: 51 roots a block of the secular sums (401 = 7 * 51 + 44)
 #   and 51 bins a Cauchy block of the occupations (400 = 7 * 51 + 43);
-#   300 x points: 68 energies a block, 201 = 2 * 68 + 65.
+#   300 x points: 68 energies a block, 201 = 2 * 68 + 65, and Ai in chunks
+#   of 20,480 / 8 = 2,560 points, 20,400 = 7 * 2,560 + 2,480.
 # Like the default, it is a whole number of 4096-node chirp-z blocks, so the
 # stretches split the contour at the same nodes as the default's blocks;
 # stretches of 20,000 nodes shift every block and moved the amplitude by
@@ -63,7 +64,8 @@ CASES = {
     "tabulated_cauchy_derivative": (lambda: TABLE.cauchy_derivative(OMEGA), {"_knot_sum"}),
     "oracle_with_occupations": (oracle, {"_rest_sums", "survival_exact_discrete"}),
     "packet_plane_wave": (lambda: packet("plane_wave"), {"synthesize_packet"}),
-    "packet_airy": (lambda: packet("linear_slope_airy", beta_slope=3.0), {"synthesize_packet"}),
+    "packet_airy": (lambda: packet("linear_slope_airy", beta_slope=3.0),
+                    {"synthesize_packet", "_ai"}),
 }
 
 

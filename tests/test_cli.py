@@ -346,6 +346,8 @@ BAD_INPUTS = {
                          "gamma > 0"),
     "zero snapshot stride": ("twosurface", "twosurface.snapshot_stride = 0\n",
                              "snapshot_stride"),
+    "negative two-surface slope": ("twosurface", "twosurface.beta_slope = -1.0\n",
+                                   "beta_slope"),
     "negative omega_max": ("survival", LORENTZIAN_CONFIG.replace(
         "survival.method = closed", "survival.method = numeric\nsurvival.omega_max = -1"),
         "omega_max"),

@@ -2,9 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad
 
 import decaylab as dl
+from decaylab import continuum
 from decaylab.errors import BasisUnavailable, DomainError
 from conftest import linear_fit_r2
 
@@ -157,12 +159,52 @@ class TestAiryBasis:
 
     def test_eigenfunction_satisfies_schrodinger_equation(self):
         h = 1e-4
-        for eps_val, x0 in ((0.5, 1.3), (-2.0, 4.0), (3.0, -0.5)):
+        # the last point's Airy argument, -3^(1/3) * (9 + 0.5/3) = -13.2, is
+        # below -AI_SWITCH, on the oscillatory expansion
+        for eps_val, x0 in ((0.5, 1.3), (-2.0, 4.0), (3.0, -0.5), (0.5, 9.0)):
             phi = lambda x: dl.airy_slope_eigenfunction(
                 np.array([eps_val]), np.array([x]), self.BETA)[0, 0]
             second = (phi(x0 + h) - 2 * phi(x0) + phi(x0 - h)) / h**2
             residual = -second - self.BETA * x0 * phi(x0) - eps_val * phi(x0)
             assert abs(residual) < 1e-5 * max(1.0, abs(eps_val * phi(x0)))
+
+    @staticmethod
+    def airy_ai(arg):
+        # with beta = 1 and eps = 0 the eigenfunction is Ai(arg) at x = -arg
+        return dl.airy_slope_eigenfunction(np.zeros(1), -np.asarray(arg), 1.0)[:, 0]
+
+    @staticmethod
+    def envelope(arg):
+        """pi^(-1/2) |arg|^(-1/4), times exp(-zeta) where Ai decays, and a
+        relative bound of 8 eps (1 + zeta): the rounding of zeta = 2/3 |arg|^(3/2)
+        moves a phase or an exponent by about eps * zeta.  Against mpmath,
+        scipy's airy itself is off by up to 4.6 eps (1 + zeta) near
+        arg = -10.06, and the expansions by at most 1.3 eps (1 + zeta)."""
+        zeta = 2.0 / 3.0 * np.abs(arg) ** 1.5
+        size = np.pi**-0.5 * np.maximum(np.abs(arg), 1.0) ** -0.25
+        size = np.where(arg > 0, size * np.exp(-zeta), size)
+        return size, 8.0 * np.finfo(float).eps * (1.0 + zeta)
+
+    def test_ai_matches_scipy_across_both_switches(self):
+        switch = continuum.AI_SWITCH
+        arg = np.concatenate([-np.geomspace(1e3, 1.0, 20_000),
+                              np.linspace(-switch - 1.0, -switch + 1.0, 20_001),
+                              np.linspace(-1.0, 70.0, 20_001)])
+        size, bound = self.envelope(arg)
+        error = np.abs(self.airy_ai(arg) - special.airy(arg)[0]) / size
+        assert np.all(error <= bound)
+        # the expansions do replace scipy beyond the switches
+        assert np.any(error[np.abs(arg) >= switch] > 0)
+
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_ai_continuous_at_the_switch(self, side):
+        # the last scipy argument and the first of the expansion, one ulp apart
+        edge = side * continuum.AI_SWITCH
+        inside = np.nextafter(edge, 0.0)
+        inner, outer = self.airy_ai([inside, edge])
+        size, bound = self.envelope(np.array(edge))
+        step = abs(special.airy(edge)[1]) * abs(edge - inside)  # Ai' times the ulp
+        assert abs(outer - inner) <= bound * size + step
 
     def test_energy_normalization_via_completeness(self):
         # expanding a normalized wave packet over the energy-normalized
@@ -176,6 +218,23 @@ class TestAiryBasis:
         overlaps = phi.T @ g * dx
         total = np.sum(np.abs(overlaps) ** 2) * (eps[1] - eps[0])
         assert total == pytest.approx(1.0, abs=0.02)
+
+    def test_traced_peak_is_bounded(self):
+        """The benchmark's Airy packet: the masked asymptotic pass holds a
+        few block-sized temporaries, inside the shared block budget."""
+        a2, omega0 = 0.005, 10.0
+        gamma = 2.0 * np.pi * a2
+        eps = dl.default_energy_grid(omega0, gamma, n=4001, span=200.0)
+        x = np.linspace(-50.0, 250.0, 128)
+        tracemalloc.start()
+        try:
+            dl.evolve_packet(np.sqrt(a2), omega0, gamma, eps,
+                             [0.0, 0.5 / gamma, 1.0 / gamma], x=x,
+                             basis="linear_slope_airy", beta_slope=self.BETA)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_offset_shifts_energy(self):
         x = np.linspace(-5, 5, 101)
@@ -222,8 +281,8 @@ class TestBlockSynthesis:
 
     def test_block_equals_row_by_row(self, basis, kwargs, window):
         # the block budget 2**17 // 50,000 = 2 energies a block: 100 blocks of
-        # 2 and one of 1; the short x range keeps the Airy arguments where
-        # they are cheap
+        # 2 and one of 1; the short x range keeps the Airy arguments within
+        # |arg| < 3, all on scipy's airy, so the 10M points stay quick
         x = np.linspace(-1.0, 1.0, 50_000)
         packet = self.packet(window, x, basis, **kwargs)
         assert packet.psi.shape == (self.TIMES.size, x.size)

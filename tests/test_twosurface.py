@@ -113,8 +113,7 @@ class TestStep:
 
     def test_lossy_potential_unitary_fails_the_audit(self, monkeypatch):
         # so must a half-step potential unitary whose diagonal is scaled by 0.999
-        self.assert_drift_raises(monkeypatch, lambda ops: ops._replace(
-            u11=0.999 * ops.u11, u22=0.999 * ops.u22))
+        self.assert_drift_raises(monkeypatch, lambda ops: ops._replace(diag=0.999 * ops.diag))
 
 
 def reference_step(state, config):
@@ -160,6 +159,26 @@ def reference_step(state, config):
 
 
 class TestFusedStep:
+    def test_half_potential_is_the_2x2_product(self):
+        config = TwoSurfaceConfig(n_x=2048)
+        ops = twosurface._operators(config)
+        u11, u22 = ops.diag
+        rng = np.random.default_rng(3)
+        psi = rng.normal(size=(2, config.n_x)) + 1j * rng.normal(size=(2, config.n_x))
+        p1, p2 = psi
+        np.testing.assert_array_equal(twosurface._half_potential(psi, ops),
+                                      [u11 * p1 + ops.u12 * p2, ops.u12 * p1 + u22 * p2])
+
+    def test_surface_assignment_writes_into_the_state(self):
+        state = init_state(TwoSurfaceConfig(n_x=256))
+        psi = state.psi
+        bound = np.arange(256) + 1j
+        state.psi1 = bound
+        state.psi2 = 2.0 * bound
+        assert state.psi is psi
+        np.testing.assert_array_equal(psi, [bound, 2.0 * bound])
+        assert np.shares_memory(state.psi1, psi) and np.shares_memory(state.psi2, psi)
+
     def test_matches_reference_step(self):
         # coupling on, and a packet on the slope that runs into the absorber
         config = TwoSurfaceConfig(x_min=-10.0, x_max=30.0, n_x=256, dt=1e-3)
@@ -252,9 +271,25 @@ class TestRun:
         assert np.all(np.diff(centroids) > 0)
         assert np.all(np.diff(variances) > 0)
 
-    def test_too_short_run_rejected(self):
-        with pytest.raises(DomainError):
-            run(TwoSurfaceConfig(t_max=1.0))
+    @staticmethod
+    def assert_rejected_before_the_first_step(monkeypatch, **fields):
+        # the config and the fit window [0.5/gamma, min(2.5/gamma, t_max)] are
+        # known before propagating: a run that cannot succeed takes no step
+        calls = []
+        monkeypatch.setattr(twosurface, "step", lambda *args: calls.append(args))
+        with pytest.raises(DomainError) as raised:
+            run(TwoSurfaceConfig(**fields))
+        assert calls == []
+        return str(raised.value)
+
+    def test_too_short_run_rejected(self, monkeypatch):
+        message = self.assert_rejected_before_the_first_step(monkeypatch, t_max=1.0)
+        assert "fit window" in message
+
+    @pytest.mark.parametrize("fields", [{"coupling": 0.0}, {"beta_slope": -1.0},
+                                        {"dt": np.nan}, {"coupling": np.nan}], ids=str)
+    def test_bad_run_rejected_before_the_first_step(self, monkeypatch, fields):
+        self.assert_rejected_before_the_first_step(monkeypatch, **fields)
 
     def test_observables_converged_in_grid_spacing(self):
         # doubling the spatial resolution moves P1 by less than 1%
@@ -287,6 +322,18 @@ class TestConfigValidation:
     def test_positive_dt(self):
         with pytest.raises(DomainError):
             TwoSurfaceConfig(dt=0.0)
+
+    @pytest.mark.parametrize("field", ["coupling", "beta_slope", "x_min", "x_max", "dt",
+                                       "t_max", "absorber_width", "absorber_strength"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(DomainError, match="finite"):
+            TwoSurfaceConfig(**{field: value})
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0])
+    def test_positive_slope(self, beta):
+        with pytest.raises(DomainError, match="beta_slope"):
+            TwoSurfaceConfig(beta_slope=beta)
 
     def test_absorber_fits(self):
         with pytest.raises(DomainError):
