@@ -10,10 +10,13 @@
 The cut integral is one fixed exp-sinh rule (Takahasi & Mori 1974) in the
 depth below the threshold, shared by all times; twice its step bounds the error.
 
-The numeric inversion subtracts the free propagator pole analytically,
-so the quadrature only sees a smooth difference that decays like the
-inverse cube of frequency, and the subtracted part is restored exactly.
-The difference is analytic above the contour, so the trapezoid rule on it
+The numeric inversion subtracts the free propagator pole and the first
+six terms of the dressed propagator's large-frequency expansion in the
+spectral moments, about a point below the axis, so the quadrature only
+sees a smooth remainder that decays like the ninth inverse power of
+frequency; the subtracted terms are restored by their exact transforms,
+and the cutoff is sized from the first omitted term.
+The remainder is analytic above the contour, so the trapezoid rule on it
 errs only by aliasing, at most 2q/(1 - q) with q = exp(-2 pi offset / h) for
 t < 2 pi / h by Poisson summation (Dubner & Abate 1968; Trefethen & Weideman
 2014); the default step makes that bound 1e-12.
@@ -78,6 +81,10 @@ def _check_times(times) -> np.ndarray:
 
 # Aliasing bound of the default contour step h = 2 pi offset / ln(2 / eps).
 _ALIAS_EPS = 1e-12
+# Terms K of the propagator's large-omega expansion that the inversion subtracts,
+# and the truncated tail that the default omega_max allows past them.
+_EXPANSION_TERMS = 6
+_TAIL_TARGET = 1e-8
 # Nodes per chirp-z block; FFT batches, direct-sum batches and the stretches
 # of the inversion's one pass over its grid all follow the shared block budget.
 _CZT_LEN = 4096
@@ -128,42 +135,89 @@ def _chirp(c: float, squares: np.ndarray) -> np.ndarray:
     return np.exp(1j * c_hi * squares) * np.exp(1j * (c - c_hi) * squares)
 
 
+def _propagator_series(model, omega0: float, z0: complex, n: int):
+    """c_0 .. c_{n-1} of G - 1/(omega - omega0) = sum_n c_n u^(n+1), u = 1/(omega - z0).
+
+    With the moments mu_j about z0, G = u / P(u) for
+    P(u) = 1 + (z0 - omega0) u - sum_j mu_j u^(j+2); the series 1/P = sum r_n u^n
+    follows by recurrence, and c_n = r_n - (omega0 - z0)^n removes the free
+    pole.  c_0 = c_1 = 0 and c_2 is the total weight.  Returns (c, mu).
+    """
+    mu = np.asarray(model.moments(z0, n - 2), dtype=complex)
+    p = np.concatenate([[1.0, z0 - omega0], -mu])
+    r = np.zeros(n, dtype=complex)
+    r[0] = 1.0
+    for m in range(1, n):
+        r[m] = -(p[1:m + 1] @ r[m - 1::-1])
+    return r - (omega0 - z0) ** np.arange(n), mu
+
+
+def _singular_radius(model, omega0: float, z: complex, mu) -> float:
+    """Radius of a disc about z that holds every singularity of G - 1/(omega - omega0).
+
+    Sigma's moment series about z reaches to rho, the farthest finite support
+    edge or, for the Lorentzian, whose moments are geometric, max (|mu_j| / mu_0)^(1/j).
+    Past m = max(|z - omega0|, rho) a pole of G has
+    |omega - omega0| = |Sigma| <= W / (|omega - z| - rho), so it lies within m + sqrt(W).
+    """
+    far = [abs(edge - z) for edge in model.support() if np.isfinite(edge)]
+    if mu[0] != 0:
+        far.extend(np.abs(mu[1:] / mu[0]) ** (1.0 / np.arange(1, mu.size)))
+    return max(abs(z - omega0), *far) + math.sqrt(abs(mu[0]))
+
+
 def survival_numeric(se: SelfEnergy, omega0: float, times,
                      omega_max: float | None = None,
                      n_points: int | None = None) -> SurvivalSeries:
     """Invert the transform of the dressed propagator along Im omega = offset.
 
     The trapezoid rule on the truncated contour, applied to the
-    dressed-minus-free difference; the free pole contributes its exact
-    exponential, which also guarantees A(0) -> 1 as the truncation grows.
-    The height is 3/t_max (0.1 of the model's width at t_max = 0), reported
+    dressed-minus-free difference less the first K = 6 terms
+    c_n / (omega - z0)^(n + 1) of its large-omega expansion about the damped
+    point z0 = omega0 - i Gamma; the free pole and those terms contribute their
+    exact transforms, exp(-i omega0 t) and c_n (-i t)^n / n! exp(-i z0 t).
+    Gamma is the model's width, or the radius about omega0 that holds every
+    singularity of the difference if that is larger, so that the restored
+    terms, at most |c_n| / Gamma^n, stay near W / Gamma^2 and do not cancel.
+    The height is 3/t_max (0.1 of Gamma at t_max = 0), reported
     as ``info["contour_offset"]``.
     ``info["alias_bound"]`` bounds the aliasing (inf if 2 pi / h <= t_max)
-    and ``info["tail_estimate"]`` the truncated tail.  On uniform times (to
-    a phase error of 1e-10) the sum over nodes is the blocked chirp-z
-    transform, otherwise the direct sum; ``info["transform"]`` names the one
-    taken ("chirp_z" or "direct").  The amplitude has the shape of ``times``.
+    and ``info["tail_estimate"]`` the truncated tail, from the first omitted
+    coefficient; ``info["expansion_terms"]`` is K and ``info["expansion_point"]``
+    z0.  On uniform times (to a phase error of 1e-10) the sum over nodes is
+    the blocked chirp-z transform, otherwise the direct sum;
+    ``info["transform"]`` names the one taken ("chirp_z" or "direct").  The
+    amplitude has the shape of ``times``.
     """
     times = _check_times(times)
     omega0 = float(omega0)
     t_max = float(times.max())
+    model = se.model
+    K = _EXPANSION_TERMS
 
-    # with h ~ offset the node count grows as exp(offset t_max / 2) / offset
-    offset = 3.0 / t_max if t_max > 0 else 0.1 * se.model.char_width()
-
-    weight = se.model.total_weight()
-    lo, hi = se.model.support()
+    weight = model.total_weight()
+    lo, hi = model.support()
     reach = max(abs(b) for b in (lo, hi) if np.isfinite(b)) if np.isfinite(lo) or np.isfinite(hi) else 0.0
     reach = max(reach, abs(omega0))
+    with np.errstate(all="ignore"):
+        damping = max(model.char_width(),
+                      _singular_radius(model, omega0, omega0, model.moments(omega0, 2)))
+        z0 = complex(omega0, -damping)
+        c, mu = _propagator_series(model, omega0, z0, K + 3)
+        radius = _singular_radius(model, omega0, z0, mu)
+    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(mu)) and np.isfinite(radius)):
+        raise TruncationError("the large-omega expansion of the propagator is not finite; "
+                              "the spectral support is too wide")
+
+    # with h ~ offset the node count grows as exp(offset t_max / 2) / offset
+    offset = 3.0 / t_max if t_max > 0 else 0.1 * damping
     growth = np.exp(offset * t_max)
+    # the truncated tail of the first omitted term, growth |c| / (pi (K+2) margin^(K+2))
+    tail_scale = growth * abs(c[K + 2]) / (np.pi * (K + 2))
 
     if omega_max is None:
-        target = 1e-5
-        omega_max = max(
-            np.sqrt(growth * weight / (np.pi * target)) if weight > 0 else 0.0,
-            2.0 * reach + 10.0 * (1.0 + offset),
-            abs(omega0) + 10.0 * (se.model.char_width() + 1.0),
-        )
+        omega_max = max(4.0 * (reach + damping), reach + 2.0 * radius,
+                        reach + (tail_scale / _TAIL_TARGET) ** (1.0 / (K + 2)))
     else:
         omega_max = float(omega_max)
         if omega_max <= 0:
@@ -171,7 +225,12 @@ def survival_numeric(se: SelfEnergy, omega0: float, times,
     margin = omega_max - reach
     if not np.isfinite(omega_max) or margin <= 0:
         raise TruncationError("omega_max must be finite and clear the spectral support")
-    tail_estimate = growth * weight / (np.pi * margin * margin)  # inf, not OverflowError
+    if margin <= radius:
+        raise TruncationError(
+            f"omega_max {omega_max:.6g} lies within {radius:.6g} of the spectral reach "
+            f"{reach:.6g}, inside the radius of the propagator's large-omega expansion")
+    with np.errstate(over="ignore"):
+        tail_estimate = tail_scale / np.float64(margin) ** (K + 2)   # 0, not OverflowError
     if not tail_estimate <= 1e-4:
         raise TruncationError(
             f"estimated truncated-tail contribution {tail_estimate:.3e} > 1e-4; "
@@ -202,21 +261,32 @@ def survival_numeric(se: SelfEnergy, omega0: float, times,
         j = np.arange(stretch.start, stretch.stop)
         x = j * h - omega_max
         nodes = x + 1j * offset
-        f = 1.0 / (nodes - omega0 - se.sigma_upper_grid(nodes)) - 1.0 / (nodes - omega0)
+        u = 1.0 / (nodes - z0)
+        expansion = c[K + 1]
+        for cn in c[K:1:-1]:      # Horner: sum_{n=2}^{K+1} c_n u^(n-2)
+            expansion = expansion * u + cn
+        f = (1.0 / (nodes - omega0 - se.sigma_upper_grid(nodes)) - 1.0 / (nodes - omega0)
+             - expansion * u**3)
         f *= np.where((j == 0) | (j == n_points - 1), 0.5, 1.0)   # trapezoid end nodes
         if uniform:
             amp += _chirp_z(f, x[0], h, t, dt)
         else:
             for rows in row_blocks(j.size, m):
                 amp += f[rows] @ np.exp(-1j * np.outer(x[rows], t))
-    # the trapezoid's h and the inversion's i / (2 pi), then the free pole's exact term
+    # the trapezoid's h and the inversion's i / (2 pi), then the free pole's
+    # and the subtracted terms' exact transforms
     amp *= 1j * h / (2.0 * np.pi) * np.exp(offset * t)
+    restored = c[K + 1] / math.factorial(K + 1)
+    for n in range(K, 1, -1):
+        restored = restored * (-1j * t) + c[n] / math.factorial(n)
+    amp += restored * (-1j * t) ** 2 * np.exp(-1j * z0 * t)
     amp = (amp + np.exp(-1j * omega0 * t)).reshape(times.shape)
 
     return SurvivalSeries(
         times=times, amplitude=amp, method="numeric_inversion",
         info={"contour_offset": offset, "omega_max": omega_max,
               "n_points": n_points, "alias_bound": alias_bound, "tail_estimate": tail_estimate,
+              "expansion_terms": K, "expansion_point": z0,
               "transform": "chirp_z" if uniform else "direct"})
 
 

@@ -78,41 +78,62 @@ def _resolve(raw: dict, sections) -> dict:
 
 # ---------------------------------------------------------------- output ----
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
 def _atomic_write(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
     os.replace(tmp, path)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """Write equal-length columns under a header, one % operation a row.
+
+    Integer columns print whole, string columns as they are, and the rest
+    as "%.17g" % x, which is format(x, ".17g"): the bytes of formatting
+    each cell on its own.
+    """
+    columns = [np.asarray(column) for column in columns]
+    row = ",".join("%d" if column.dtype.kind in "biu" else "%s" if column.dtype.kind in "SU"
+                   else "%.17g" for column in columns) + "\n"
+    lines = [",".join(header) + "\n"]
+    lines.extend(row % values for values in zip(*(column.tolist() for column in columns)))
+    _atomic_write(path, "".join(lines))
+
+
+def _abs2(z) -> np.ndarray:
+    """|z|^2 by the operations of abs(z) ** 2 on each element: hypot, then pow.
+
+    np.abs on a complex array and x * x each differ from those in the last bit
+    of about one element in 3 and in 1000, which would change the CSV bytes.
+    """
+    z = np.asarray(z)
+    return np.float_power(np.hypot(z.real, z.imag), 2)
+
+
+def _single_row(*values) -> list[list]:
+    return [[value] for value in values]
+
+
+def _grid_columns(times, axis, values):
+    """t, the axis and the values of a (len(times), len(axis)) array, row by row."""
+    return [np.repeat(times, len(axis)), np.tile(axis, len(times)), np.ravel(values)]
 
 
 def _survival_table(series: SurvivalSeries):
-    zero = np.zeros_like(series.amplitude)
+    a = series.amplitude
+    zero = np.zeros_like(a)
     pole = series.pole_term if series.pole_term is not None else zero
     cut = series.cut_term if series.cut_term is not None else zero
     return (["t", "re_A", "im_A", "abs2_A", "re_pole", "im_pole", "re_cut", "im_cut"],
-            ((t, a.real, a.imag, abs(a) ** 2, p.real, p.imag, c.real, c.imag)
-             for t, a, p, c in zip(series.times, series.amplitude, pole, cut)))
+            [series.times, a.real, a.imag, _abs2(a), pole.real, pole.imag,
+             cut.real, cut.imag])
 
 
 # ------------------------------------------------------------ subcommands ----
 #
 # A body takes the resolved config, fills in each value left to it (a None
 # default) and any other value it works out, so that the manifest records
-# them, and returns its CSV tables by file name and its results block.
+# them, and returns its CSV tables, {file name: (header, columns)}, and its
+# results block.
 
 def _spectral(cfg):
     model = model_from_config(cfg["model"])
@@ -125,7 +146,7 @@ def _spectral(cfg):
     if block["eps_max"] is None:
         block["eps_max"] = hi + 0.1 * width if np.isfinite(hi) else 5 * width
     eps = np.linspace(block["eps_min"], block["eps_max"], block["n"])
-    return {"spectral.csv": (["epsilon", "D"], zip(eps, np.asarray(model.density(eps))))}, None
+    return {"spectral.csv": (["epsilon", "D"], [eps, model.density(eps)])}, None
 
 
 def _selfenergy(cfg):
@@ -141,8 +162,8 @@ def _selfenergy(cfg):
     # boundary values from above; infinite at a band edge where D is not zero
     sigma = model.cauchy(grid)
     sigma = np.where(np.isfinite(sigma), sigma, complex(np.nan, np.nan))
-    rows = zip(grid, sigma.real, sigma.imag)
-    return {"selfenergy.csv": (["omega", "re_sigma", "im_sigma"], rows)}, None
+    return {"selfenergy.csv": (["omega", "re_sigma", "im_sigma"],
+                               [grid, sigma.real, sigma.imag])}, None
 
 
 def _poles(cfg):
@@ -151,9 +172,9 @@ def _poles(cfg):
           f"({result.iterations} iterations)")
     return {"poles.csv": (["omega_prime", "omega_dprime", "residue_re", "residue_im",
                            "iterations", "residual"],
-                          [(result.omega_prime, result.omega_dprime, result.residue.real,
-                            result.residue.imag, result.iterations,
-                            result.final_residual)])}, None
+                          _single_row(result.omega_prime, result.omega_dprime,
+                                      result.residue.real, result.residue.imag,
+                                      result.iterations, result.final_residual))}, None
 
 
 # closed-form survival by model type, for the two solvable models
@@ -176,7 +197,10 @@ def _survival(cfg):
                                   omega_max=block["omega_max"], n_points=block["n_points"])
         block.update({key: series.info[key]
                       for key in ("contour_offset", "omega_max", "n_points")})
-        results = {key: series.info[key] for key in ("transform", "alias_bound", "tail_estimate")}
+        results = {key: series.info[key]
+                   for key in ("transform", "alias_bound", "tail_estimate", "expansion_terms")}
+        z0 = series.info["expansion_point"]
+        results["expansion_point"] = [z0.real, z0.imag]
     elif method == "pole-cut":
         series = survival_pole_cut(SelfEnergy(model), omega0, times)
     elif method == "closed":
@@ -224,7 +248,9 @@ def _verify_partition(cfg):
     deviations = {"g_p": dev_p, "g_qp": dev_qp, "g_q": dev_q}
     for name, dev in deviations.items():
         print(f"{name:<5} max deviation: {dev:.3e}")
-    return {"verify_partition.csv": (["block", "max_deviation"], deviations.items())}, deviations
+    return ({"verify_partition.csv": (["block", "max_deviation"],
+                                      [list(deviations), list(deviations.values())])},
+            deviations)
 
 
 def _packet(cfg):
@@ -245,13 +271,12 @@ def _packet(cfg):
                            eps, times, x=x, basis=basis or "plane_wave",
                            beta_slope=block["beta_slope"], offset=block["offset"])
     block["window"] = packet.info["window"]
-    tables = {"packet_coeff.csv": (["t", "epsilon", "abs2_c"], (
-        (t, e, abs(c) ** 2) for t, coeffs in zip(times, packet.coeffs)
-        for e, c in zip(eps, coeffs)))}
+    tables = {"packet_coeff.csv": (["t", "epsilon", "abs2_c"],
+                                   _grid_columns(times, eps, _abs2(packet.coeffs)))}
     if packet.psi is not None:
-        tables["packet_psi.csv"] = (["t", "x", "re_psi", "im_psi", "abs2_psi"], (
-            (t, xv, p.real, p.imag, abs(p) ** 2) for t, psi in zip(times, packet.psi)
-            for xv, p in zip(x, psi)))
+        psi = packet.psi.ravel()
+        tables["packet_psi.csv"] = (["t", "x", "re_psi", "im_psi", "abs2_psi"],
+                                    [*_grid_columns(times, x, psi.real), psi.imag, _abs2(psi)])
     return tables, None
 
 
@@ -260,14 +285,14 @@ def _twosurface(cfg):
     result = run_twosurface(TwoSurfaceConfig(**block))
     print(f"fitted rate {result.fitted_rate:.6g}, golden rule {result.golden.rate:.6g}, "
           f"trapped {result.trapped_fraction:.4f}")
-    snapshots = ((t, xv, d) for t, dens in zip(result.snapshot_times, result.snapshots_abs2)
-                 for xv, d in zip(result.x, dens))
-    return ({"p1.csv": (["t", "P1"], zip(result.times, result.p1)),
-             "psi2_snapshots.csv": (["t", "x", "abs2"], snapshots),
+    return ({"p1.csv": (["t", "P1"], [result.times, result.p1]),
+             "psi2_snapshots.csv": (["t", "x", "abs2"],
+                                    _grid_columns(result.snapshot_times, result.x,
+                                                  result.snapshots_abs2)),
              "summary.csv": (["fitted_rate", "golden_rule_rate", "trapped_fraction",
                               "absorbed_total"],
-                             [(result.fitted_rate, result.golden.rate,
-                               result.trapped_fraction, result.absorbed[-1])])},
+                             _single_row(result.fitted_rate, result.golden.rate,
+                                         result.trapped_fraction, result.absorbed[-1]))},
             {"fitted_rate": result.fitted_rate,
              "golden_rule_rate": result.golden.rate,
              "perturbative_ratio": result.golden.perturbative_ratio,
@@ -309,8 +334,8 @@ def _run(args) -> int:
     # different directories are byte-identical
     outdir = Path(cfg.pop("output")["dir"])
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, (header, rows) in tables.items():
-        _write_csv(outdir / name, header, rows)
+    for name, (header, columns) in tables.items():
+        _write_csv(outdir / name, header, columns)
     manifest = {"tool": "decaylab", "version": __version__, "subcommand": args.command,
                 "config": cfg, "outputs": sorted(tables),
                 "seed_free_determinism": not command.seeded}

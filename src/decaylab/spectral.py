@@ -4,7 +4,9 @@ Each model evaluates the nonnegative density on the real energy axis,
 reports its support interval, (for the analytic variants) continues D
 and its derivative into the complex energy plane, and owns the exact
 Cauchy transform of D, which is the self-energy of a level coupled to
-the continuum, together with the transform's exact derivative:
+the continuum, together with the transform's exact derivative and the
+moments of D about a complex point, the coefficients of the transform's
+large-|omega| expansion:
 
 * Lorentzian: a single pole in the opposite half-plane;
 * flat bands (AsymmetricBox, and Box as its symmetric case): a log;
@@ -93,6 +95,14 @@ class SpectralModel:
         """Derivative of ``cauchy``, -integral of D / (omega - eps)^2, on its conventions."""
         raise NotImplementedError
 
+    def moments(self, z0: complex, k: int) -> np.ndarray:
+        """mu_j = integral of (eps - z0)^j D(eps) for j < k, a complex array.
+
+        They are the coefficients of the large-|omega| expansion
+        cauchy(omega) = sum_j mu_j / (omega - z0)^(j + 1) above the axis.
+        """
+        raise NotImplementedError
+
     def support(self) -> tuple[float, float]:
         """Tight support interval, possibly unbounded."""
         raise NotImplementedError
@@ -151,6 +161,12 @@ class Lorentzian(SpectralModel):
 
     def cauchy_derivative(self, omega):
         return (-(np.pi * self.amplitude_sq / self.width) / self._pole_term(omega) ** 2)[()]
+
+    def moments(self, z0, k):
+        # The real moments diverge; these expand the upper-half-plane
+        # W / (omega - center + i width) about z0, a geometric series.
+        pole = complex(self.center, -self.width) - z0
+        return self.total_weight() * pole ** np.arange(k)
 
     def support(self):
         return (-np.inf, np.inf)
@@ -225,6 +241,10 @@ class AsymmetricBox(SpectralModel):
             out = (self.amplitude_sq * (self.lower - self.upper)
                    / ((w - self.lower) * (w - self.upper)))
         return np.where(self.amplitude_sq > 0, out, 0j)[()]
+
+    def moments(self, z0, k):
+        j, z0 = np.arange(1, k + 1), complex(z0)
+        return self.amplitude_sq * ((self.upper - z0) ** j - (self.lower - z0) ** j) / j
 
     def support(self):
         return (self.lower, self.upper)
@@ -327,6 +347,16 @@ class ThresholdPower(SpectralModel):
         out = np.where(w == 0, at_threshold, np.where(w == span, np.inf, out))
         return np.where(self.beta > 0, out, 0j)[()]
 
+    def moments(self, z0, k):
+        # (eps - z0)^j = sum_i C(j, i) (eps - mu)^i (mu - z0)^(j - i), each
+        # power of eps - mu integrated against beta (eps - mu)^alpha over [0, S]
+        span, a = self.cutoff - self.threshold, self.exponent + 1.0
+        i = np.arange(k)
+        powers = self.beta * span ** (a + i) / (a + i)
+        shift = self.threshold - z0
+        return np.array([special.comb(j, i[:j + 1]) * shift ** (j - i[:j + 1])
+                         @ powers[:j + 1] for j in range(k)], dtype=complex)
+
     def support(self):
         return (self.threshold, self.cutoff)
 
@@ -411,6 +441,22 @@ class Tabulated(SpectralModel):
                                    - np.where(y[-1] > 0, y[-1] / un, 0)),
             lambda u: special.xlogy(self._kinks, u).sum(axis=1))
         return np.where((w == x[0]) & (y[0] > 0) | (w == x[-1]) & (y[-1] > 0), np.inf, out)[()]
+
+    def moments(self, z0, k):
+        # On each segment D (eps - z0)^j is a polynomial of degree j + 1 <= k,
+        # which Gauss-Legendre with (k + 2) // 2 nodes integrates exactly.
+        nodes, weights = np.polynomial.legendre.leggauss((k + 2) // 2)
+        half = 0.5 * np.diff(self._eps)[:, None]
+        frac = 0.5 * (1.0 + nodes)
+        eps = self._eps[:-1, None] + 2.0 * half * frac
+        term = (half * weights * (self._vals[:-1, None] * (1.0 - frac)
+                                  + self._vals[1:, None] * frac)).astype(complex).ravel()
+        shifted = eps.ravel() - z0
+        out = np.empty(k, dtype=complex)
+        for j in range(k):
+            out[j] = term.sum()
+            term *= shifted
+        return out
 
     def support(self):
         return (float(self._eps[0]), float(self._eps[-1]))

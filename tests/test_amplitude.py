@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -43,11 +44,20 @@ class TestNumericInversion:
         assert np.max(np.abs(ratio - 1.0)) < 0.02
 
     def test_truncation_guard(self, lorentzian_se, box_se):
-        with pytest.raises(TruncationError):
-            dl.survival_numeric(lorentzian_se, 0.0, [0.0, 1.0], omega_max=5.0)
+        # a cutoff inside the radius (2.12 here) of the large-omega expansion,
+        # where its first omitted term estimates nothing
+        with pytest.raises(TruncationError, match="radius"):
+            dl.survival_numeric(lorentzian_se, 0.0, [0.0, 1.0], omega_max=2.0)
         # a positive cutoff inside the support truncates it
         with pytest.raises(TruncationError, match="clear the spectral support"):
             dl.survival_numeric(box_se, 0.0, [0.0, 1.0], omega_max=50.0)
+
+    def test_non_finite_expansion_guard(self):
+        # the moments of a band of half-width 1e308 overflow
+        se = dl.SelfEnergy(dl.Box(amplitude_sq=0.05, half_width=1e308))
+        for omega_max in (None, 1e300):
+            with pytest.raises(TruncationError, match="not finite"):
+                dl.survival_numeric(se, 0.0, [0.0, 1.0], omega_max=omega_max)
 
     def test_node_cap_guard(self):
         # the default step for t = 20 over a support of half-width 1e6 needs
@@ -78,7 +88,7 @@ class TestNumericInversion:
         err = np.max(np.abs(series.amplitude - closed))
         assert err <= series.info["alias_bound"] + series.info["tail_estimate"]
 
-    @pytest.mark.parametrize("n_points", [10_001, 7_001, 5_001])
+    @pytest.mark.parametrize("n_points", [335, 235, 168])
     def test_coarse_step_error_is_aliasing(self, lorentzian_se, n_points):
         """A step coarser than the default aliases; the bound holds, within 4x."""
         times = np.linspace(0.0, 20.0, 201)
@@ -88,8 +98,8 @@ class TestNumericInversion:
         assert max(1e-10, series.info["alias_bound"] / 4) < err <= series.info["alias_bound"]
 
     def test_alias_bound_infinite_past_the_period(self, lorentzian_se):
-        # 2 pi / h = 14 < t_max = 20: the aliased copies overlap the window
-        series = dl.survival_numeric(lorentzian_se, 0.0, [0.0, 20.0], n_points=2001)
+        # 2 pi / h = 8.4 < t_max = 20: the aliased copies overlap the window
+        series = dl.survival_numeric(lorentzian_se, 0.0, [0.0, 20.0], n_points=41)
         assert series.info["alias_bound"] == np.inf
 
     def test_non_uniform_times_take_direct_sum(self, lorentzian_se):
@@ -105,17 +115,32 @@ class TestNumericInversion:
                                    rtol=0, atol=1e-10)
 
 
-def full_array_inversion(se, omega0, times, offset, omega_max, n_points):
-    """The inversion in one piece: linspace nodes, a trapezoid weight array, the dense sum."""
+def expansion_coefficients(se, omega0, z0, radius, n):
+    """c_0 .. c_{n-1} of G - 1/(omega - omega0) = sum_k c_k / (omega - z0)^(k+1),
+    by Cauchy's formula on the circle |omega - z0| = radius, outside every singularity."""
+    m = 64
+    u = np.exp(2j * np.pi * np.arange(m) / m) / radius
+    w = z0 + 1.0 / u
+    diff = 1.0 / (w - omega0 - se.model.cauchy(w)) - 1.0 / (w - omega0)
+    return (np.fft.fft(diff / u) / m)[:n] * radius ** np.arange(n)
+
+
+def full_array_inversion(se, omega0, times, offset, omega_max, n_points, z0, radius):
+    """The inversion in one piece: linspace nodes, a trapezoid weight array, the dense
+    sum, with c_2 .. c_7 subtracted at the nodes and their transforms added back."""
     h = 2.0 * omega_max / (n_points - 1)
     nodes = np.linspace(-omega_max, omega_max, n_points) + 1j * offset
-    diff = 1.0 / (nodes - omega0 - se.sigma_physical(nodes)) - 1.0 / (nodes - omega0)
+    c = expansion_coefficients(se, omega0, z0, radius, 8)
+    diff = (1.0 / (nodes - omega0 - se.sigma_physical(nodes)) - 1.0 / (nodes - omega0)
+            - sum(c[k] / (nodes - z0) ** (k + 1) for k in range(2, 8)))
     w = np.full(n_points, h)
     w[0] = w[-1] = 0.5 * h
     f = (1j / (2.0 * np.pi)) * diff * w
     dense = sum(np.exp(-1j * np.outer(times, nodes.real[s:s + 4096])) @ f[s:s + 4096]
                 for s in range(0, n_points, 4096))
-    return dense * np.exp(offset * times) + np.exp(-1j * omega0 * times)
+    restored = sum(c[k] * (-1j * times) ** k / math.factorial(k) for k in range(2, 8))
+    return (dense * np.exp(offset * times) + restored * np.exp(-1j * z0 * times)
+            + np.exp(-1j * omega0 * times))
 
 
 TABLE_EPS = np.linspace(0.0, 20.0, 200)
@@ -134,8 +159,11 @@ class TestOnePass:
         series = dl.survival_numeric(threshold_se, 5.0, times, n_points=self.N_POINTS)
         info = series.info
         assert info["transform"] == ("direct" if perturb else "chirp_z")
+        assert info["expansion_terms"] == 6
+        # the support [0, 20] lies within 26 of z0 = 5 - 20i; the circle is at 200
         reference = full_array_inversion(threshold_se, 5.0, times, info["contour_offset"],
-                                         info["omega_max"], info["n_points"])
+                                         info["omega_max"], info["n_points"],
+                                         info["expansion_point"], 200.0)
         assert np.max(np.abs(series.amplitude - reference)) <= 1e-11
 
     @pytest.mark.parametrize("model, omega0, n_points, n_times", [
@@ -157,6 +185,93 @@ class TestOnePass:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+
+BUDGET_TABLE = dl.Tabulated(TABLE_EPS, dl.ThresholdPower(0.01, 0.5, 0.0, 20.0).density(TABLE_EPS))
+BUDGET_CASES = {
+    "lorentzian": (dl.Lorentzian(0.1, 0.0, 1.0), 0.0, np.linspace(0.0, 20.0, 201)),
+    "box": (dl.Box(0.05, 100.0), 0.0, np.linspace(0.0, 3.0 / GAMMA_BOX, 40)),
+    "asymmetric_box": (dl.AsymmetricBox(0.05, -3.0, 10.0), 1.0, np.linspace(0.0, 20.0, 41)),
+    "threshold": (dl.ThresholdPower(0.01, 0.5, 0.0, 20.0), 5.0, np.linspace(0.0, 100.0, 101)),
+    "tabulated_200_knots": (BUDGET_TABLE, 5.0, np.linspace(0.0, 10.0, 41)),
+}
+
+
+FINITE_SUPPORT = ["box", "asymmetric_box", "threshold", "tabulated_200_knots"]
+
+
+class TestErrorBudget:
+    """alias_bound + tail_estimate against the measured error of the inversion."""
+
+    @staticmethod
+    def _measured(model, omega0, times, scale):
+        """The run at scale times the default omega_max, same step, and its error
+        against the closed form, or else against a run over three times the range."""
+        se = dl.SelfEnergy(model)
+        default = dl.survival_numeric(se, omega0, times).info
+        h = 2.0 * default["omega_max"] / (default["n_points"] - 1)
+        omega_max = scale * default["omega_max"]
+        n_points = round(2.0 * omega_max / h) + 1
+        series = dl.survival_numeric(se, omega0, times, omega_max=omega_max, n_points=n_points)
+        if isinstance(model, dl.Lorentzian):
+            reference = dl.survival_lorentzian(model, omega0, times).amplitude
+        else:
+            reference = dl.survival_numeric(se, omega0, times, omega_max=3.0 * omega_max,
+                                            n_points=3 * (n_points - 1) + 1).amplitude
+        return series.info, float(np.max(np.abs(series.amplitude - reference)))
+
+    @pytest.mark.parametrize("scale", [0.6, 1.0])
+    @pytest.mark.parametrize("case", BUDGET_CASES.values(), ids=BUDGET_CASES)
+    def test_budget_bounds_the_measured_error(self, case, scale):
+        info, err = self._measured(*case, scale)
+        assert err <= info["alias_bound"] + info["tail_estimate"]
+
+    @pytest.mark.parametrize("scale", [0.6, 1.0])
+    @pytest.mark.parametrize("case", BUDGET_CASES.values(), ids=BUDGET_CASES)
+    def test_tail_estimate_is_not_far_above_the_error(self, case, scale):
+        # measured 23x to 140x here; the 1/omega^2 bound that sized omega_max
+        # before the moment subtraction read about 1000x the error at its default
+        info, err = self._measured(*case, scale)
+        assert info["tail_estimate"] < 1000.0 * err
+
+    @pytest.mark.parametrize("case", [BUDGET_CASES[k] for k in FINITE_SUPPORT],
+                             ids=FINITE_SUPPORT)
+    def test_expansion_coefficients_match_cauchy_formula(self, case):
+        # c_n from the moments against Cauchy's formula on |omega - z0| = omega_max / 2,
+        # past every singularity, since omega_max is at least twice their radius; the
+        # subtraction restores whatever c_n it subtracts, so only this check
+        # sees an error in them
+        model, omega0, times = case
+        info = dl.survival_numeric(dl.SelfEnergy(model), omega0, times).info
+        z0, radius = info["expansion_point"], info["omega_max"] / 2.0
+        series, _ = amplitude._propagator_series(model, omega0, z0, 9)
+        reference = expansion_coefficients(dl.SelfEnergy(model), omega0, z0, radius, 9)
+        weight = model.total_weight()
+        assert series[2] == pytest.approx(weight, rel=1e-13)
+        # the circle's values are of size W / radius^2, so its c_n carry
+        # rounding of about 1e-16 W radius^(n - 2)
+        scale = weight * radius ** (np.arange(9) - 2.0)
+        assert np.all(np.abs(series - reference) <= 1e-11 * scale)
+
+    # the finite supports; a band of half-width 100 would need the t^6 term at t = 1e-2
+    @pytest.mark.parametrize("model, omega0", [
+        (dl.Box(0.05, 10.0), 0.3), (dl.AsymmetricBox(0.05, -3.0, 10.0), 1.0),
+        (dl.ThresholdPower(0.01, 0.5, 0.0, 20.0), 5.0), (BUDGET_TABLE, 5.0),
+    ], ids=["box", "asymmetric_box", "threshold", "tabulated_200_knots"])
+    def test_short_time_series(self, model, omega0):
+        """|A|^2 = 1 - W t^2 + (W^2 / 4 + (mu_2 + W^2) / 12) t^4 + O(t^6), moments about omega0.
+
+        The t^2 term alone is the total weight W; a 1 % error in it would show
+        as 6e-7 at t = 1e-2, where the t^6 remainder is below 1e-10.
+        """
+        times = np.linspace(0.0, 1e-2, 11)
+        mu = model.moments(omega0, 3).real
+        weight = mu[0]
+        assert weight == pytest.approx(model.total_weight(), rel=1e-12)
+        quartic = weight**2 / 4.0 + (mu[2] + weight**2) / 12.0
+        probability = dl.survival_numeric(dl.SelfEnergy(model), omega0, times).probability()
+        residual = 1.0 - probability - weight * times**2 + quartic * times**4
+        assert np.max(np.abs(residual)) <= 1e-10
 
 
 SHAPED_TIMES = np.linspace(0.0, 10.0, 8).reshape(2, 4)

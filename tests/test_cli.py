@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import decaylab as dl
-from decaylab.cli import COMMANDS, SCHEMA, main
+from decaylab.cli import COMMANDS, SCHEMA, _abs2, _write_csv, main
 from decaylab.config import parse_config_text
 from decaylab.errors import ConfigParseError
 from decaylab.spectral import MODEL_TYPES
@@ -108,8 +108,12 @@ class TestSurvivalCommand:
         assert manifest["config"]["model"]["a"] == 0.0
         assert manifest["results"]["transform"] == "chirp_z"
         assert manifest["results"]["alias_bound"] < 1e-11
-        # the default omega_max is set by the 1e-5 truncated-tail target
-        assert manifest["results"]["tail_estimate"] == pytest.approx(1e-5)
+        # the default omega_max is set by the 1e-8 truncated-tail target of the
+        # first term left out of the K = 6 subtracted about z0 = omega0 - i Gamma
+        assert manifest["results"]["tail_estimate"] == pytest.approx(1e-8)
+        assert manifest["results"]["expansion_terms"] == 6
+        z0 = manifest["results"]["expansion_point"]
+        assert z0[0] == 0.0 and z0[1] < -1.0
 
     def test_closed_form_unavailable(self, tmp_path):
         text = ("model.type = thresholdpower\nmodel.beta_th = 0.01\n"
@@ -440,6 +444,39 @@ class TestExitCodes:
             cfg = write_config(tmp_path, text)
             assert main(["survival", "-c", str(cfg), "--out", str(tmp_path / "x")]) == 3
             capsys.readouterr()
+
+
+class TestCsvWriter:
+    """Whole-column writing gives the bytes of formatting every cell on its own."""
+
+    FLOATS = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+                       np.finfo(float).max, 0.1, 1.0, 1e16, 123456789.0, -1.5e-7])
+
+    def test_matches_per_cell_format(self, tmp_path):
+        rng = np.random.default_rng(3)
+        floats = np.concatenate([self.FLOATS,
+                                 rng.normal(size=50) * 10.0 ** rng.integers(-300, 300, 50)])
+        ints = np.arange(floats.size) - 7
+        strings = [f"block_{k}" for k in range(floats.size)]
+        path = tmp_path / "table.csv"
+        _write_csv(path, ["f", "i", "s", "g"], [floats, ints, strings, floats[::-1].tolist()])
+        rows = zip(floats, ints, strings, floats[::-1])
+        expected = ["f,i,s,g"] + [",".join([format(float(f), ".17g"), str(int(i)), s,
+                                            format(float(g), ".17g")]) for f, i, s, g in rows]
+        assert path.read_text() == "\n".join(expected) + "\n"
+
+    def test_single_python_int_column(self, tmp_path):
+        path = tmp_path / "row.csv"
+        _write_csv(path, ["iterations", "residual"], [[12], [3.0e-17]])
+        assert path.read_text() == "iterations,residual\n12,3.0000000000000001e-17\n"
+
+    def test_abs2_is_the_per_cell_square(self):
+        rng = np.random.default_rng(4)
+        z = (rng.normal(size=20_000) + 1j * rng.normal(size=20_000)) * np.exp(
+            rng.uniform(-300.0, 300.0, 20_000))
+        z = np.concatenate([z, [0j, -0.0 + 5e-324j, complex(np.inf, 1.0), complex(np.nan, 0.0)]])
+        per_cell = np.array([abs(v) ** 2 for v in z])
+        np.testing.assert_array_equal(_abs2(z), per_cell)
 
 
 class TestDeterminism:

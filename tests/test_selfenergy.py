@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 import decaylab as dl
 from decaylab.errors import DomainError
@@ -362,6 +363,49 @@ class TestCauchyTransform:
             assert grid.shape == (4, omegas.size // 4)
             scalars = np.array([complex(transform(w)) for w in omegas])
             np.testing.assert_allclose(grid.ravel(), scalars, rtol=1e-13, atol=atol)
+
+    # expansion points: damped, as the inversion takes them, and real
+    MOMENT_POINTS = (1.3 - 4.0j, 5.0 - 20.0j, -2.0)
+
+    @staticmethod
+    def _radius(model, z0):
+        """Distance from z0 to the farthest singularity of the moment series."""
+        lo, hi = model.support()
+        if np.isfinite(lo):
+            return max(abs(lo - z0), abs(hi - z0))
+        return abs(complex(model.center, -model.width) - z0)
+
+    @pytest.mark.parametrize("model", CAUCHY_MODELS[1:], ids=_model_id)
+    def test_moments_match_quadrature(self, model):
+        # adaptive, split at the breakpoints, between which D is smooth
+        lo, hi = model.support()
+        inner = model.breakpoints()
+        for z0 in self.MOMENT_POINTS:
+            moments = model.moments(z0, 7)
+            assert moments.shape == (7,)
+            for j, moment in enumerate(moments):
+                reference = integrate.quad(
+                    lambda e: model.density(e) * (e - z0) ** j, lo, hi, points=inner or None,
+                    limit=10 * len(inner) + 50, epsabs=0.0, epsrel=1e-12, complex_func=True)[0]
+                scale = model.total_weight() * self._radius(model, z0) ** j
+                assert abs(moment - reference) <= 1e-11 * scale, (z0, j)
+
+    @pytest.mark.parametrize("model", CAUCHY_MODELS, ids=_model_id)
+    def test_moment_series_matches_cauchy(self, model):
+        # sum_j mu_j / (omega - z0)^(j+1) is Sigma above the axis, the
+        # Lorentzian's exact W / (omega - center + i width) included; at four
+        # radii, 24 terms leave a relative remainder of about 4^-24; the
+        # tabulated knot sum itself cancels to about 3e-13 of its value there
+        for z0 in self.MOMENT_POINTS[:2]:
+            moments = model.moments(z0, 24)
+            radius = self._radius(model, z0)
+            for angle in (0.6, 1.2, 1.9, 2.6):
+                omega = z0 + 4.0 * radius * np.exp(1j * angle)
+                assert omega.imag > 0
+                u = 1.0 / (omega - z0)
+                series = np.sum(moments * u ** np.arange(1, 25))
+                exact = model.cauchy(omega)
+                assert abs(series - exact) <= 1e-12 * abs(exact), (z0, angle)
 
     @pytest.mark.parametrize("x", [0.5, 5.0, 19.5, -3.0, 30.0, -1e-9])
     def test_threshold_near_axis_against_elementary_form(self, x):
