@@ -195,7 +195,6 @@ def survival_numeric(se: SelfEnergy, omega0: float, times,
     model = se.model
     K = _EXPANSION_TERMS
 
-    weight = model.total_weight()
     lo, hi = model.support()
     reach = max(abs(b) for b in (lo, hi) if np.isfinite(b)) if np.isfinite(lo) or np.isfinite(hi) else 0.0
     reach = max(reach, abs(omega0))

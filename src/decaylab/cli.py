@@ -52,10 +52,8 @@ SCHEMA = {
     "selfenergy": {"grid_min": (float, None), "grid_max": (float, None),
                    "grid_n": (Count, 201)},
     "survival": {"method": (str, "numeric"), "tmax": (float, 10.0), "nt": (Count, 201),
-                 "omega_max": (float, None), "n_points": (Count, None)},
-    "oracle": {"n_bins": (Count, 1000), "binning": (str, "uniform"),
-               "window_lo": (float, None), "window_hi": (float, None),
-               "tmax": (float, 10.0), "nt": (Count, 201)},
+                 "omega_max": (float, None), "n_points": (Count, None),
+                 "n_bins": (Count, 1000), "window_lo": (float, None), "window_hi": (float, None)},
     "verify": {"n": (Count, 100), "n_omega": (Count, 20), "seed": (int, 12345)},
     "packet": {"span": (float, 40.0), "n_eps": (Count, 2001),
                "tmax": (float, None), "nt": (Count, 5), "basis": (str, None),
@@ -128,6 +126,13 @@ def _survival_table(series: SurvivalSeries):
              cut.real, cut.imag])
 
 
+def _check_order(section: str, block: dict, lo: str, hi: str) -> None:
+    """Refuse a range whose lower end is not below its upper end."""
+    if not block[lo] < block[hi]:
+        raise DomainError(f"{section}.{lo} = {block[lo]!r} must be below "
+                          f"{section}.{hi} = {block[hi]!r}")
+
+
 # ------------------------------------------------------------ subcommands ----
 #
 # A body takes the resolved config, fills in each value left to it (a None
@@ -145,6 +150,7 @@ def _spectral(cfg):
         block["eps_min"] = lo - 0.1 * width if np.isfinite(lo) else -5 * width
     if block["eps_max"] is None:
         block["eps_max"] = hi + 0.1 * width if np.isfinite(hi) else 5 * width
+    _check_order("spectral", block, "eps_min", "eps_max")
     eps = np.linspace(block["eps_min"], block["eps_max"], block["n"])
     return {"spectral.csv": (["epsilon", "D"], [eps, model.density(eps)])}, None
 
@@ -158,6 +164,7 @@ def _selfenergy(cfg):
         block["grid_min"] = (lo if np.isfinite(lo) else -3 * width) - 0.5 * width
     if block["grid_max"] is None:
         block["grid_max"] = (hi if np.isfinite(hi) else 3 * width) + 0.5 * width
+    _check_order("selfenergy", block, "grid_min", "grid_max")
     grid = np.linspace(block["grid_min"], block["grid_max"], block["grid_n"])
     # boundary values from above; infinite at a band edge where D is not zero
     sigma = model.cauchy(grid)
@@ -208,24 +215,20 @@ def _survival(cfg):
         if closed is None:
             raise DomainError("closed-form survival exists only for lorentzian and box models")
         series = closed(model, omega0, times)
+    elif method == "oracle":
+        lo, hi = block["window_lo"], block["window_hi"]
+        if (lo is None) != (hi is None):
+            raise DomainError("survival.window_lo and survival.window_hi must be given together")
+        if lo is not None:
+            _check_order("survival", block, "window_lo", "window_hi")
+        discrete = build_discrete(model, omega0, block["n_bins"],
+                                  window=None if lo is None else (lo, hi))
+        series = survival_exact_discrete(discrete, times)[0]
+        block["recurrence_time"] = series.info["recurrence_time"]
     else:
         raise DomainError(f"unknown survival method '{method}'")
     print(f"survival by {series.method}")
     return {"survival.csv": _survival_table(series)}, results
-
-
-def _oracle_survival(cfg):
-    block = cfg["oracle"]
-    lo, hi = block["window_lo"], block["window_hi"]
-    if (lo is None) != (hi is None):
-        raise DomainError("oracle.window_lo and oracle.window_hi must be given together")
-    discrete = build_discrete(model_from_config(cfg["model"]), cfg["system"]["omega0"],
-                              block["n_bins"], binning=block["binning"],
-                              window=None if lo is None else (lo, hi))
-    series, _ = survival_exact_discrete(discrete, np.linspace(0.0, block["tmax"], block["nt"]))
-    block["recurrence_time"] = series.info["recurrence_time"]
-    print(f"discrete oracle, recurrence time {block['recurrence_time']:.6g}")
-    return {"survival.csv": _survival_table(series)}, None
 
 
 def _verify_partition(cfg):
@@ -266,6 +269,7 @@ def _packet(cfg):
     basis = block["basis"]
     if basis is None and (block["beta_slope"] is not None or block["offset"] != 0.0):
         raise DomainError("packet.beta_slope and packet.offset need packet.basis")
+    _check_order("packet", block, "x_min", "x_max")
     x = np.linspace(block["x_min"], block["x_max"], block["n_x"]) if basis else None
     packet = evolve_packet(lambda e: np.sqrt(model.density(e)), omega0, gamma,
                            eps, times, x=x, basis=basis or "plane_wave",
@@ -313,7 +317,6 @@ COMMANDS = {
     "selfenergy": Command(_selfenergy, ("model", "selfenergy")),
     "poles": Command(_poles, ("model", "system")),
     "survival": Command(_survival, ("model", "system", "survival")),
-    "oracle-survival": Command(_oracle_survival, ("model", "system", "oracle")),
     "verify-partition": Command(_verify_partition, ("verify",), seeded=True),
     "packet": Command(_packet, ("model", "system", "packet")),
     "twosurface": Command(_twosurface, ("twosurface",)),
@@ -393,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="output directory (overrides output.dir)")
         if name == "survival":
             p.add_argument("--method", dest="survival.method",
-                           choices=["numeric", "pole-cut", "closed"])
+                           choices=["numeric", "pole-cut", "closed", "oracle"])
             p.add_argument("--tmax", dest="survival.tmax", metavar="TMAX", type=float)
             p.add_argument("--nt", dest="survival.nt", metavar="NT", type=int)
         p.set_defaults(func=_run)

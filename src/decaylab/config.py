@@ -1,10 +1,10 @@
 """Flat key-path config files, resolved section by section against a schema.
 
 One assignment per line, `section.key = value`; blank lines and
-#-comments are ignored.  Values parse as int, then float, then boolean,
-falling back to the bare string.  No environment overrides: what the
-file says, with the schema's defaults filled in, is what the run
-manifest records.
+#-comments are ignored.  A value is a number (int, then float) or a
+string: the quoted text, or the bare text as written.  No environment
+overrides: what the file says, with the schema's defaults filled in, is
+what the run manifest records.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ def _parse_value(raw: str):
         return float(text)
     except ValueError:
         pass
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
     return text
 
 

@@ -1,11 +1,11 @@
 """Exact finite-dimensional oracle: one level coupled to N energy bins.
 
-Discretizing the continuum turns the model into an (N+1) x (N+1)
-Hermitian arrowhead matrix whose resolvent and time evolution are
-available exactly.  This validates the projector partition identities and
-provides a brute-force reference for the survival amplitude and the
-continuum occupation, trustworthy up to the recurrence time set by the
-level spacing.  The evolution comes from the roots of the secular
+Discretizing the continuum into N uniform bins turns the model into an
+(N+1) x (N+1) Hermitian arrowhead matrix whose resolvent and time
+evolution are available exactly.  This validates the projector partition
+identities and provides a brute-force reference for the survival
+amplitude and the continuum occupation, trustworthy up to the recurrence
+time set by the level spacing.  The evolution comes from the roots of the secular
 equation (Bunch, Nielsen & Sorensen 1978; Gu & Eisenstat 1995) and the
 closed-form eigenvectors they give, in O(N^2) work and O(N) memory: no
 (N+1) x (N+1) array is built for it.
@@ -57,8 +57,14 @@ class DiscreteModel:
         return self.energies.size
 
     def hamiltonian(self) -> np.ndarray:
-        """Hermitian matrix: level in slot 0, bins on the diagonal."""
-        return _arrowhead(self.omega0, self.energies, self.couplings)
+        """Hermitian arrowhead matrix: level in slot 0, bins on the diagonal."""
+        n = self.size
+        h = np.zeros((n + 1, n + 1), dtype=complex)
+        h[0, 0] = self.omega0
+        h[1:, 0] = self.couplings
+        h[0, 1:] = np.conj(self.couplings)
+        h[np.arange(1, n + 1), np.arange(1, n + 1)] = self.energies
+        return h
 
     def sigma_discrete(self, omega):
         """Riemann-sum self-energy sum |V_i|^2 / (omega - eps_i), elementwise in omega."""
@@ -75,17 +81,6 @@ class DiscreteModel:
         return 2.0 * np.pi / float(np.max(np.diff(self.energies)))
 
 
-def _arrowhead(omega0: float, energies: np.ndarray, couplings: np.ndarray) -> np.ndarray:
-    """Level in slot 0 coupled to the bins on the diagonal; dtype of the couplings."""
-    n = energies.size
-    h = np.zeros((n + 1, n + 1), dtype=couplings.dtype)
-    h[0, 0] = omega0
-    h[1:, 0] = couplings
-    h[0, 1:] = np.conj(couplings)
-    h[np.arange(1, n + 1), np.arange(1, n + 1)] = energies
-    return h
-
-
 @dataclass(frozen=True)
 class PartitionedResolvent:
     """Projected resolvent blocks; Kronecker-delta bin convention."""
@@ -96,9 +91,12 @@ class PartitionedResolvent:
 
 
 def build_discrete(model: SpectralModel, omega0: float, n: int,
-                   binning: str = "uniform",
                    window: tuple[float, float] | None = None) -> DiscreteModel:
-    """Discretize a spectral model into n bins with |V_i|^2 = D(eps_i) * width_i."""
+    """Discretize a spectral model into n uniform bins, |V_i|^2 = D(eps_i) * width.
+
+    The bins split the support, cut to ``window`` if one is given, and each
+    sits at its midpoint eps_i.
+    """
     if n < 2:
         raise DomainError("need at least two bins")
     lo, hi = model.support()
@@ -106,17 +104,11 @@ def build_discrete(model: SpectralModel, omega0: float, n: int,
         lo = max(lo, float(window[0]))
         hi = min(hi, float(window[1]))
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-        raise DomainError("infinite support requires an explicit truncation window")
-    if binning == "uniform":
-        edges = np.linspace(lo, hi, n + 1)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        widths = np.diff(edges)
-    elif binning == "gauss-legendre":
-        x, w = np.polynomial.legendre.leggauss(n)
-        centers = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
-        widths = 0.5 * (hi - lo) * w
-    else:
-        raise DomainError(f"unknown binning '{binning}'")
+        raise DomainError(f"the bins need a finite interval, not [{lo}, {hi}]: an infinite "
+                          "support needs a truncation window, and a window must overlap it")
+    edges = np.linspace(lo, hi, n + 1)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    widths = np.diff(edges)
     couplings = np.sqrt(model.density(centers) * widths)
     return DiscreteModel(omega0=float(omega0), energies=centers,
                          couplings=couplings, widths=widths)

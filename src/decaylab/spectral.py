@@ -108,8 +108,8 @@ class SpectralModel:
         raise NotImplementedError
 
     def total_weight(self) -> float:
-        """Integral of D over its support."""
-        raise NotImplementedError
+        """Integral of D over its support: the zeroth moment."""
+        return float(self.moments(0.0, 1)[0].real)
 
     def char_width(self) -> float:
         """Characteristic energy width used for numerical scale choices: the support's."""
@@ -166,13 +166,10 @@ class Lorentzian(SpectralModel):
         # The real moments diverge; these expand the upper-half-plane
         # W / (omega - center + i width) about z0, a geometric series.
         pole = complex(self.center, -self.width) - z0
-        return self.total_weight() * pole ** np.arange(k)
+        return (np.pi * self.amplitude_sq / self.width) * pole ** np.arange(k)
 
     def support(self):
         return (-np.inf, np.inf)
-
-    def total_weight(self):
-        return np.pi * self.amplitude_sq / self.width
 
     def char_width(self):
         return self.width
@@ -248,9 +245,6 @@ class AsymmetricBox(SpectralModel):
 
     def support(self):
         return (self.lower, self.upper)
-
-    def total_weight(self):
-        return (self.upper - self.lower) * self.amplitude_sq
 
 
 @dataclass(frozen=True)
@@ -360,10 +354,6 @@ class ThresholdPower(SpectralModel):
     def support(self):
         return (self.threshold, self.cutoff)
 
-    def total_weight(self):
-        span = self.cutoff - self.threshold
-        return self.beta * span ** (self.exponent + 1.0) / (self.exponent + 1.0)
-
 
 class Tabulated(SpectralModel):
     """Sampled density with linear interpolation, zero outside the samples."""
@@ -460,9 +450,6 @@ class Tabulated(SpectralModel):
 
     def support(self):
         return (float(self._eps[0]), float(self._eps[-1]))
-
-    def total_weight(self):
-        return float(np.trapezoid(self._vals, self._eps))
 
     def breakpoints(self):
         return tuple(self._eps[1:-1])

@@ -26,6 +26,14 @@ survival.tmax = 5.0
 survival.nt = 51
 """
 
+# a flat band of weight 10 binned 400 times: the oracle recurs at t = 4 pi
+ORACLE_BOX_CONFIG = ("model.type = box\nmodel.A2 = 0.05\nmodel.L = 100\n"
+                     "system.omega0 = 0.0\nsurvival.n_bins = 400\n"
+                     "survival.tmax = 5.0\nsurvival.nt = 21\n")
+# bound on the rms deviation of the oracle from the inversion on ORACLE_BOX_CONFIG,
+# where it measures 2.7e-7
+ORACLE_AGREEMENT = 1e-5
+
 # a level below the threshold mu = 1
 BELOW_THRESHOLD_CONFIG = ("model.type = thresholdpower\nmodel.beta_th = 0.01\n"
                           "model.alpha = 0.5\nmodel.mu = 1.0\nmodel.Lambda = 50.0\n"
@@ -48,8 +56,17 @@ class TestConfigParsing:
         cfg = parse_config_text("a.x = 1\na.y = 2.5\nb.flag = true\nb.name = box\n")
         assert cfg["a"]["x"] == 1 and isinstance(cfg["a"]["x"], int)
         assert cfg["a"]["y"] == 2.5
-        assert cfg["b"]["flag"] is True
+        assert cfg["b"]["flag"] == "true"
         assert cfg["b"]["name"] == "box"
+
+    def test_word_values_stay_as_written(self, tmp_path, monkeypatch):
+        # `true` is a directory name like any other, not a recapitalised boolean
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, "model.type = box\nmodel.A2 = 0.05\nmodel.L = 1\n"
+                                     "spectral.n = 3\noutput.dir = true\n")
+        assert main(["spectral", "-c", str(cfg)]) == 0
+        assert (tmp_path / "true" / "spectral.csv").is_file()
+        assert not (tmp_path / "True").exists()
 
     def test_comments_and_blanks(self):
         cfg = parse_config_text("# comment\n\nmodel.type = box\n")
@@ -203,17 +220,29 @@ class TestOtherCommands:
         assert "outside the support" in capsys.readouterr().err
 
     def test_oracle_survival(self, tmp_path):
-        text = ("model.type = box\nmodel.A2 = 0.05\nmodel.L = 100\n"
-                "system.omega0 = 0.0\noracle.n_bins = 400\n"
-                "oracle.tmax = 5.0\noracle.nt = 21\n")
-        cfg = write_config(tmp_path, text)
+        cfg = write_config(tmp_path, ORACLE_BOX_CONFIG)
         out = tmp_path / "run"
-        assert main(["oracle-survival", "-c", str(cfg), "--out", str(out)]) == 0
+        assert main(["survival", "-c", str(cfg), "--out", str(out), "--method", "oracle"]) == 0
         data = read_csv(out / "survival.csv")
         assert data["abs2_A"][0] == pytest.approx(1.0, abs=1e-12)
         gamma = 2 * np.pi * 0.05
         expected = np.exp(-gamma * data["t"])
         assert np.max(np.abs(data["abs2_A"] - expected)) < 0.05
+        survival = json.loads((out / "run_manifest.json").read_text())["config"]["survival"]
+        assert survival["recurrence_time"] == pytest.approx(2 * np.pi / (200 / 400))
+
+    def test_oracle_agrees_with_numeric(self, tmp_path, capsys):
+        # the same box, grid and file layout by two routes, checked by `compare`
+        cfg = write_config(tmp_path, ORACLE_BOX_CONFIG)
+        for method in ("oracle", "numeric"):
+            assert main(["survival", "-c", str(cfg), "--out", str(tmp_path / method),
+                         "--method", method]) == 0
+        capsys.readouterr()
+        assert main(["compare", str(tmp_path / "oracle" / "survival.csv"),
+                     str(tmp_path / "numeric" / "survival.csv")]) == 0
+        report = capsys.readouterr().out
+        rms, largest = (float(line.split("=")[1]) for line in report.splitlines())
+        assert rms < ORACLE_AGREEMENT and largest < 2 * ORACLE_AGREEMENT
 
     def test_verify_partition(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -263,10 +292,9 @@ selfenergy.grid_n = 11
 survival.method = closed
 survival.tmax = 1.0
 survival.nt = 3
-oracle.n_bins = 50
-oracle.window_lo = -20.0
-oracle.window_hi = 20.0
-oracle.nt = 3
+survival.n_bins = 50
+survival.window_lo = -20.0
+survival.window_hi = 20.0
 verify.n = 10
 verify.n_omega = 2
 packet.nt = 2
@@ -321,9 +349,26 @@ BAD_INPUTS = {
         "survival.tmax", "survival.tmx"), "'tmax'"),
     "unknown section": ("survival", LORENTZIAN_CONFIG.replace("system.", "sytsem."),
                         "'system'"),
-    "half an oracle window": ("oracle-survival",
+    "half an oracle window": ("survival",
                               "model.type = box\nmodel.A2 = 0.05\nmodel.L = 100\n"
-                              "oracle.window_lo = -50\n", "window_hi"),
+                              "survival.method = oracle\nsurvival.window_lo = -50\n",
+                              "window_hi"),
+    "reversed oracle window": ("survival", ORACLE_BOX_CONFIG + "survival.method = oracle\n"
+                               "survival.window_lo = 50\nsurvival.window_hi = -50\n",
+                               "survival.window_lo = 50.0 must be below "
+                               "survival.window_hi = -50.0"),
+    "the old oracle subcommand": ("oracle-survival", ORACLE_BOX_CONFIG, "oracle-survival"),
+    "a key of the old oracle section": ("survival", ORACLE_BOX_CONFIG + "oracle.n_bins = 400\n",
+                                        "'oracle'"),
+    "empty spectral range": ("spectral", LORENTZIAN_CONFIG + "spectral.eps_min = 1\n"
+                             "spectral.eps_max = 1\n",
+                             "spectral.eps_min = 1.0 must be below spectral.eps_max = 1.0"),
+    "empty self-energy grid": ("selfenergy", LORENTZIAN_CONFIG + "selfenergy.grid_min = 0.5\n"
+                               "selfenergy.grid_max = 0.5\n", "selfenergy.grid_min = 0.5 must "
+                               "be below selfenergy.grid_max = 0.5"),
+    "reversed packet grid": ("packet", PACKET_CONFIG + "packet.basis = plane_wave\n"
+                             "packet.x_min = 300\npacket.x_max = -100\n",
+                             "packet.x_min = 300.0 must be below packet.x_max = -100.0"),
     "non-numeric survival value": ("survival", LORENTZIAN_CONFIG.replace(
         "survival.tmax = 5.0", "survival.tmax = abc"), "survival.tmax"),
     "non-numeric model value": ("survival", LORENTZIAN_CONFIG.replace(
@@ -368,7 +413,7 @@ BAD_INPUTS = {
     "no verification points": ("verify-partition", "verify.n_omega = 0\n", "verify.n_omega"),
     **{f"negative {key}": (command, LORENTZIAN_CONFIG + f"{key} = -3\n", key)
        for command, key in (("spectral", "spectral.n"), ("selfenergy", "selfenergy.grid_n"),
-                            ("survival", "survival.nt"), ("oracle-survival", "oracle.nt"),
+                            ("survival", "survival.nt"), ("survival", "survival.n_bins"),
                             ("packet", "packet.nt"), ("packet", "packet.n_x"))},
 }
 

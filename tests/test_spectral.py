@@ -1,5 +1,6 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,7 +127,6 @@ class TestAsymmetricBox:
     def test_cauchy_full_accuracy_against_mpmath(self, omega):
         # far from the band log(w + 2) - log(w - 2) cancels to 4/w; near it
         # and on the upper lip (Im = -pi) the difference of logs is exact
-        mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(40):
             w = mpmath.mpc(omega)
             exact = complex(mpmath.log(w + 2) - mpmath.log(w - 2))
