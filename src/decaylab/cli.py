@@ -223,8 +223,14 @@ def _survival(cfg):
             _check_order("survival", block, "window_lo", "window_hi")
         discrete = build_discrete(model, omega0, block["n_bins"],
                                   window=None if lo is None else (lo, hi))
+        recurrence = discrete.recurrence_time()
+        if block["tmax"] >= recurrence:
+            raise DomainError(f"survival.tmax = {block['tmax']!r} reaches the oracle's "
+                              f"recurrence time {recurrence:.6g} = 2pi/(bin spacing) at "
+                              f"survival.n_bins = {block['n_bins']}: raise survival.n_bins "
+                              "or lower survival.tmax")
         series = survival_exact_discrete(discrete, times)[0]
-        block["recurrence_time"] = series.info["recurrence_time"]
+        block["recurrence_time"] = recurrence
     else:
         raise DomainError(f"unknown survival method '{method}'")
     print(f"survival by {series.method}")

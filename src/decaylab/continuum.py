@@ -9,6 +9,7 @@ energy k^2, mass-1/2 convention) or Airy states of a linear slope.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,13 +84,32 @@ def packet_norm_sq(eps: np.ndarray, coeffs: np.ndarray) -> float | np.ndarray:
 
 
 def plane_wave_eigenfunction(eps, x) -> np.ndarray:
-    """Energy-normalized free wave exp(ikx)/sqrt(4*pi*k) with eps = k^2."""
+    """Energy-normalized free wave exp(ikx)/sqrt(4*pi*k) with eps = k^2, shape (n_x, n_eps).
+
+    x must be a uniform 1-d grid: every x[j] within 8 float64 epsilons of
+    max|x| of x[0] + j*dx, dx = (x[-1] - x[0])/(n_x - 1); grids of one or
+    two points are uniform.  With j = J*a + b and J = ceil(sqrt(n_x)), the
+    wave is the product of a coarse table exp(ik x[J*a])/sqrt(4*pi*k) and a
+    fine table exp(ik b*dx), so each energy costs n_x/J + J complex
+    exponentials instead of n_x.  A non-uniform x raises DomainError.
+    """
     eps = np.asarray(eps, dtype=float)
     if np.any(eps <= 0):
         raise BasisUnavailable("plane-wave basis needs strictly positive energies")
     k = np.sqrt(eps)
     x = np.asarray(x, dtype=float)
-    return np.exp(1j * np.multiply.outer(x, k)) / np.sqrt(4.0 * np.pi * k)
+    if x.ndim != 1:
+        raise DomainError(f"the plane-wave x grid must be 1-d, not of shape {x.shape}")
+    n = x.size
+    dx = (x[-1] - x[0]) / (n - 1) if n > 1 else 0.0
+    departure = np.max(np.abs(x[:1] + dx * np.arange(n) - x), initial=0.0)
+    if not departure <= 8.0 * np.finfo(float).eps * np.max(np.abs(x), initial=0.0):
+        raise DomainError(f"the plane-wave basis needs a uniform x grid: x[j] departs from "
+                          f"x[0] + j*dx, dx = {dx:.6g}, by up to {departure:.3g}")
+    stride = max(1, math.ceil(math.sqrt(n)))
+    coarse = np.exp(1j * np.multiply.outer(x[::stride], k)) / np.sqrt(4.0 * np.pi * k)
+    fine = np.exp(1j * np.multiply.outer(dx * np.arange(stride), k))
+    return (coarse[:, None] * fine).reshape(-1, *k.shape)[:n]
 
 
 def _u_coefficients(switch: float) -> tuple[np.ndarray, np.ndarray]:
@@ -196,7 +216,9 @@ def synthesize_packet(eps: np.ndarray, coeffs: np.ndarray, x: np.ndarray,
 
     Coefficients of shape (..., n_eps) give a packet of shape (..., n_x);
     each eigenfunction is evaluated once, in energy blocks of the shared
-    block budget of (x, eps) points.
+    block budget of (x, eps) points.  The plane-wave basis needs a uniform
+    x grid and builds each block from its two phase tables (see
+    plane_wave_eigenfunction); the Airy basis takes any x.
     """
     eps = np.asarray(eps, dtype=float)
     coeffs = np.asarray(coeffs, dtype=complex)

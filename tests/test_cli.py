@@ -334,6 +334,24 @@ class TestManifest:
         assert named, "the README names no config key"
         assert [f"{s}.{k}" for s, k in named if k not in valid[s]] == []
 
+    def test_readme_table_rows_have_the_header_cell_count(self):
+        # GitHub's tables split a row at every `|` not written `\|`, inside
+        # code spans too, so a stray one adds a cell
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        tables, fenced, in_table = [], False, False
+        for line in readme.splitlines():
+            fenced ^= line.startswith("```")
+            row = not fenced and line.startswith("|")
+            if row and not in_table:
+                tables.append([])
+            if row:
+                tables[-1].append(line)
+            in_table = row
+        assert tables, "the README has no table"
+        for table in tables:
+            pipes = [len(re.findall(r"(?<!\\)\|", row)) for row in table]
+            assert [row for row, n in zip(table, pipes) if n != pipes[0]] == []
+
 
 # A packet whose energy window stays above zero, where plane waves exist.
 PACKET_CONFIG = ("model.type = box\nmodel.A2 = 0.05\nmodel.L = 100\nsystem.omega0 = 50.0\n"
@@ -357,6 +375,13 @@ BAD_INPUTS = {
                                "survival.window_lo = 50\nsurvival.window_hi = -50\n",
                                "survival.window_lo = 50.0 must be below "
                                "survival.window_hi = -50.0"),
+    # 100 bins of width 2 recur at pi; run to t = 10, they differed from the
+    # inversion by rms 0.36 with exit 0
+    "oracle past its recurrence time": (
+        "survival", ORACLE_BOX_CONFIG.replace("n_bins = 400", "n_bins = 100").replace(
+            "tmax = 5.0", "tmax = 10.0") + "survival.method = oracle\n",
+        "survival.tmax = 10.0 reaches the oracle's recurrence time 3.14159 = 2pi/(bin spacing) "
+        "at survival.n_bins = 100"),
     "the old oracle subcommand": ("oracle-survival", ORACLE_BOX_CONFIG, "oracle-survival"),
     "a key of the old oracle section": ("survival", ORACLE_BOX_CONFIG + "oracle.n_bins = 400\n",
                                         "'oracle'"),

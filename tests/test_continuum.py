@@ -153,6 +153,45 @@ class TestPlaneWaveSynthesis:
         with pytest.raises(BasisUnavailable):
             dl.plane_wave_eigenfunction(eps, np.linspace(-1, 1, 8))
 
+    def test_tables_match_a_longdouble_reference(self):
+        """The benchmark's grid, where k*x reaches 1000: rounding of the phase
+        puts the tables 2.5e-13 of max|phi| off, and the direct exp 1.1e-13."""
+        gamma = 2.0 * np.pi * 0.005
+        eps = dl.default_energy_grid(10.0, gamma, n=4001, span=200.0)
+        x = np.linspace(-50.0, 250.0, 1024)
+        worst = peak = 0.0
+        for block in np.array_split(eps, 10):
+            phi = dl.plane_wave_eigenfunction(block, x)
+            k = np.sqrt(block.astype(np.longdouble))
+            phase = np.multiply.outer(x.astype(np.longdouble), k)
+            scale = 1.0 / np.sqrt(4.0 * np.pi * k)
+            worst = max(worst, float(np.max(np.hypot(phi.real - scale * np.cos(phase),
+                                                     phi.imag - scale * np.sin(phase)))))
+            peak = max(peak, float(np.max(scale)))
+        assert worst <= 3.5e-13 * peak
+
+    @pytest.mark.parametrize("n_x", [1, 2, 3, 1000, 1025])
+    def test_tables_match_the_direct_formula(self, n_x):
+        # 1000 and 1025 points leave the last coarse row of the tables ragged;
+        # the direct exp rounds k*x, up to 165 here, to about 4e-14
+        eps = np.linspace(0.5, 30.0, 37)
+        k = np.sqrt(eps)
+        for x in (np.linspace(-20.0, 30.0, n_x), np.linspace(30.0, -20.0, n_x)):
+            direct = np.exp(1j * np.multiply.outer(x, k)) / np.sqrt(4.0 * np.pi * k)
+            np.testing.assert_allclose(dl.plane_wave_eigenfunction(eps, x), direct,
+                                       rtol=0, atol=1e-13 * np.max(np.abs(direct)))
+
+    @pytest.mark.parametrize("x", [
+        np.linspace(0.0, 1.0, 64) + 1e-9 * (np.arange(64) == 17),
+        np.geomspace(1.0, 100.0, 50),
+        np.array([0.0, 1.0, 3.0]),
+    ], ids=["one point moved", "geometric", "three points"])
+    def test_non_uniform_grid_is_refused(self, x):
+        with pytest.raises(DomainError, match="uniform x grid"):
+            dl.plane_wave_eigenfunction(np.linspace(1.0, 2.0, 5), x)
+        with pytest.raises(DomainError, match="uniform x grid"):
+            dl.synthesize_packet(np.linspace(1.0, 2.0, 5), np.ones(5), x)
+
 
 class TestAiryBasis:
     BETA = 3.0
