@@ -14,13 +14,19 @@ large-|omega| expansion:
 * Tabulated: a sum of per-knot (omega - x) log(omega - x) terms, exact
   for the piecewise-linear interpolant.
 
+Far from a finite support both transforms come instead from one Laurent
+series in the model's own moments, at a cost that does not depend on the
+model.
+
 Models are immutable after construction and safe to share between
 workers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import special
@@ -42,21 +48,21 @@ __all__ = [
 ]
 
 
+# On a support [c - R, c + R], cauchy(omega) = sum_n mu_n R^n / (omega - c)^(n + 1)
+# with mu_n the moments of D about c at scale R, |mu_n| <= W, the weight.  At
+# |omega - c| >= 2R the terms from n = K on sum to at most (1/2)^K / (1 - 1/2)
+# of W / |omega - c|, 2.8e-17 at K = 56, while |cauchy| >= (2/3) W / |omega - c|
+# for a nonnegative D; the derivative's remainder, (K + 2) 2^(1 - K) of
+# W / |omega - c|^2, is 1.6e-15.
+_FAR_RADIUS = 2.0
+_FAR_TERMS = 56
+
+
 def _as_float_array(eps):
     arr = np.asarray(eps, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError("density requires finite real energies")
     return arr
-
-
-def _log1p(u):
-    """Real and imaginary parts of log(1 + u) for complex u, to full
-    relative accuracy at small |u|.
-
-    numpy's complex log1p forms 1 + u first and loses the digits of small u.
-    """
-    x, y = u.real, u.imag
-    return 0.5 * np.log1p(x * (2.0 + x) + y * y), np.arctan2(y, 1.0 + x)
 
 
 def _as_complex_array(omega):
@@ -89,17 +95,77 @@ class SpectralModel:
         whose imaginary part is -pi * D(omega) inside the support; it is
         infinite at a band edge where D does not vanish, and zero for a zero D.
         """
-        raise NotImplementedError
+        return self._transform(omega, self._cauchy_closed, 0)
 
     def cauchy_derivative(self, omega):
         """Derivative of ``cauchy``, -integral of D / (omega - eps)^2, on its conventions."""
+        return self._transform(omega, self._cauchy_derivative_closed, 1)
+
+    def _cauchy_closed(self, w):
+        """``cauchy`` in closed form on a complex array: the model's exact maths."""
         raise NotImplementedError
 
-    def moments(self, z0: complex, k: int) -> np.ndarray:
-        """mu_j = integral of (eps - z0)^j D(eps) for j < k, a complex array.
+    def _cauchy_derivative_closed(self, w):
+        """``cauchy_derivative`` in closed form on a complex array."""
+        raise NotImplementedError
 
-        They are the coefficients of the large-|omega| expansion
-        cauchy(omega) = sum_j mu_j / (omega - z0)^(j + 1) above the axis.
+    def _disc(self):
+        """Centre c and half-width R of a finite support [c - R, c + R], else None."""
+        lo, hi = self.support()
+        if math.isfinite(lo) and math.isfinite(hi):
+            return 0.5 * (lo + hi), 0.5 * hi - 0.5 * lo
+        return None
+
+    def _transform(self, omega, closed, order):
+        # The Laurent series about the centre c of a finite support at
+        # |omega - c| >= 2R, the closed form nearer and for an infinite support.
+        w = _as_complex_array(omega)
+        disc = self._disc()
+        if disc is None:
+            return closed(w)[()]
+        centre, radius = disc
+        far = np.abs(w - centre) >= _FAR_RADIUS * radius
+        if not far.any():
+            return closed(w)[()]
+        if far.all():
+            # [()] makes a lone point a numpy scalar, whose arithmetic costs
+            # a tenth of a 0-d array's
+            return self._laurent(radius / (w[()] - centre), radius, order)
+        out = np.empty(w.shape, dtype=complex)
+        out[far] = self._laurent(radius / (w[far] - centre), radius, order)
+        out[~far] = closed(w[~far])
+        return out[()]
+
+    @cached_property
+    def _laurent_coefficients(self):
+        # scaled centre moments, and the derivative's -(n + 1) times them;
+        # models are immutable, so they are made once, at the first far point
+        centre, radius = self._disc()
+        moments = self.moments(centre, _FAR_TERMS, scale=radius)
+        return moments, -np.arange(1, _FAR_TERMS + 1) * moments
+
+    def _laurent(self, u, radius, order):
+        """sum_n a_n u^n (u / radius)^(order + 1) at u = radius / (omega - c), by Horner's rule.
+
+        Takes an array, summed in place, or a scalar.
+        """
+        coefficients = self._laurent_coefficients[order]
+        total = coefficients[-1] * u
+        for a in coefficients[-2:0:-1]:
+            total += a
+            total *= u
+        total += coefficients[0]
+        for _ in range(order + 1):
+            total *= u
+        total /= radius ** (order + 1)
+        return total
+
+    def moments(self, z0: complex, k: int, scale: float = 1.0) -> np.ndarray:
+        """mu_j = integral of ((eps - z0) / scale)^j D(eps) for j < k, a complex array.
+
+        At scale 1 they are the coefficients of the large-|omega| expansion
+        cauchy(omega) = sum_j mu_j / (omega - z0)^(j + 1) above the axis; a
+        scale of the support's size keeps high orders finite.
         """
         raise NotImplementedError
 
@@ -151,21 +217,20 @@ class Lorentzian(SpectralModel):
         shifted = np.asarray(z, dtype=complex) - self.center
         return (-2.0 * shifted * self.density_complex(z) / (shifted**2 + self.width**2))[()]
 
-    def _pole_term(self, omega):
+    def _pole_term(self, w):
         # omega minus the pole of D in the half-plane opposite to omega
-        w = _as_complex_array(omega)
         return w - self.center + 1j * np.where(w.imag < 0, -1.0, 1.0) * self.width
 
-    def cauchy(self, omega):
-        return ((np.pi * self.amplitude_sq / self.width) / self._pole_term(omega))[()]
+    def _cauchy_closed(self, w):
+        return (np.pi * self.amplitude_sq / self.width) / self._pole_term(w)
 
-    def cauchy_derivative(self, omega):
-        return (-(np.pi * self.amplitude_sq / self.width) / self._pole_term(omega) ** 2)[()]
+    def _cauchy_derivative_closed(self, w):
+        return -(np.pi * self.amplitude_sq / self.width) / self._pole_term(w) ** 2
 
-    def moments(self, z0, k):
+    def moments(self, z0, k, scale=1.0):
         # The real moments diverge; these expand the upper-half-plane
         # W / (omega - center + i width) about z0, a geometric series.
-        pole = complex(self.center, -self.width) - z0
+        pole = (complex(self.center, -self.width) - z0) / scale
         return (np.pi * self.amplitude_sq / self.width) * pole ** np.arange(k)
 
     def support(self):
@@ -212,36 +277,25 @@ class AsymmetricBox(SpectralModel):
         # zero on the strip that density_complex checks
         return 0.0 * self.density_complex(z)
 
-    def cauchy(self, omega):
-        # Near the band, a difference of principal logs, not the log of their
-        # ratio, gives Im = -pi * A^2 on the upper lip without a special case.
-        # Far from it the two logs cancel, so there the same function is taken
-        # as log1p(u), u = (upper - lower)/(omega - upper): off the real
-        # segment both are analytic and vanish at infinity.  "Far" is
-        # |u| < 1/2, which never reaches the segment, where |u| >= 1.
-        w = _as_complex_array(omega)
-        width = self.upper - self.lower
-        far = np.abs(w - self.upper) > 2.0 * width
-        out = np.empty(w.shape, dtype=complex)
+    def _cauchy_closed(self, w):
+        # A difference of principal logs, not the log of their ratio, gives
+        # Im = -pi * A^2 on the upper lip without a special case.  Nearer the
+        # band than the far series reaches, the two logs do not cancel.
         with np.errstate(divide="ignore", invalid="ignore"):
-            out.real[far], out.imag[far] = _log1p(width / (w[far] - self.upper))
-            near = w[~far]
-            out[~far] = np.log(near - self.lower) - np.log(near - self.upper)
-            out *= self.amplitude_sq
-        if self.amplitude_sq == 0:
-            out.fill(0.0)      # no infinities on the edges of a zero-weight band
-        return out[()]
+            out = self.amplitude_sq * (np.log(w - self.lower) - np.log(w - self.upper))
+        # no infinities on the edges of a zero-weight band
+        return np.where(self.amplitude_sq > 0, out, 0j)
 
-    def cauchy_derivative(self, omega):
-        w = _as_complex_array(omega)
+    def _cauchy_derivative_closed(self, w):
         with np.errstate(divide="ignore", invalid="ignore"):
             out = (self.amplitude_sq * (self.lower - self.upper)
                    / ((w - self.lower) * (w - self.upper)))
-        return np.where(self.amplitude_sq > 0, out, 0j)[()]
+        return np.where(self.amplitude_sq > 0, out, 0j)
 
-    def moments(self, z0, k):
+    def moments(self, z0, k, scale=1.0):
         j, z0 = np.arange(1, k + 1), complex(z0)
-        return self.amplitude_sq * ((self.upper - z0) ** j - (self.lower - z0) ** j) / j
+        return (self.amplitude_sq * scale
+                * (((self.upper - z0) / scale) ** j - ((self.lower - z0) / scale) ** j) / j)
 
     def support(self):
         return (self.lower, self.upper)
@@ -308,11 +362,11 @@ class ThresholdPower(SpectralModel):
             raise BranchPointError("threshold is a branch point of the continuation")
         return (self.exponent * self.density_complex(z) / w)[()]
 
-    def cauchy(self, omega):
+    def _cauchy_closed(self, omega):
         # beta * S^a / (a * w) * 2F1(1, a; a + 1; S / w) with w = omega - mu,
         # S = cutoff - mu and a = exponent + 1: the power series in S / w,
         # summed term by term, continued by 2F1 off its cut S / w in (1, inf).
-        w = _as_complex_array(omega) - self.threshold
+        w = omega - self.threshold
         span = self.cutoff - self.threshold
         a = self.exponent + 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -324,13 +378,13 @@ class ThresholdPower(SpectralModel):
                            * np.abs(w.real) ** self.exponent, out)
         at_threshold = (-self.beta * span**self.exponent / self.exponent
                         if self.exponent > 0 else -np.inf)
-        return np.where(self.beta > 0, np.where(w == 0, at_threshold, out), 0j)[()]
+        return np.where(self.beta > 0, np.where(w == 0, at_threshold, out), 0j)
 
-    def cauchy_derivative(self, omega):
+    def _cauchy_derivative_closed(self, omega):
         # The series above through d/dz [z 2F1(1, a; a + 1; z)] = 2F1(2, a; a + 1; z):
         # -beta * S^a / (a * w^2) * 2F1(2, a; a + 1; S / w).  The relation
         # w Sigma' = alpha Sigma - beta S^a / (w - S) would cancel near the threshold.
-        w = _as_complex_array(omega) - self.threshold
+        w = omega - self.threshold
         span, a = self.cutoff - self.threshold, self.exponent + 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
             out = -self.beta * span**a / (a * w * w) * special.hyp2f1(2.0, a, a + 1.0, span / w)
@@ -339,17 +393,25 @@ class ThresholdPower(SpectralModel):
         # at the threshold, minus the integral of beta (eps - mu)^(alpha - 2)
         at_threshold = -self.beta * span ** (a - 2.0) / (a - 2.0) if a > 2.0 else -np.inf
         out = np.where(w == 0, at_threshold, np.where(w == span, np.inf, out))
-        return np.where(self.beta > 0, out, 0j)[()]
+        return np.where(self.beta > 0, out, 0j)
 
-    def moments(self, z0, k):
-        # (eps - z0)^j = sum_i C(j, i) (eps - mu)^i (mu - z0)^(j - i), each
-        # power of eps - mu integrated against beta (eps - mu)^alpha over [0, S]
+    def moments(self, z0, k, scale=1.0):
+        # J_j = integral over [0, S] of x^alpha (x - d)^j, x = eps - mu and
+        # d = z0 - mu, by parts: (a + j) J_j = S^a (S - d)^j - j d J_(j-1).
+        # Run forward at scale s, each step multiplies the error it inherits
+        # by j d / ((a + j) s): below 1 in modulus about the centre at s = S / 2,
+        # and elsewhere no faster than J_j / s^j grows, as the largest |x - d|
+        # on [0, S], at least |d|.  No binomial sum cancels, no power of s
+        # overflows, and S^a past the float range is inf, not OverflowError.
         span, a = self.cutoff - self.threshold, self.exponent + 1.0
-        i = np.arange(k)
-        powers = self.beta * span ** (a + i) / (a + i)
-        shift = self.threshold - z0
-        return np.array([special.comb(j, i[:j + 1]) * shift ** (j - i[:j + 1])
-                         @ powers[:j + 1] for j in range(k)], dtype=complex)
+        d = complex(z0) - self.threshold
+        edges = self.beta * np.float64(span) ** a * ((span - d) / scale) ** np.arange(k)
+        out = np.empty(k, dtype=complex)
+        previous = 0j
+        for j in range(k):
+            previous = (edges[j] - j * (d / scale) * previous) / (a + j)
+            out[j] = previous
+        return out
 
     def support(self):
         return (self.threshold, self.cutoff)
@@ -395,9 +457,8 @@ class Tabulated(SpectralModel):
         out = np.where((eps < self._eps[0]) | (eps > self._eps[-1]), 0.0, out)
         return out[()]
 
-    def _knot_sum(self, omega, ends, knots):
+    def _knot_sum(self, w, ends, knots):
         # ends(omega - x_0, omega - x_n) plus the row sums knots(omega - x)
-        w = _as_complex_array(omega)
         x = self._eps
         flat = w.ravel()
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -407,9 +468,9 @@ class Tabulated(SpectralModel):
                 # measured about 20 % slower on a 200-knot table
                 u = flat[rows, None] - x
                 out[rows] += knots(u)
-        return out.reshape(w.shape)[()]
+        return out.reshape(w.shape)
 
-    def cauchy(self, omega):
+    def _cauchy_closed(self, w):
         # Two integrations by parts against g(eps) = (omega - eps) log(omega - eps),
         # whose second derivative is 1/(omega - eps), leave the end values
         # and the slope changes of the piecewise-linear D:
@@ -417,22 +478,22 @@ class Tabulated(SpectralModel):
         #   + sum_k kink_k (omega - x_k) log(omega - x_k).
         y = self._vals
         return self._knot_sum(
-            omega,
+            w,
             lambda u0, un: special.xlogy(y[0], u0) - special.xlogy(y[-1], un) + (y[0] - y[-1]),
             lambda u: special.xlogy(u, u) @ self._kinks)
 
-    def cauchy_derivative(self, omega):
+    def _cauchy_derivative_closed(self, w):
         # The sum above term by term; the kinks sum to zero, which drops each
         # +1.  A zero end value or kink adds nothing, even at its own knot; at
         # an end where D does not vanish, its pole outweighs the log there.
-        x, y, w = self._eps, self._vals, np.asarray(omega)
+        x, y = self._eps, self._vals
         out = self._knot_sum(
-            omega, lambda u0, un: (np.where(y[0] > 0, y[0] / u0, 0)
-                                   - np.where(y[-1] > 0, y[-1] / un, 0)),
+            w, lambda u0, un: (np.where(y[0] > 0, y[0] / u0, 0)
+                               - np.where(y[-1] > 0, y[-1] / un, 0)),
             lambda u: special.xlogy(self._kinks, u).sum(axis=1))
-        return np.where((w == x[0]) & (y[0] > 0) | (w == x[-1]) & (y[-1] > 0), np.inf, out)[()]
+        return np.where((w == x[0]) & (y[0] > 0) | (w == x[-1]) & (y[-1] > 0), np.inf, out)
 
-    def moments(self, z0, k):
+    def moments(self, z0, k, scale=1.0):
         # On each segment D (eps - z0)^j is a polynomial of degree j + 1 <= k,
         # which Gauss-Legendre with (k + 2) // 2 nodes integrates exactly.
         nodes, weights = np.polynomial.legendre.leggauss((k + 2) // 2)
@@ -441,7 +502,7 @@ class Tabulated(SpectralModel):
         eps = self._eps[:-1, None] + 2.0 * half * frac
         term = (half * weights * (self._vals[:-1, None] * (1.0 - frac)
                                   + self._vals[1:, None] * frac)).astype(complex).ravel()
-        shifted = eps.ravel() - z0
+        shifted = (eps.ravel() - z0) / scale
         out = np.empty(k, dtype=complex)
         for j in range(k):
             out[j] = term.sum()

@@ -1,9 +1,12 @@
 import ast
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate, special
 
 import decaylab as dl
 from decaylab.errors import DomainError
@@ -312,10 +315,8 @@ class TestCauchyTransform:
 
     @staticmethod
     def _close_derivative(value, reference):
-        # The circle reference is good to about 1e-11 relative; the absolute
-        # term covers the tabulated knot sum, which at |omega| = 1e4 cancels
-        # down to a value of 6e-9 and is exact there only to about 1e-8 of it.
-        return abs(value - reference) <= 1e-9 * abs(reference) + 1e-15
+        # The circle reference is good to about 1e-11 relative
+        return abs(value - reference) <= 1e-9 * abs(reference)
 
     @pytest.mark.parametrize("model", CAUCHY_MODELS, ids=_model_id)
     def test_matches_adaptive_quadrature(self, model):
@@ -355,14 +356,11 @@ class TestCauchyTransform:
     @pytest.mark.parametrize("model", CAUCHY_MODELS, ids=_model_id)
     def test_vectorized_matches_scalar(self, model):
         omegas = np.array([*self.OFF_AXIS, *np.conj(self.OFF_AXIS), *self.ON_AXIS])
-        # The tabulated sum cancels terms of size |omega| log|omega| down to
-        # a value of size 1/|omega|, so at |omega| = 1e4 the summation order
-        # shows at 1e-12 absolute; its derivative's terms are of size log|omega|.
-        for transform, atol in ((model.cauchy, 1e-11), (model.cauchy_derivative, 1e-15)):
+        for transform in (model.cauchy, model.cauchy_derivative):
             grid = transform(omegas.reshape(4, -1))
             assert grid.shape == (4, omegas.size // 4)
             scalars = np.array([complex(transform(w)) for w in omegas])
-            np.testing.assert_allclose(grid.ravel(), scalars, rtol=1e-13, atol=atol)
+            np.testing.assert_allclose(grid.ravel(), scalars, rtol=1e-13)
 
     # expansion points: damped, as the inversion takes them, and real
     MOMENT_POINTS = (1.3 - 4.0j, 5.0 - 20.0j, -2.0)
@@ -389,13 +387,18 @@ class TestCauchyTransform:
                     limit=10 * len(inner) + 50, epsabs=0.0, epsrel=1e-12, complex_func=True)[0]
                 scale = model.total_weight() * self._radius(model, z0) ** j
                 assert abs(moment - reference) <= 1e-11 * scale, (z0, j)
+            # a scale s divides the j-th moment by s^j
+            np.testing.assert_allclose(model.moments(z0, 7, scale=3.0),
+                                       moments / 3.0 ** np.arange(7), rtol=1e-13)
 
     @pytest.mark.parametrize("model", CAUCHY_MODELS, ids=_model_id)
     def test_moment_series_matches_cauchy(self, model):
         # sum_j mu_j / (omega - z0)^(j+1) is Sigma above the axis, the
         # Lorentzian's exact W / (omega - center + i width) included; at four
-        # radii, 24 terms leave a relative remainder of about 4^-24; the
-        # tabulated knot sum itself cancels to about 3e-13 of its value there
+        # radii, 24 terms leave a relative remainder of about 4^-24.  The
+        # reference is the closed form, since cauchy itself takes a moment
+        # series this far out; the tabulated knot sum cancels to about 3e-13
+        # of its value there.
         for z0 in self.MOMENT_POINTS[:2]:
             moments = model.moments(z0, 24)
             radius = self._radius(model, z0)
@@ -404,8 +407,37 @@ class TestCauchyTransform:
                 assert omega.imag > 0
                 u = 1.0 / (omega - z0)
                 series = np.sum(moments * u ** np.arange(1, 25))
-                exact = model.cauchy(omega)
+                exact = model._cauchy_closed(np.asarray(omega))
                 assert abs(series - exact) <= 1e-12 * abs(exact), (z0, angle)
+
+    @pytest.mark.parametrize("model", CAUCHY_MODELS[1:], ids=_model_id)
+    def test_far_field_against_mpmath(self, model):
+        # far from the support, where the Laurent series serves both
+        lo, hi = model.support()
+        centre = 0.5 * (lo + hi)
+        for omega in (1e4 + 0.1j, centre + 200.0 * np.exp(1j), centre + 20.5 * np.exp(0.3j)):
+            exact, slope = _mpmath_transform(model, omega)
+            assert abs(model.cauchy(omega) - exact) <= 1e-14 * abs(exact), omega
+            assert abs(model.cauchy_derivative(omega) - slope) <= 1e-14 * abs(slope), omega
+
+    @pytest.mark.parametrize("model", CAUCHY_MODELS[1:], ids=_model_id)
+    @given(angle=st.floats(0.0, 2.0 * np.pi), side=st.sampled_from([1.0, -1.0]))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_near_and_far_agree_at_the_switch(self, model, angle, side):
+        # a hair outside |omega - c| = 2R, where cauchy takes the series,
+        # and a hair inside, where it takes the closed form, against the other
+        lo, hi = model.support()
+        centre, radius = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        omega = np.asarray(centre + 2.0 * radius * (1.0 + side * 1e-9) * np.exp(1j * angle))
+        pairs = ((model.cauchy, model._cauchy_closed, 0),
+                 (model.cauchy_derivative, model._cauchy_derivative_closed, 1))
+        for public, closed, order in pairs:
+            other = (closed(omega) if side > 0
+                     else model._laurent(radius / (omega - centre), radius, order))
+            # the closed form's rounding: of its value, or of the knot sum's terms
+            scale = (_knot_sum_size(model, omega, order) if isinstance(model, dl.Tabulated)
+                     else abs(other))
+            assert abs(public(omega) - other) <= 1e-14 * scale, (order, omega)
 
     @pytest.mark.parametrize("x", [0.5, 5.0, 19.5, -3.0, 30.0, -1e-9])
     def test_threshold_near_axis_against_elementary_form(self, x):
@@ -455,6 +487,43 @@ class TestCauchyTransform:
         se = dl.SelfEnergy(table)
         omega = 3.0 + 0.05j
         assert abs(sigma_quadrature(table, omega) - se.sigma_upper(omega)) < 1e-12
+
+
+def _mpmath_transform(model, omega):
+    """cauchy and cauchy_derivative at omega in 40 digits, from each closed form."""
+    with mpmath.workdps(40):
+        w = mpmath.mpc(omega)
+        if isinstance(model, dl.AsymmetricBox):
+            a2, a, b = (mpmath.mpf(v) for v in (model.amplitude_sq, model.lower, model.upper))
+            values = (a2 * (mpmath.log(w - a) - mpmath.log(w - b)),
+                      a2 * (a - b) / ((w - a) * (w - b)))
+        elif isinstance(model, dl.ThresholdPower):
+            beta, alpha, mu, cutoff = (mpmath.mpf(v) for v in (
+                model.beta, model.exponent, model.threshold, model.cutoff))
+            z, span, a = w - mu, cutoff - mu, alpha + 1
+            values = (beta * span**a / (a * z) * mpmath.hyp2f1(1, a, a + 1, span / z),
+                      -beta * span**a / (a * z * z) * mpmath.hyp2f1(2, a, a + 1, span / z))
+        else:
+            x = [mpmath.mpf(v) for v in model._eps]
+            y = [mpmath.mpf(v) for v in model._vals]
+            slopes = [(y[i + 1] - y[i]) / (x[i + 1] - x[i]) for i in range(len(x) - 1)]
+            kinks = [b - a for a, b in zip([0, *slopes], [*slopes, 0])]
+            logs = [mpmath.log(w - xk) for xk in x]
+            values = (y[0] * (logs[0] + 1) - y[-1] * (logs[-1] + 1)
+                      + sum(k * (w - xk) * log for k, xk, log in zip(kinks, x, logs)),
+                      y[0] / (w - x[0]) - y[-1] / (w - x[-1])
+                      + sum(k * log for k, log in zip(kinks, logs)))
+        return tuple(complex(v) for v in values)
+
+
+def _knot_sum_size(table, omega, order):
+    """Sum of the moduli of the terms of the tabulated closed form at omega."""
+    u = omega - table._eps
+    ends = np.abs(special.xlogy(table._vals[[0, -1]], u[[0, -1]]) if order == 0
+                  else table._vals[[0, -1]] / u[[0, -1]])
+    knots = np.abs(special.xlogy(u, u) if order == 0 else np.log(u)) @ np.abs(table._kinks)
+    constant = abs(table._vals[0] - table._vals[-1]) if order == 0 else 0.0
+    return ends.sum() + constant + knots
 
 
 def test_adaptive_reference_stays_out_of_production():

@@ -44,6 +44,22 @@ class TestBox:
     def test_total_weight(self):
         assert dl.Box(amplitude_sq=0.05, half_width=100.0).total_weight() == pytest.approx(10.0)
 
+    def test_wide_band_far_field_stays_finite(self):
+        # R^56 overflows at R = 1e6; the far series' moments are scaled by R^n
+        box = dl.Box(amplitude_sq=0.05, half_width=1e6)
+        j = np.arange(56)
+        expected = np.where(j % 2 == 0, 2 * 0.05 * 1e6 / (j + 1), 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_allclose(box.moments(0.0, 56, scale=1e6), expected,
+                                       rtol=1e-14, atol=1e-20)
+            omega = np.array([3e6 + 1.0j, -1e9, 2e6j])
+            got = box.cauchy(omega)
+        with mpmath.workdps(40):
+            exact = [complex(0.05 * (mpmath.log(w + 1e6) - mpmath.log(w - 1e6)))
+                     for w in map(mpmath.mpc, omega)]
+        np.testing.assert_allclose(got, exact, rtol=1e-14, atol=0)
+
 
 class TestLorentzian:
     def test_peak_value(self):
@@ -103,6 +119,20 @@ class TestThresholdPower:
         assert m.density_complex(3.0) == 0.0
         assert np.array_equal(m.density_complex(np.array([3.0, 4.0 - 1j])), [0.0, 1.0 - 1j])
 
+    @pytest.mark.parametrize("alpha", [-0.5, 0.5, 1.5])
+    def test_moments_against_mpmath(self, alpha):
+        # about the support's centre at its half-width, as the far series
+        # takes them, and unscaled about a damped point, as the inversion does
+        m = dl.ThresholdPower(beta=0.01, exponent=alpha, threshold=1.0, cutoff=21.0)
+        for z0, scale in ((11.0, 10.0), (6.0 - 20.0j, 1.0), (6.0 - 300.0j, 300.0)):
+            got = m.moments(z0, 56, scale=scale)
+            with mpmath.workdps(100):
+                d, span, a = mpmath.mpc(z0) - 1, mpmath.mpf(20), mpmath.mpf(alpha) + 1
+                exact = [complex(0.01 * sum(mpmath.binomial(n, i) * (-d) ** (n - i)
+                                            * span ** (a + i) / (a + i) for i in range(n + 1))
+                                 / mpmath.mpf(scale) ** n) for n in range(56)]
+            np.testing.assert_allclose(got, exact, rtol=1e-14, atol=0)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             dl.ThresholdPower(beta=1.0, exponent=-1.5, threshold=0.0, cutoff=1.0)
@@ -125,8 +155,9 @@ class TestAsymmetricBox:
     @pytest.mark.parametrize("omega", [1e3, 1e5, 1e7, -1e7, 1e5 * (1 + 1j), 5.0,
                                        2.0 + 1e-3, -2.0 - 1e-10, 0.3, 0.3 + 1e-3j])
     def test_cauchy_full_accuracy_against_mpmath(self, omega):
-        # far from the band log(w + 2) - log(w - 2) cancels to 4/w; near it
-        # and on the upper lip (Im = -pi) the difference of logs is exact
+        # far from the band, where log(w + 2) - log(w - 2) would cancel to
+        # 4/w, the moment series serves; near it and on the upper lip
+        # (Im = -pi) the difference of logs is exact
         with mpmath.workdps(40):
             w = mpmath.mpc(omega)
             exact = complex(mpmath.log(w + 2) - mpmath.log(w - 2))
