@@ -4,8 +4,10 @@
   horizontal contour above the real axis,
 * the residue-plus-branch-cut decomposition built from ``find_pole``'s
   zero (a resonance, or a bound state) and the threshold cut integral,
-* closed forms for the two exactly solvable models (Lorentzian density
-  and the wide flat band).
+* the two-pole closed form of the Lorentzian density.
+
+``survival_box`` is the wide-band weak-coupling limit of the flat band, a
+reference for checks and not a route.
 
 The cut integral is one fixed exp-sinh rule (Takahasi & Mori 1974) in the
 depth below the threshold, shared by all times; twice its step bounds the error.
@@ -241,8 +243,8 @@ def survival_numeric(se: SelfEnergy, omega0: float, times,
         if not needed <= 4_000_001:
             raise TruncationError(
                 f"the default contour needs {needed:.4g} nodes to bound the aliasing by "
-                f"{_ALIAS_EPS:g} at t = {t_max:g}, above its cap of 4000001; "
-                "pass n_points explicitly")
+                f"{_ALIAS_EPS:g} at t = {t_max:g}, above its cap of 4000001; shorten the times "
+                "or narrow the support, or pass n_points and accept the aliasing bound it gives")
         n_points = math.ceil(needed)
     n_points = int(n_points)
     if n_points < 2:
@@ -305,10 +307,14 @@ def survival_lorentzian(model: Lorentzian, omega0: float, times) -> SurvivalSeri
 
 def survival_box(amplitude_sq: float, half_width: float, omega0: float,
                  times) -> SurvivalSeries:
-    """Wide flat-band closed form: pure exponential at gamma = 2*pi*A^2.
+    """Wide-band weak-coupling limit of the flat band: exp(-i omega0 t - gamma t / 2)
+    at the golden-rule gamma = 2*pi*A^2.
 
-    Valid in the regime half_width >> |omega0| and half_width >> A^2;
-    finite-band deviations are probed with survival_numeric.
+    Not a survival route: it states no error and leaves out the band's edge
+    terms and its level shift, so it holds only for half_width >> |omega0|
+    and half_width >> A^2: on Box(0.05, 100) at omega0 = 50 it is 0.128 off
+    the inversion for t <= 40.  survival_numeric and survival_pole_cut give
+    the flat band's amplitude.
     """
     times = _check_times(times)
     gamma = 2.0 * np.pi * float(amplitude_sq)
@@ -368,10 +374,15 @@ def survival_pole_cut(se: SelfEnergy, omega0: float, times) -> SurvivalSeries:
     below the threshold its error is 2.8e-5 / t on ThresholdPower(0.01, 0.5,
     1, 50) at omega0 = 0, 1.2e-2 / t on Box(0.3, 2) at omega0 = -5 (t in [1, 100]).
     At t = 0 the cut term is fixed by completeness (A(0) = 1) instead of
-    the divergent-looking integral representation.
+    the divergent-looking integral representation.  A support with no finite
+    threshold raises DomainError before the pole is solved for.
     """
     times = _check_times(times)
     omega0 = float(omega0)
+    if not np.isfinite(se.model.support()[0]):
+        raise DomainError("pole-cut survival needs a finite threshold (lower support edge); "
+                          "take the closed form (survival_lorentzian, method 'closed') or "
+                          "the inversion (survival_numeric, method 'numeric')")
     pole = find_pole(se, omega0)
     pole_term = pole.residue * np.exp(-1j * pole.omega * times)
     cut_term = np.full(times.shape, 1.0 - pole.residue, dtype=complex)

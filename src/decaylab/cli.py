@@ -24,8 +24,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .amplitude import (SurvivalSeries, survival_box, survival_lorentzian,
-                        survival_numeric, survival_pole_cut)
+from .amplitude import (SurvivalSeries, survival_lorentzian, survival_numeric,
+                        survival_pole_cut)
 from .config import Count, did_you_mean, load_config, resolve_section
 from .continuum import default_energy_grid, evolve_packet
 from .discrete_oracle import (build_discrete, resolvent_direct,
@@ -34,7 +34,7 @@ from .discrete_oracle import (build_discrete, resolvent_direct,
 from .errors import DomainError, NumericalError, ValidationError
 from .poles import find_pole, weisskopf_wigner_rate
 from .selfenergy import SelfEnergy
-from .spectral import model_from_config, model_keys
+from .spectral import Lorentzian, model_from_config, model_keys
 from .twosurface import TwoSurfaceConfig, run as run_twosurface
 
 __all__ = ["main"]
@@ -52,7 +52,6 @@ SCHEMA = {
     "selfenergy": {"grid_min": (float, None), "grid_max": (float, None),
                    "grid_n": (Count, 201)},
     "survival": {"method": (str, "numeric"), "tmax": (float, 10.0), "nt": (Count, 201),
-                 "omega_max": (float, None), "n_points": (Count, None),
                  "n_bins": (Count, 1000), "window_lo": (float, None), "window_hi": (float, None)},
     "verify": {"n": (Count, 100), "n_omega": (Count, 20), "seed": (int, 12345)},
     "packet": {"span": (float, 40.0), "n_eps": (Count, 2001),
@@ -184,55 +183,62 @@ def _poles(cfg):
                                       result.iterations, result.final_residual))}, None
 
 
-# closed-form survival by model type, for the two solvable models
-CLOSED_FORMS = {
-    "lorentzian": survival_lorentzian,
-    "box": lambda model, omega0, times: survival_box(model.amplitude_sq, model.half_width,
-                                                     omega0, times),
-}
+# A survival route takes the model, omega0, the times and the survival block,
+# which it extends with the values it derives, and returns the series and its
+# results block.  A route refuses a model it does not serve.
+
+def _numeric_route(model, omega0, times, block):
+    series = survival_numeric(SelfEnergy(model), omega0, times)
+    block.update({key: series.info[key] for key in ("contour_offset", "omega_max", "n_points")})
+    results = {key: series.info[key]
+               for key in ("transform", "alias_bound", "tail_estimate", "expansion_terms")}
+    z0 = series.info["expansion_point"]
+    results["expansion_point"] = [z0.real, z0.imag]
+    return series, results
+
+
+def _pole_cut_route(model, omega0, times, block):
+    return survival_pole_cut(SelfEnergy(model), omega0, times), None
+
+
+def _closed_route(model, omega0, times, block):
+    if not isinstance(model, Lorentzian):
+        raise DomainError("closed-form survival exists only for the lorentzian model; "
+                          "use --method numeric or --method pole-cut")
+    return survival_lorentzian(model, omega0, times), None
+
+
+def _oracle_route(model, omega0, times, block):
+    lo, hi = block["window_lo"], block["window_hi"]
+    if (lo is None) != (hi is None):
+        raise DomainError("survival.window_lo and survival.window_hi must be given together")
+    if lo is not None:
+        _check_order("survival", block, "window_lo", "window_hi")
+    discrete = build_discrete(model, omega0, block["n_bins"],
+                              window=None if lo is None else (lo, hi))
+    recurrence = discrete.recurrence_time()
+    if block["tmax"] >= recurrence:
+        raise DomainError(f"survival.tmax = {block['tmax']!r} reaches the oracle's "
+                          f"recurrence time {recurrence:.6g} = 2pi/(bin spacing) at "
+                          f"survival.n_bins = {block['n_bins']}: raise survival.n_bins "
+                          "or lower survival.tmax")
+    block["recurrence_time"] = recurrence
+    return survival_exact_discrete(discrete, times)[0], None
+
+
+# survival.method -> route; also the choices of `survival --method`
+SURVIVAL_ROUTES = {"numeric": _numeric_route, "pole-cut": _pole_cut_route,
+                   "closed": _closed_route, "oracle": _oracle_route}
 
 
 def _survival(cfg):
     model = model_from_config(cfg["model"])
-    omega0 = cfg["system"]["omega0"]
     block = cfg["survival"]
+    route = SURVIVAL_ROUTES.get(block["method"])
+    if route is None:
+        raise DomainError(did_you_mean("survival method", block["method"], SURVIVAL_ROUTES))
     times = np.linspace(0.0, block["tmax"], block["nt"])
-    method = block["method"]
-    results = None
-    if method == "numeric":
-        series = survival_numeric(SelfEnergy(model), omega0, times,
-                                  omega_max=block["omega_max"], n_points=block["n_points"])
-        block.update({key: series.info[key]
-                      for key in ("contour_offset", "omega_max", "n_points")})
-        results = {key: series.info[key]
-                   for key in ("transform", "alias_bound", "tail_estimate", "expansion_terms")}
-        z0 = series.info["expansion_point"]
-        results["expansion_point"] = [z0.real, z0.imag]
-    elif method == "pole-cut":
-        series = survival_pole_cut(SelfEnergy(model), omega0, times)
-    elif method == "closed":
-        closed = CLOSED_FORMS.get(cfg["model"]["type"].lower())
-        if closed is None:
-            raise DomainError("closed-form survival exists only for lorentzian and box models")
-        series = closed(model, omega0, times)
-    elif method == "oracle":
-        lo, hi = block["window_lo"], block["window_hi"]
-        if (lo is None) != (hi is None):
-            raise DomainError("survival.window_lo and survival.window_hi must be given together")
-        if lo is not None:
-            _check_order("survival", block, "window_lo", "window_hi")
-        discrete = build_discrete(model, omega0, block["n_bins"],
-                                  window=None if lo is None else (lo, hi))
-        recurrence = discrete.recurrence_time()
-        if block["tmax"] >= recurrence:
-            raise DomainError(f"survival.tmax = {block['tmax']!r} reaches the oracle's "
-                              f"recurrence time {recurrence:.6g} = 2pi/(bin spacing) at "
-                              f"survival.n_bins = {block['n_bins']}: raise survival.n_bins "
-                              "or lower survival.tmax")
-        series = survival_exact_discrete(discrete, times)[0]
-        block["recurrence_time"] = recurrence
-    else:
-        raise DomainError(f"unknown survival method '{method}'")
+    series, results = route(model, cfg["system"]["omega0"], times, block)
     print(f"survival by {series.method}")
     return {"survival.csv": _survival_table(series)}, results
 
@@ -402,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="output directory (overrides output.dir)")
         if name == "survival":
             p.add_argument("--method", dest="survival.method",
-                           choices=["numeric", "pole-cut", "closed", "oracle"])
+                           choices=list(SURVIVAL_ROUTES))
             p.add_argument("--tmax", dest="survival.tmax", metavar="TMAX", type=float)
             p.add_argument("--nt", dest="survival.nt", metavar="NT", type=int)
         p.set_defaults(func=_run)

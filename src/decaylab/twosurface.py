@@ -75,9 +75,9 @@ class TwoSurfaceConfig:
 @dataclass
 class TwoSurfaceState:
     """Two complex wavefunctions on the shared grid, the rows of one (2, n_x)
-    array psi, plus probability booked as absorbed by the edge ramp and as
-    drift of the unitary substeps.  psi1 and psi2 are views of its rows and
-    assigning to them writes into psi, so swapping the surfaces needs copies."""
+    array psi, the bound surface's psi[0] and the slope surface's psi[1],
+    plus probability booked as absorbed by the edge ramp and as drift of the
+    unitary substeps."""
 
     x: np.ndarray
     psi: np.ndarray
@@ -85,24 +85,6 @@ class TwoSurfaceState:
     absorbed: float
     dx: float
     drift: float = 0.0
-
-    @property
-    def psi1(self) -> np.ndarray:
-        """The bound surface's wavefunction, the row psi[0]."""
-        return self.psi[0]
-
-    @psi1.setter
-    def psi1(self, value):
-        self.psi[0] = value
-
-    @property
-    def psi2(self) -> np.ndarray:
-        """The slope surface's wavefunction, the row psi[1]."""
-        return self.psi[1]
-
-    @psi2.setter
-    def psi2(self, value):
-        self.psi[1] = value
 
     def norm_total(self) -> float:
         return float(np.vdot(self.psi, self.psi).real) * self.dx
@@ -154,11 +136,11 @@ def _operators(config: TwoSurfaceConfig) -> _Operators:
 def init_state(config: TwoSurfaceConfig) -> TwoSurfaceState:
     """Oscillator ground state on surface 1, empty surface 2."""
     x = config.grid()
-    psi1 = (np.pi * np.sqrt(2.0)) ** -0.25 * np.exp(-x**2 / (2.0 * np.sqrt(2.0)))
-    if max(abs(psi1[0]), abs(psi1[-1])) > 1e-12:
+    ground = (np.pi * np.sqrt(2.0)) ** -0.25 * np.exp(-x**2 / (2.0 * np.sqrt(2.0)))
+    if max(abs(ground[0]), abs(ground[-1])) > 1e-12:
         raise GridTooNarrow("initial Gaussian does not vanish at the grid edges")
     psi = np.zeros((2, x.size), dtype=complex)
-    psi[0] = psi1
+    psi[0] = ground
     return TwoSurfaceState(x=x, psi=psi, t=0.0, absorbed=0.0, dx=config.dx())
 
 
@@ -197,7 +179,7 @@ def step(state: TwoSurfaceState, config: TwoSurfaceConfig) -> TwoSurfaceState:
 
 def survival_probability(state: TwoSurfaceState) -> float:
     """Probability remaining on the bound surface."""
-    return float(np.vdot(state.psi1, state.psi1).real) * state.dx
+    return float(np.vdot(state.psi[0], state.psi[0]).real) * state.dx
 
 
 def golden_rule_rate(coupling: float, beta_slope: float) -> GoldenRule:
@@ -248,7 +230,7 @@ class TwoSurfaceRun:
     near_origin: np.ndarray        # probability in |x| < trap_radius, both surfaces
     absorbed: np.ndarray
     snapshot_times: np.ndarray
-    snapshots_abs2: np.ndarray     # |psi2|^2, shape (n_snapshots, n_x)
+    snapshots_abs2: np.ndarray     # |psi[1]|^2, shape (n_snapshots, n_x)
     x: np.ndarray
     golden: GoldenRule
     fitted_rate: float
@@ -303,14 +285,14 @@ def run(config: TwoSurfaceConfig) -> TwoSurfaceRun:
 
     record(0)
     snaps_t.append(state.t)
-    snaps.append(np.abs(state.psi2) ** 2)
+    snaps.append(np.abs(state.psi[1]) ** 2)
     for i in range(1, n_steps + 1):
         step(state, config)
         record(i)
         norm_dev = max(norm_dev, abs(state.drift))
         if i % config.snapshot_stride == 0 or i == n_steps:
             snaps_t.append(state.t)
-            snaps.append(np.abs(state.psi2) ** 2)
+            snaps.append(np.abs(state.psi[1]) ** 2)
 
     window = (times >= t_lo) & (times <= t_hi) & (p1 > 0)
     if window.sum() < 10:

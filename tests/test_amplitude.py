@@ -520,6 +520,15 @@ class TestPoleCut:
         np.testing.assert_allclose(series.amplitude,
                                    series.pole_term + series.cut_term)
 
+    def test_requires_finite_threshold(self, lorentzian_se, monkeypatch):
+        # refused before the pole solve, naming the routes that serve the model
+        def no_solve(*args):
+            raise AssertionError("find_pole ran")
+
+        monkeypatch.setattr(amplitude, "find_pole", no_solve)
+        with pytest.raises(DomainError, match="finite threshold.*'closed'.*'numeric'"):
+            dl.survival_pole_cut(lorentzian_se, 0.0, [0.0, 1.0])
+
 
 class TestCrossModelRoutes:
     def test_tabulated_inversion_against_matrix_oracle(self):

@@ -132,6 +132,26 @@ class TestSurvivalCommand:
         z0 = manifest["results"]["expansion_point"]
         assert z0[0] == 0.0 and z0[1] < -1.0
 
+    def test_readme_example_runs_as_written(self, tmp_path, monkeypatch, capsys):
+        # the README's decay.cfg and its `decaylab` lines, run as written; the
+        # last, inversion against the oracle, prints the rms the README quotes
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```\w*\n(.*?)```", readme, re.S)
+        (tmp_path / "decay.cfg").write_text(next(b for b in blocks
+                                                 if b.startswith("# decay.cfg\n")))
+        commands = [line.split()[1:] for block in blocks for line in block.splitlines()
+                    if line.startswith("decaylab ")]
+        assert [argv[0] for argv in commands] == ["survival", "survival", "compare",
+                                                  "survival", "compare"]
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            capsys.readouterr()
+            assert main(argv) == 0, argv
+        assert commands[-1][2] == "out/oracle/survival.csv"
+        rms = float(capsys.readouterr().out.splitlines()[0].split("=")[1])
+        quoted = float(re.search(r"rms deviation of\s+(\d\.\de-\d+)", readme).group(1))
+        assert rms == pytest.approx(quoted, abs=0.1e-7)
+
     def test_closed_form_unavailable(self, tmp_path):
         text = ("model.type = thresholdpower\nmodel.beta_th = 0.01\n"
                 "model.alpha = 0.5\nmodel.mu = 0.0\nmodel.Lambda = 20.0\n"
@@ -363,6 +383,8 @@ BAD_INPUTS = {
     "misspelled survival key": ("survival", LORENTZIAN_CONFIG.replace("survival.tmax",
                                                                       "survival.tmx"),
                                 "'tmax'"),
+    "misspelled survival method": ("survival", LORENTZIAN_CONFIG.replace(
+        "method = closed", "method = pole_cut"), "did you mean 'pole-cut'?"),
     "misspelled key in a section not read": ("poles", LORENTZIAN_CONFIG.replace(
         "survival.tmax", "survival.tmx"), "'tmax'"),
     "unknown section": ("survival", LORENTZIAN_CONFIG.replace("system.", "sytsem."),
@@ -422,14 +444,26 @@ BAD_INPUTS = {
                              "snapshot_stride"),
     "negative two-surface slope": ("twosurface", "twosurface.beta_slope = -1.0\n",
                                    "beta_slope"),
-    "negative omega_max": ("survival", LORENTZIAN_CONFIG.replace(
-        "survival.method = closed", "survival.method = numeric\nsurvival.omega_max = -1"),
-        "omega_max"),
     "negative seed": ("verify-partition", "verify.seed = -1\n", "verify.seed"),
     # settings that restate what the run derives are not keys
     "pole guess": ("poles", LORENTZIAN_CONFIG + "poles.guess_re = 0.1\n", "'poles'"),
     "contour height": ("survival", LORENTZIAN_CONFIG + "survival.contour_a = 0.3\n",
                        "'contour_a'"),
+    "contour cutoff": ("survival", LORENTZIAN_CONFIG.replace(
+        "survival.method = closed", "survival.method = numeric\nsurvival.omega_max = 60"),
+        "'omega_max'"),
+    # 21 nodes on the README's Lorentzian at tmax = 20 put |A| 13.95 off the
+    # closed form with exit 0
+    "contour node count": ("survival", LORENTZIAN_CONFIG.replace(
+        "survival.method = closed", "survival.method = numeric\nsurvival.n_points = 21"),
+        "'n_points'"),
+    # the golden-rule exponential, 0.128 off the inversion at omega0 = 50 for t <= 40
+    "closed form of a box": ("survival", ORACLE_BOX_CONFIG.replace(
+        "system.omega0 = 0.0", "system.omega0 = 50.0") + "survival.method = closed\n",
+        "--method numeric or --method pole-cut"),
+    # the Lorentzian has no threshold to hang a cut from
+    "pole-cut without a threshold": ("survival", LORENTZIAN_CONFIG.replace(
+        "survival.method = closed", "survival.method = pole-cut"), "method 'closed'"),
     "packet rate": ("packet", PACKET_CONFIG + "packet.gamma = 0.3\n", "'gamma'"),
     "two-surface coupling by its old name": ("twosurface", "twosurface.V = 0.5\n",
                                              "'coupling'"),
@@ -500,17 +534,13 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
-        # omega_max far below the spectral support, a support so wide that
-        # the default omega_max overflows, and supports so wide that the
-        # default contour would need more nodes than its cap (at 1e154 the
-        # squared tail margin overflows too), are truncation errors
-        low_cutoff = LORENTZIAN_CONFIG.replace("survival.method = closed",
-                                               "survival.method = numeric\n"
-                                               "survival.omega_max = 0.5")
+        # a support so wide that the default omega_max overflows, and supports
+        # so wide that the default contour would need more nodes than its cap
+        # (at 1e154 the squared tail margin overflows too), are truncation errors
         huge_support = ("model.type = box\nmodel.A2 = 0.05\nmodel.L = 1e308\n"
                         "system.omega0 = 0.0\nsurvival.method = numeric\n")
         capped_nodes = [huge_support.replace("1e308", L) for L in ("1e6", "1e154")]
-        for text in (low_cutoff, huge_support, *capped_nodes):
+        for text in (huge_support, *capped_nodes):
             cfg = write_config(tmp_path, text)
             assert main(["survival", "-c", str(cfg), "--out", str(tmp_path / "x")]) == 3
             capsys.readouterr()

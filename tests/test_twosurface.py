@@ -28,11 +28,11 @@ class TestInitialState:
 
     def test_second_surface_empty(self):
         state = init_state(TwoSurfaceConfig())
-        assert np.all(state.psi2 == 0.0)
+        assert np.all(state.psi[1] == 0.0)
 
     def test_gaussian_moments(self):
         state = init_state(TwoSurfaceConfig())
-        dens = np.abs(state.psi1) ** 2
+        dens = np.abs(state.psi[0]) ** 2
         mean = np.sum(state.x * dens) * state.dx
         second = np.sum(state.x**2 * dens) * state.dx
         assert mean == pytest.approx(0.0, abs=1e-12)
@@ -48,10 +48,10 @@ class TestStep:
     def test_uncoupled_ground_state_is_stationary(self):
         config = TwoSurfaceConfig(coupling=0.0, t_max=5.0)
         state = init_state(config)
-        reference = state.psi1.copy()
+        reference = state.psi[0].copy()
         for _ in range(10_000):
             step(state, config)
-        overlap = abs(np.sum(np.conj(state.psi1) * reference) * state.dx)
+        overlap = abs(np.sum(np.conj(state.psi[0]) * reference) * state.dx)
         assert abs(overlap - 1.0) < 1e-6
         assert survival_probability(state) == pytest.approx(1.0, abs=1e-9)
 
@@ -60,18 +60,18 @@ class TestStep:
                                   n_x=4096, dt=5e-4, t_max=1.0)
         state = init_state(config)
         # move the Gaussian onto the slope surface
-        state.psi1, state.psi2 = state.psi2.copy(), state.psi1.copy()
+        state.psi = state.psi[::-1].copy()
         k = 2.0 * np.pi * np.fft.fftfreq(config.n_x, d=state.dx)
 
         def mean_momentum(psi):
             ft = np.fft.fft(psi)
             return float(np.sum(k * np.abs(ft) ** 2) / np.sum(np.abs(ft) ** 2))
 
-        start = mean_momentum(state.psi2)
+        start = mean_momentum(state.psi[1])
         n_steps = 2000
         for _ in range(n_steps):
             step(state, config)
-        gained = mean_momentum(state.psi2) - start
+        gained = mean_momentum(state.psi[1]) - start
         assert gained == pytest.approx(config.beta_slope * n_steps * config.dt,
                                        rel=0.01)
 
@@ -84,7 +84,7 @@ class TestStep:
             state = init_state(config)
             for _ in range(int(round(t_final / dt))):
                 step(state, config)
-            return np.concatenate([state.psi1, state.psi2])
+            return state.psi.ravel()
 
         reference = evolve(5e-4)
         errors = [np.linalg.norm(evolve(dt) - reference) for dt in (8e-3, 4e-3)]
@@ -144,8 +144,8 @@ def reference_step(state, config):
     ramp = np.sin(0.5 * np.pi * (x[on_ramp] - ramp_start) / config.absorber_width)
     mask = 1.0 - config.absorber_strength * ramp**2
 
-    before = norm(state.psi1, state.psi2)
-    p1, p2 = half_potential(state.psi1, state.psi2)
+    before = norm(*state.psi)
+    p1, p2 = half_potential(*state.psi)
     p1 = np.fft.ifft(kinetic_phase * np.fft.fft(p1))
     p2 = np.fft.ifft(kinetic_phase * np.fft.fft(p2))
     p1, p2 = half_potential(p1, p2)
@@ -154,7 +154,7 @@ def reference_step(state, config):
                              * (1.0 - mask**2)) * dx
     p1[on_ramp] *= mask
     p2[on_ramp] *= mask
-    state.psi1, state.psi2 = p1, p2
+    state.psi = np.array([p1, p2])
     state.t += config.dt
 
 
@@ -169,29 +169,19 @@ class TestFusedStep:
         np.testing.assert_array_equal(twosurface._half_potential(psi, ops),
                                       [u11 * p1 + ops.u12 * p2, ops.u12 * p1 + u22 * p2])
 
-    def test_surface_assignment_writes_into_the_state(self):
-        state = init_state(TwoSurfaceConfig(n_x=256))
-        psi = state.psi
-        bound = np.arange(256) + 1j
-        state.psi1 = bound
-        state.psi2 = 2.0 * bound
-        assert state.psi is psi
-        np.testing.assert_array_equal(psi, [bound, 2.0 * bound])
-        assert np.shares_memory(state.psi1, psi) and np.shares_memory(state.psi2, psi)
-
     def test_matches_reference_step(self):
         # coupling on, and a packet on the slope that runs into the absorber
         config = TwoSurfaceConfig(x_min=-10.0, x_max=30.0, n_x=256, dt=1e-3)
         fused, plain = init_state(config), init_state(config)
         for state in (fused, plain):
-            state.psi2 = (np.exp(-(state.x - 20.0) ** 2 + 4j * state.x)
+            state.psi[1] = (np.exp(-(state.x - 20.0) ** 2 + 4j * state.x)
                           / (np.pi / 2.0) ** 0.25 / 2.0)
         for _ in range(500):
             step(fused, config)
             reference_step(plain, config)
         assert plain.absorbed > 1e-3
-        assert np.max(np.abs(fused.psi1 - plain.psi1)) < 1e-12
-        assert np.max(np.abs(fused.psi2 - plain.psi2)) < 1e-12
+        assert np.max(np.abs(fused.psi[0] - plain.psi[0])) < 1e-12
+        assert np.max(np.abs(fused.psi[1] - plain.psi[1])) < 1e-12
         assert abs(fused.absorbed - plain.absorbed) < 1e-12
         assert abs(fused.drift - plain.drift) < 1e-12
 
@@ -204,9 +194,9 @@ class TestFusedStep:
         for i in range(result.times.size):
             if i:
                 step(state, config)
-            p1.append(np.sum(np.abs(state.psi1) ** 2) * state.dx)
-            near.append((np.sum(np.abs(state.psi1[near_sel]) ** 2)
-                         + np.sum(np.abs(state.psi2[near_sel]) ** 2)) * state.dx)
+            p1.append(np.sum(np.abs(state.psi[0]) ** 2) * state.dx)
+            near.append((np.sum(np.abs(state.psi[0, near_sel]) ** 2)
+                         + np.sum(np.abs(state.psi[1, near_sel]) ** 2)) * state.dx)
         np.testing.assert_allclose(result.p1, p1, rtol=1e-13, atol=1e-16)
         np.testing.assert_allclose(result.near_origin, near, rtol=1e-13, atol=1e-16)
 
