@@ -22,8 +22,7 @@ from .discrete_oracle import (DiscreteModel, PartitionedResolvent,
 from .continuum import (ContinuumPacket, airy_slope_eigenfunction,
                         default_energy_grid, evolve_packet,
                         packet_coefficients, packet_norm_sq,
-                        plane_wave_eigenfunction, spectral_distribution,
-                        synthesize_packet)
+                        plane_wave_eigenfunction, synthesize_packet)
 from .twosurface import (GoldenRule, TwoSurfaceConfig, TwoSurfaceState,
                          TwoSurfaceRun, golden_rule_rate, init_state,
                          packet_moments, run, step, survival_probability)
@@ -40,7 +39,7 @@ __all__ = [
     "cut_integral", "tail_asymptote", "survival_pole_cut",
     "DiscreteModel", "PartitionedResolvent", "build_discrete",
     "resolvent_direct", "resolvent_partitioned", "survival_exact_discrete",
-    "ContinuumPacket", "spectral_distribution", "default_energy_grid",
+    "ContinuumPacket", "default_energy_grid",
     "packet_coefficients", "packet_norm_sq", "plane_wave_eigenfunction",
     "airy_slope_eigenfunction", "synthesize_packet", "evolve_packet",
     "TwoSurfaceConfig", "TwoSurfaceState", "TwoSurfaceRun", "GoldenRule",

@@ -41,10 +41,10 @@ from scipy import fft as sfft, special
 
 from ._blocks import row_blocks
 from .errors import (DomainError, QuadratureFailure, SingularDenominator,
-                     TruncationError)
+                     TruncationError, UnsupportedContinuation)
 from .poles import find_pole, lorentzian_poles
 from .selfenergy import SelfEnergy
-from .spectral import Lorentzian
+from .spectral import Lorentzian, SpectralModel
 
 __all__ = [
     "SurvivalSeries",
@@ -375,7 +375,8 @@ def survival_pole_cut(se: SelfEnergy, omega0: float, times) -> SurvivalSeries:
     1, 50) at omega0 = 0, 1.2e-2 / t on Box(0.3, 2) at omega0 = -5 (t in [1, 100]).
     At t = 0 the cut term is fixed by completeness (A(0) = 1) instead of
     the divergent-looking integral representation.  A support with no finite
-    threshold raises DomainError before the pole is solved for.
+    threshold, or a model without a complex continuation of D (Tabulated),
+    is refused before the pole is solved for.
     """
     times = _check_times(times)
     omega0 = float(omega0)
@@ -383,6 +384,11 @@ def survival_pole_cut(se: SelfEnergy, omega0: float, times) -> SurvivalSeries:
         raise DomainError("pole-cut survival needs a finite threshold (lower support edge); "
                           "take the closed form (survival_lorentzian, method 'closed') or "
                           "the inversion (survival_numeric, method 'numeric')")
+    if type(se.model).density_complex is SpectralModel.density_complex:
+        raise UnsupportedContinuation(
+            f"pole-cut survival needs the complex continuation of D, which "
+            f"{type(se.model).__name__} does not have; take the inversion (survival_numeric, "
+            "--method numeric) or the oracle (survival_exact_discrete, --method oracle)")
     pole = find_pole(se, omega0)
     pole_term = pole.residue * np.exp(-1j * pole.omega * times)
     cut_term = np.full(times.shape, 1.0 - pole.residue, dtype=complex)

@@ -49,15 +49,13 @@ SCHEMA = {
     "model": model_keys,
     "system": {"omega0": (float, 0.0)},
     "spectral": {"eps_min": (float, None), "eps_max": (float, None), "n": (Count, 401)},
-    "selfenergy": {"grid_min": (float, None), "grid_max": (float, None),
-                   "grid_n": (Count, 201)},
     "survival": {"method": (str, "numeric"), "tmax": (float, 10.0), "nt": (Count, 201),
                  "n_bins": (Count, 1000), "window_lo": (float, None), "window_hi": (float, None)},
     "verify": {"n": (Count, 100), "n_omega": (Count, 20), "seed": (int, 12345)},
     "packet": {"span": (float, 40.0), "n_eps": (Count, 2001),
                "tmax": (float, None), "nt": (Count, 5), "basis": (str, None),
                "x_min": (float, -100.0), "x_max": (float, 300.0), "n_x": (Count, 2048),
-               "beta_slope": (float, None), "offset": (float, 0.0)},
+               "beta_slope": (float, None)},
     "twosurface": {f.name: (type(f.default), f.default) for f in fields(TwoSurfaceConfig)},
 }
 
@@ -151,25 +149,11 @@ def _spectral(cfg):
         block["eps_max"] = hi + 0.1 * width if np.isfinite(hi) else 5 * width
     _check_order("spectral", block, "eps_min", "eps_max")
     eps = np.linspace(block["eps_min"], block["eps_max"], block["n"])
-    return {"spectral.csv": (["epsilon", "D"], [eps, model.density(eps)])}, None
-
-
-def _selfenergy(cfg):
-    model = model_from_config(cfg["model"])
-    block = cfg["selfenergy"]
-    lo, hi = model.support()
-    width = model.char_width()
-    if block["grid_min"] is None:
-        block["grid_min"] = (lo if np.isfinite(lo) else -3 * width) - 0.5 * width
-    if block["grid_max"] is None:
-        block["grid_max"] = (hi if np.isfinite(hi) else 3 * width) + 0.5 * width
-    _check_order("selfenergy", block, "grid_min", "grid_max")
-    grid = np.linspace(block["grid_min"], block["grid_max"], block["grid_n"])
     # boundary values from above; infinite at a band edge where D is not zero
-    sigma = model.cauchy(grid)
+    sigma = model.cauchy(eps)
     sigma = np.where(np.isfinite(sigma), sigma, complex(np.nan, np.nan))
-    return {"selfenergy.csv": (["omega", "re_sigma", "im_sigma"],
-                               [grid, sigma.real, sigma.imag])}, None
+    return {"spectral.csv": (["epsilon", "D", "re_sigma", "im_sigma"],
+                             [eps, model.density(eps), sigma.real, sigma.imag])}, None
 
 
 def _poles(cfg):
@@ -198,7 +182,11 @@ def _numeric_route(model, omega0, times, block):
 
 
 def _pole_cut_route(model, omega0, times, block):
-    return survival_pole_cut(SelfEnergy(model), omega0, times), None
+    series = survival_pole_cut(SelfEnergy(model), omega0, times)
+    pole = series.info["pole"]
+    return series, {"pole": [pole.omega_prime, pole.omega_dprime],
+                    "residue": [pole.residue.real, pole.residue.imag],
+                    "iterations": pole.iterations, "residual": pole.final_residual}
 
 
 def _closed_route(model, omega0, times, block):
@@ -279,13 +267,13 @@ def _packet(cfg):
         block["tmax"] = 3.0 / gamma
     times = np.linspace(0.0, block["tmax"], block["nt"])
     basis = block["basis"]
-    if basis is None and (block["beta_slope"] is not None or block["offset"] != 0.0):
-        raise DomainError("packet.beta_slope and packet.offset need packet.basis")
+    if basis is None and block["beta_slope"] is not None:
+        raise DomainError("packet.beta_slope needs packet.basis")
     _check_order("packet", block, "x_min", "x_max")
     x = np.linspace(block["x_min"], block["x_max"], block["n_x"]) if basis else None
     packet = evolve_packet(lambda e: np.sqrt(model.density(e)), omega0, gamma,
                            eps, times, x=x, basis=basis or "plane_wave",
-                           beta_slope=block["beta_slope"], offset=block["offset"])
+                           beta_slope=block["beta_slope"])
     block["window"] = packet.info["window"]
     tables = {"packet_coeff.csv": (["t", "epsilon", "abs2_c"],
                                    _grid_columns(times, eps, _abs2(packet.coeffs)))}
@@ -326,7 +314,6 @@ class Command(NamedTuple):
 
 COMMANDS = {
     "spectral": Command(_spectral, ("model", "spectral")),
-    "selfenergy": Command(_selfenergy, ("model", "selfenergy")),
     "poles": Command(_poles, ("model", "system")),
     "survival": Command(_survival, ("model", "system", "survival")),
     "verify-partition": Command(_verify_partition, ("verify",), seeded=True),

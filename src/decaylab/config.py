@@ -70,9 +70,14 @@ def load_config(path) -> dict[str, dict[str, object]]:
 
 
 def did_you_mean(what: str, name: str, valid) -> str:
-    """Error message for an unknown name, with the nearest valid one."""
+    """Error message for an unknown name, with the nearest valid one.
+
+    A name is near at a difflib ratio of 0.8 or more, which typos such as
+    'tmx' for 'tmax' (0.86) pass and unrelated names that share a few
+    letters, such as 'n_points' and 'n_bins' (0.71), do not.
+    """
     valid = sorted(valid)
-    close = difflib.get_close_matches(name, valid, n=1)
+    close = difflib.get_close_matches(name, valid, n=1, cutoff=0.8)
     hint = f"did you mean {close[0]!r}?" if close else f"valid: {', '.join(map(repr, valid))}"
     return f"unknown {what} {name!r}; {hint}"
 

@@ -19,7 +19,6 @@ from ._blocks import row_blocks
 from .errors import BasisUnavailable, DomainError
 
 __all__ = [
-    "spectral_distribution",
     "default_energy_grid",
     "packet_coefficients",
     "packet_norm_sq",
@@ -31,25 +30,11 @@ __all__ = [
 ]
 
 
-def spectral_distribution(omega0: float, gamma: float):
-    """Normalized Lorentzian line shape of the emitted packet (FWHM gamma)."""
-    if gamma <= 0:
-        raise DomainError("gamma must be positive")
-    omega0 = float(omega0)
-    half = 0.5 * gamma
+def default_energy_grid(omega0: float, gamma: float, n: int, span: float) -> np.ndarray:
+    """Uniform energy grid of n points over [omega0 - span*gamma, omega0 + span*gamma].
 
-    def dist(eps):
-        eps = np.asarray(eps, dtype=float)
-        return (gamma / (2.0 * np.pi)) / ((eps - omega0) ** 2 + half**2)
-
-    return dist
-
-def default_energy_grid(omega0: float, gamma: float, n: int = 2001,
-                        span: float = 40.0) -> np.ndarray:
-    """Uniform energy grid over [omega0 - span*gamma, omega0 + span*gamma].
-
-    The default span keeps more than 99 percent of the Lorentzian weight
-    on the grid; the window always appears in run manifests.
+    A span of 40 keeps more than 99 percent of the Lorentzian weight on
+    the grid; the window always appears in run manifests.
     """
     if gamma <= 0 or span <= 0 or n < 2:
         raise DomainError("need gamma > 0, span > 0 and at least two grid points")
@@ -183,35 +168,34 @@ def _ai(arg: np.ndarray) -> np.ndarray:
     return ai
 
 
-def airy_slope_eigenfunction(eps, x, beta_slope: float, offset: float = 0.0) -> np.ndarray:
-    """Energy-normalized eigenfunctions of kinetic k^2 plus -beta*x + offset.
+def airy_slope_eigenfunction(eps, x, beta_slope: float) -> np.ndarray:
+    """Energy-normalized eigenfunctions of kinetic k^2 plus -beta*x.
 
-    Ai(-beta^(1/3) * (x + (eps - offset)/beta)) scaled by beta^(-1/6);
-    the WKB tail matches cos(integral k dx)/sqrt(pi*k), the normalization
-    that makes the overlap of two of them a delta in energy.  Ai comes from
-    its oscillatory expansion (DLMF 9.7.9) where the argument is at or below
-    -AI_SWITCH = -10, from its exponential one (DLMF 9.7.5) at or above +10,
-    and from scipy.special.airy in between.
+    Ai(-beta^(1/3) * (x + eps/beta)) scaled by beta^(-1/6); on a slope
+    raised by o, pass eps - o.  The WKB tail matches cos(integral k dx) /
+    sqrt(pi*k), the normalization that makes the overlap of two of them a
+    delta in energy.  Ai comes from its oscillatory expansion (DLMF 9.7.9)
+    where the argument is at or below -AI_SWITCH = -10, from its exponential
+    one (DLMF 9.7.5) at or above +10, and from scipy.special.airy in between.
     """
     if beta_slope is None or beta_slope <= 0:
         raise BasisUnavailable("slope basis requires beta_slope > 0")
     eps = np.asarray(eps, dtype=float)
     x = np.asarray(x, dtype=float)
     b3 = beta_slope ** (1.0 / 3.0)
-    arg = -b3 * (np.add.outer(x, (eps - offset) / beta_slope))
+    arg = -b3 * (np.add.outer(x, eps / beta_slope))
     return beta_slope ** (-1.0 / 6.0) * _ai(arg)
 
 
-# basis name -> eigenfunction(eps, x, beta_slope, offset), shape (n_x, n_eps)
+# basis name -> eigenfunction(eps, x, beta_slope), shape (n_x, n_eps)
 BASES = {
-    "plane_wave": lambda eps, x, beta_slope, offset: plane_wave_eigenfunction(eps, x),
+    "plane_wave": lambda eps, x, beta_slope: plane_wave_eigenfunction(eps, x),
     "linear_slope_airy": airy_slope_eigenfunction,
 }
 
 
 def synthesize_packet(eps: np.ndarray, coeffs: np.ndarray, x: np.ndarray,
-                      basis: str = "plane_wave", beta_slope: float | None = None,
-                      offset: float = 0.0) -> np.ndarray:
+                      basis: str = "plane_wave", beta_slope: float | None = None) -> np.ndarray:
     """Spatial packet Psi(x) = sum_k phi_{eps_k}(x) c_k deps_k.
 
     Coefficients of shape (..., n_eps) give a packet of shape (..., n_x);
@@ -228,12 +212,12 @@ def synthesize_packet(eps: np.ndarray, coeffs: np.ndarray, x: np.ndarray,
     phi = BASES.get(basis)
     if phi is None:
         raise BasisUnavailable(f"unknown basis '{basis}'")
-    if basis == "plane_wave" and (beta_slope is not None or offset != 0.0):
-        raise BasisUnavailable("the plane-wave basis takes neither beta_slope nor offset")
+    if basis == "plane_wave" and beta_slope is not None:
+        raise BasisUnavailable("the plane-wave basis takes no beta_slope")
     weighted = coeffs * np.gradient(eps)
     psi = np.zeros(coeffs.shape[:-1] + x.shape, dtype=complex)
     for block in row_blocks(eps.size, x.size):
-        psi += weighted[..., block] @ phi(eps[block], x, beta_slope, offset).T
+        psi += weighted[..., block] @ phi(eps[block], x, beta_slope).T
     return psi
 
 
@@ -255,7 +239,7 @@ class ContinuumPacket:
 
 def evolve_packet(v_eps, omega0: float, gamma: float, eps: np.ndarray, times,
                   x: np.ndarray | None = None, basis: str = "plane_wave",
-                  beta_slope: float | None = None, offset: float = 0.0) -> ContinuumPacket:
+                  beta_slope: float | None = None) -> ContinuumPacket:
     """Coefficients for every requested time; the spatial packet when x is given."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     eps = np.asarray(eps, dtype=float)
@@ -263,7 +247,7 @@ def evolve_packet(v_eps, omega0: float, gamma: float, eps: np.ndarray, times,
     psi = None
     if x is not None:
         x = np.asarray(x, dtype=float)
-        psi = synthesize_packet(eps, coeffs, x, basis, beta_slope, offset)
+        psi = synthesize_packet(eps, coeffs, x, basis, beta_slope)
     return ContinuumPacket(eps=eps, times=times, coeffs=coeffs, basis=basis, x=x, psi=psi,
                            info={"omega0": omega0, "gamma": gamma,
                                  "window": (float(eps[0]), float(eps[-1]))})

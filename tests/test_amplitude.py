@@ -11,7 +11,8 @@ from scipy import integrate
 
 import decaylab as dl
 from decaylab import _blocks, amplitude
-from decaylab.errors import DomainError, SingularDenominator, TruncationError
+from decaylab.errors import (DomainError, SingularDenominator, TruncationError,
+                             UnsupportedContinuation)
 
 GAMMA_BOX = 2.0 * np.pi * 0.05
 
@@ -528,6 +529,18 @@ class TestPoleCut:
         monkeypatch.setattr(amplitude, "find_pole", no_solve)
         with pytest.raises(DomainError, match="finite threshold.*'closed'.*'numeric'"):
             dl.survival_pole_cut(lorentzian_se, 0.0, [0.0, 1.0])
+
+    def test_requires_a_continuation(self, monkeypatch):
+        # a table has no second sheet to solve on; refused before the pole
+        # solve, naming the routes that serve it
+        def no_solve(*args):
+            raise AssertionError("find_pole ran")
+
+        monkeypatch.setattr(amplitude, "find_pole", no_solve)
+        table = dl.Tabulated([0.0, 1.0, 2.0], [0.0, 0.05, 0.0])
+        with pytest.raises(UnsupportedContinuation,
+                           match="Tabulated.*--method numeric.*--method oracle"):
+            dl.survival_pole_cut(dl.SelfEnergy(table), 1.0, [0.0, 1.0])
 
 
 class TestCrossModelRoutes:

@@ -39,6 +39,10 @@ BELOW_THRESHOLD_CONFIG = ("model.type = thresholdpower\nmodel.beta_th = 0.01\n"
                           "model.alpha = 0.5\nmodel.mu = 1.0\nmodel.Lambda = 50.0\n"
                           "system.omega0 = 0.0\nsurvival.tmax = 10.0\nsurvival.nt = 11\n")
 
+# a level inside a threshold band, which decays through a resonance
+THRESHOLD_CONFIG = ("model.type = thresholdpower\nmodel.beta_th = 0.01\n"
+                    "model.alpha = 0.5\nmodel.mu = 0.0\nmodel.Lambda = 20.0\n"
+                    "system.omega0 = 5.0\nsurvival.tmax = 10.0\nsurvival.nt = 11\n")
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -160,11 +164,7 @@ class TestSurvivalCommand:
         assert main(["survival", "-c", str(cfg), "--out", str(tmp_path / "x")]) == 2
 
     def test_pole_cut_method(self, tmp_path):
-        text = ("model.type = thresholdpower\nmodel.beta_th = 0.01\n"
-                "model.alpha = 0.5\nmodel.mu = 0.0\nmodel.Lambda = 20.0\n"
-                "system.omega0 = 5.0\nsurvival.method = pole-cut\n"
-                "survival.tmax = 10.0\nsurvival.nt = 11\n")
-        cfg = write_config(tmp_path, text)
+        cfg = write_config(tmp_path, THRESHOLD_CONFIG + "survival.method = pole-cut\n")
         out = tmp_path / "run"
         assert main(["survival", "-c", str(cfg), "--out", str(out)]) == 0
         data = read_csv(out / "survival.csv")
@@ -172,6 +172,20 @@ class TestSurvivalCommand:
         total = data["re_pole"] + data["re_cut"]
         np.testing.assert_allclose(total, data["re_A"], atol=1e-12)
         assert data["abs2_A"][0] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("text", [THRESHOLD_CONFIG, BELOW_THRESHOLD_CONFIG],
+                             ids=["resonance", "bound state"])
+    def test_pole_cut_records_its_pole(self, tmp_path, text):
+        # the manifest names the zero of g that was summed, as `poles` finds it
+        cfg = write_config(tmp_path, text)
+        assert main(["survival", "-c", str(cfg), "--method", "pole-cut",
+                     "--out", str(tmp_path / "survival")]) == 0
+        assert main(["poles", "-c", str(cfg), "--out", str(tmp_path / "poles")]) == 0
+        results = json.loads((tmp_path / "survival" / "run_manifest.json").read_text())["results"]
+        pole = read_csv(tmp_path / "poles" / "poles.csv")
+        assert results == {"pole": [pole["omega_prime"], pole["omega_dprime"]],
+                           "residue": [pole["residue_re"], pole["residue_im"]],
+                           "iterations": pole["iterations"], "residual": pole["residual"]}
 
 
 class TestOtherCommands:
@@ -184,25 +198,29 @@ class TestOtherCommands:
         assert np.all(data["D"][inside] == 0.05)
 
     def test_selfenergy(self, tmp_path):
+        # Sigma shares spectral.csv's energies: Im Sigma(eps + i0) = -pi D(eps)
         cfg = write_config(tmp_path, LORENTZIAN_CONFIG)
         out = tmp_path / "run"
-        assert main(["selfenergy", "-c", str(cfg), "--out", str(out)]) == 0
-        data = read_csv(out / "selfenergy.csv")
+        assert main(["spectral", "-c", str(cfg), "--out", str(out)]) == 0
+        header = (out / "spectral.csv").read_text().splitlines()[0]
+        assert header == "epsilon,D,re_sigma,im_sigma"
+        data = read_csv(out / "spectral.csv")
         assert np.all(data["im_sigma"][np.isfinite(data["im_sigma"])] <= 1e-12)
+        np.testing.assert_allclose(data["im_sigma"], -np.pi * data["D"], rtol=1e-14, atol=0)
 
     def test_selfenergy_on_band_edges(self, tmp_path):
         # the grid lands exactly on the edges +-L, where the boundary value diverges
         text = ("model.type = box\nmodel.A2 = 0.05\nmodel.L = 2\n"
-                "selfenergy.grid_min = -4\nselfenergy.grid_max = 4\nselfenergy.grid_n = 9\n")
+                "spectral.eps_min = -4\nspectral.eps_max = 4\nspectral.n = 9\n")
         cfg = write_config(tmp_path, text)
         out = tmp_path / "run"
-        assert main(["selfenergy", "-c", str(cfg), "--out", str(out)]) == 0
-        data = read_csv(out / "selfenergy.csv")
-        edge = np.abs(data["omega"]) == 2.0
+        assert main(["spectral", "-c", str(cfg), "--out", str(out)]) == 0
+        data = read_csv(out / "spectral.csv")
+        edge = np.abs(data["epsilon"]) == 2.0
         assert edge.sum() == 2
         assert np.all(np.isnan(data["re_sigma"][edge]) & np.isnan(data["im_sigma"][edge]))
         se = dl.SelfEnergy(dl.Box(amplitude_sq=0.05, half_width=2.0))
-        expected = [se.sigma_upper(w) for w in data["omega"][~edge]]
+        expected = [se.sigma_upper(w) for w in data["epsilon"][~edge]]
         np.testing.assert_allclose(data["re_sigma"][~edge] + 1j * data["im_sigma"][~edge],
                                    expected, rtol=1e-13, atol=0)
 
@@ -284,6 +302,30 @@ class TestOtherCommands:
         packet = json.loads((out / "run_manifest.json").read_text())["config"]["packet"]
         assert packet["gamma"] == 2 * np.pi * 0.05
 
+    @pytest.mark.parametrize("basis, slope", [("plane_wave", ""),
+                                              ("linear_slope_airy", "packet.beta_slope = 3.0\n")])
+    def test_packet_in_space(self, tmp_path, basis, slope):
+        cfg = write_config(tmp_path, PACKET_CONFIG + f"packet.basis = {basis}\n" + slope)
+        out = tmp_path / "run"
+        assert main(["packet", "-c", str(cfg), "--out", str(out)]) == 0
+        header = (out / "packet_psi.csv").read_text().splitlines()[0]
+        assert header == "t,x,re_psi,im_psi,abs2_psi"
+        data = read_csv(out / "packet_psi.csv")
+        np.testing.assert_allclose(data["abs2_psi"], data["re_psi"]**2 + data["im_psi"]**2,
+                                   rtol=1e-15, atol=0)
+        # the last time's rows are the packet synthesized on the same grids
+        block = json.loads((out / "run_manifest.json").read_text())["config"]["packet"]
+        model = dl.Box(amplitude_sq=0.05, half_width=100.0)
+        eps = dl.default_energy_grid(50.0, block["gamma"], n=51, span=40.0)
+        coeffs = dl.packet_coefficients(lambda e: np.sqrt(model.density(e)), 50.0,
+                                        block["gamma"], eps, block["tmax"])
+        x = np.linspace(-100.0, 300.0, 64)
+        psi = dl.synthesize_packet(eps, coeffs, x, basis, block["beta_slope"])
+        last = data["t"] == block["tmax"]
+        np.testing.assert_array_equal(data["x"][last], x)
+        np.testing.assert_allclose(data["re_psi"][last] + 1j * data["im_psi"][last], psi,
+                                   rtol=0, atol=1e-13 * np.max(np.abs(psi)))
+
     def test_twosurface(self, tmp_path):
         text = ("twosurface.n_x = 1024\ntwosurface.dt = 0.001\n"
                 "twosurface.t_max = 8.0\ntwosurface.x_max = 40.0\n"
@@ -308,7 +350,6 @@ model.type = lorentzian
 model.A2 = 0.1
 model.b = 1.0
 spectral.n = 11
-selfenergy.grid_n = 11
 survival.method = closed
 survival.tmax = 1.0
 survival.nt = 3
@@ -373,6 +414,9 @@ class TestManifest:
             assert [row for row, n in zip(table, pipes) if n != pipes[0]] == []
 
 
+# a triangle density on [0, 2], sampled at its kink
+TABLE = Path(__file__).resolve().parent / "triangle_table.csv"
+
 # A packet whose energy window stays above zero, where plane waves exist.
 PACKET_CONFIG = ("model.type = box\nmodel.A2 = 0.05\nmodel.L = 100\nsystem.omega0 = 50.0\n"
                  "packet.nt = 2\npacket.n_eps = 51\npacket.n_x = 64\n")
@@ -382,7 +426,7 @@ BAD_INPUTS = {
                              "'a'"),
     "misspelled survival key": ("survival", LORENTZIAN_CONFIG.replace("survival.tmax",
                                                                       "survival.tmx"),
-                                "'tmax'"),
+                                "unknown survival key 'tmx'; did you mean 'tmax'?"),
     "misspelled survival method": ("survival", LORENTZIAN_CONFIG.replace(
         "method = closed", "method = pole_cut"), "did you mean 'pole-cut'?"),
     "misspelled key in a section not read": ("poles", LORENTZIAN_CONFIG.replace(
@@ -405,14 +449,15 @@ BAD_INPUTS = {
         "survival.tmax = 10.0 reaches the oracle's recurrence time 3.14159 = 2pi/(bin spacing) "
         "at survival.n_bins = 100"),
     "the old oracle subcommand": ("oracle-survival", ORACLE_BOX_CONFIG, "oracle-survival"),
+    # Sigma is in spectral.csv
+    "the old self-energy subcommand": ("selfenergy", LORENTZIAN_CONFIG, "'selfenergy'"),
+    "a key of the old self-energy section": ("spectral", LORENTZIAN_CONFIG
+                                             + "selfenergy.grid_n = 11\n", "'selfenergy'"),
     "a key of the old oracle section": ("survival", ORACLE_BOX_CONFIG + "oracle.n_bins = 400\n",
                                         "'oracle'"),
     "empty spectral range": ("spectral", LORENTZIAN_CONFIG + "spectral.eps_min = 1\n"
                              "spectral.eps_max = 1\n",
                              "spectral.eps_min = 1.0 must be below spectral.eps_max = 1.0"),
-    "empty self-energy grid": ("selfenergy", LORENTZIAN_CONFIG + "selfenergy.grid_min = 0.5\n"
-                               "selfenergy.grid_max = 0.5\n", "selfenergy.grid_min = 0.5 must "
-                               "be below selfenergy.grid_max = 0.5"),
     "reversed packet grid": ("packet", PACKET_CONFIG + "packet.basis = plane_wave\n"
                              "packet.x_min = 300\npacket.x_max = -100\n",
                              "packet.x_min = 300.0 must be below packet.x_max = -100.0"),
@@ -433,10 +478,13 @@ BAD_INPUTS = {
     "integer past the float range": ("spectral", LORENTZIAN_CONFIG.replace(
         "model.A2 = 0.1", "model.A2 = 1" + "0" * 400), "model.A2"),
     "slope keys on plane waves": ("packet", PACKET_CONFIG + "packet.basis = plane_wave\n"
-                                  "packet.beta_slope = 3.0\npacket.offset = 0.5\n",
-                                  "beta_slope"),
-    "slope key without a basis": ("packet", PACKET_CONFIG + "packet.offset = 0.5\n",
-                                  "packet.basis"),
+                                  "packet.beta_slope = 3.0\n", "beta_slope"),
+    "slope key without a basis": ("packet", PACKET_CONFIG + "packet.beta_slope = 3.0\n",
+                                  "packet.beta_slope needs packet.basis"),
+    # an offset of the slope is an energy shift, eps - offset
+    "slope offset": ("packet", PACKET_CONFIG + "packet.basis = linear_slope_airy\n"
+                     "packet.beta_slope = 3.0\npacket.offset = 0.5\n",
+                     "unknown packet key 'offset'"),
     "reversed energy window": ("packet", PACKET_CONFIG + "packet.span = -5\n", "span"),
     "zero packet rate": ("packet", PACKET_CONFIG.replace("model.A2 = 0.05", "model.A2 = 0.0"),
                          "gamma > 0"),
@@ -453,10 +501,11 @@ BAD_INPUTS = {
         "survival.method = closed", "survival.method = numeric\nsurvival.omega_max = 60"),
         "'omega_max'"),
     # 21 nodes on the README's Lorentzian at tmax = 20 put |A| 13.95 off the
-    # closed form with exit 0
+    # closed form with exit 0; the list, not 'n_bins' (the oracle's bin
+    # count, difflib ratio 0.71), answers it
     "contour node count": ("survival", LORENTZIAN_CONFIG.replace(
         "survival.method = closed", "survival.method = numeric\nsurvival.n_points = 21"),
-        "'n_points'"),
+        "unknown survival key 'n_points'; valid: 'method', 'n_bins', 'nt', 'tmax'"),
     # the golden-rule exponential, 0.128 off the inversion at omega0 = 50 for t <= 40
     "closed form of a box": ("survival", ORACLE_BOX_CONFIG.replace(
         "system.omega0 = 0.0", "system.omega0 = 50.0") + "survival.method = closed\n",
@@ -464,6 +513,11 @@ BAD_INPUTS = {
     # the Lorentzian has no threshold to hang a cut from
     "pole-cut without a threshold": ("survival", LORENTZIAN_CONFIG.replace(
         "survival.method = closed", "survival.method = pole-cut"), "method 'closed'"),
+    # a table has no complex continuation to solve for the pole in
+    "pole-cut on a table": ("survival", f"model.type = tabulated\nmodel.table_path = {TABLE}\n"
+                            "survival.method = pole-cut\n",
+                            "--method numeric) or the oracle (survival_exact_discrete, "
+                            "--method oracle)"),
     "packet rate": ("packet", PACKET_CONFIG + "packet.gamma = 0.3\n", "'gamma'"),
     "two-surface coupling by its old name": ("twosurface", "twosurface.V = 0.5\n",
                                              "'coupling'"),
@@ -471,8 +525,7 @@ BAD_INPUTS = {
                                           "'beta_slope'"),
     "no verification points": ("verify-partition", "verify.n_omega = 0\n", "verify.n_omega"),
     **{f"negative {key}": (command, LORENTZIAN_CONFIG + f"{key} = -3\n", key)
-       for command, key in (("spectral", "spectral.n"), ("selfenergy", "selfenergy.grid_n"),
-                            ("survival", "survival.nt"), ("survival", "survival.n_bins"),
+       for command, key in (("spectral", "spectral.n"), ("survival", "survival.nt"), ("survival", "survival.n_bins"),
                             ("packet", "packet.nt"), ("packet", "packet.n_x"))},
 }
 

@@ -220,8 +220,10 @@ class TestGoldenRule:
     def test_grid_oracle_agrees_with_adaptive_overlap(self, beta):
         # same overlap by dense trapezoid quadrature
         x = np.linspace(-20.0, 20.0, 200_001)
-        phi = dl.airy_slope_eigenfunction(np.array([1.0 / np.sqrt(2.0)]), x, beta,
-                                          offset=1.0 / np.sqrt(2.0))[:, 0]
+        # the slope surface sits OFFSET = 1/sqrt(2) up, so the level's energy
+        # 1/sqrt(2) is 0 above it
+        phi = dl.airy_slope_eigenfunction(np.array([1.0 / np.sqrt(2.0) - 1.0 / np.sqrt(2.0)]),
+                                          x, beta)[:, 0]
         ground = (np.pi * np.sqrt(2.0)) ** -0.25 * np.exp(-x**2 / (2 * np.sqrt(2.0)))
         overlap = np.trapezoid(phi * ground, x)
         expected = 2.0 * np.pi * 0.25 * overlap**2
