@@ -261,6 +261,9 @@ def _packet(cfg):
     omega0 = cfg["system"]["omega0"]
     block = cfg["packet"]
     gamma, _ = weisskopf_wigner_rate(SelfEnergy(model), omega0)
+    if gamma == 0.0:
+        raise DomainError(f"D vanishes at system.omega0 = {omega0!r}, so the golden-rule "
+                          "rate 2*pi*D(omega0) that sizes the packet's window is 0")
     block["gamma"] = gamma
     eps = default_energy_grid(omega0, gamma, n=block["n_eps"], span=block["span"])
     if block["tmax"] is None:

@@ -1,10 +1,10 @@
 """Flat key-path config files, resolved section by section against a schema.
 
-One assignment per line, `section.key = value`; blank lines and
-#-comments are ignored.  A value is a number (int, then float) or a
-string: the quoted text, or the bare text as written.  No environment
-overrides: what the file says, with the schema's defaults filled in, is
-what the run manifest records.
+One assignment per line, `section.key = value`, each key at most once;
+blank lines and #-comments are ignored.  A value is a number (int, then
+float) or a string: the quoted text, or the bare text as written.  No
+environment overrides: what the file says, with the schema's defaults
+filled in, is what the run manifest records.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ def _parse_value(raw: str):
 
 def parse_config_text(text: str) -> dict[str, dict[str, object]]:
     sections: dict[str, dict[str, object]] = {}
+    first_line: dict[tuple[str, str], int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -56,6 +57,9 @@ def parse_config_text(text: str) -> dict[str, dict[str, object]]:
         section, key = section.strip(), key.strip()
         if not section or not key:
             raise ConfigParseError(f"line {lineno}: malformed key path {key_path!r}")
+        first = first_line.setdefault((section, key), lineno)
+        if first != lineno:
+            raise ConfigParseError(f"line {lineno}: {section}.{key} is already set on line {first}")
         sections.setdefault(section, {})[key] = _parse_value(raw)
     return sections
 

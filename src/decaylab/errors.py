@@ -43,7 +43,8 @@ class ConfigParseError(ValidationError):
 
 
 class QuadratureFailure(NumericalError):
-    """Adaptive quadrature did not meet the requested tolerance."""
+    """A quadrature's error estimate exceeds its tolerance: the fixed exp-sinh
+    rule of the branch-cut integral, ``amplitude.cut_integral``."""
 
 
 class TruncationError(NumericalError):

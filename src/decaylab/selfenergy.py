@@ -5,24 +5,30 @@ density over its support, which every model evaluates exactly and
 vectorized as ``model.cauchy``, and its derivative as
 ``model.cauchy_derivative``.  Crossing the real axis from above
 continues it onto the second sheet by subtracting 2*pi*i times the
-analytically continued density.  ``sigma_quadrature`` evaluates the same
-integral by adaptive quadrature; it is an independent reference for
-tests, and no result is computed through it.
+analytically continued density.
 """
 
 from __future__ import annotations
 
-import warnings
+import importlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
-from .errors import DomainError, QuadratureFailure
+from .errors import DomainError
 from .poles import find_pole
 from .spectral import SpectralModel
 
-__all__ = ["SelfEnergy", "Renormalization", "sigma_quadrature"]
+__all__ = ["SelfEnergy", "Renormalization"]
+
+
+def __getattr__(name):
+    # Only for the benchmark's tracer, which counts calls through
+    # ``selfenergy.integrate.quad``; it goes with ROADMAP item 9's benchmark
+    # change.  No code here uses scipy.integrate, so it loads on first access.
+    if name == "integrate":
+        return importlib.import_module("scipy.integrate")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -31,47 +37,6 @@ class Renormalization:
 
     Z: float
     omega_tilde: float
-
-
-def sigma_quadrature(model: SpectralModel, omega: complex) -> complex:
-    """Adaptive quadrature of ``model.cauchy(omega)``, with its conventions.
-
-    Takes either half-plane, and the boundary value from above on the axis.
-    """
-    omega = complex(omega)
-    lo, hi = model.support()
-    dens, x, width = model.density, omega.real, model.char_width()
-
-    def quad(f, a, b, points=None):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            val, err = integrate.quad(f, a, b, epsabs=1e-10, epsrel=1e-9, limit=10_000,
-                                      points=points, complex_func=True)
-        if not np.isfinite(val) or abs(err) > max(1e-6, 1e-7 * max(1.0, abs(val))):
-            raise QuadratureFailure(f"integral over ({a}, {b}) is {val} +- {abs(err):.3e}")
-        return complex(val)
-
-    if not lo < x < hi:
-        inner = [p for p in model.breakpoints() if lo < p < hi]
-        return quad(lambda e: dens(e) / (omega - e), lo, hi,
-                    inner if inner and np.isfinite(lo) and np.isfinite(hi) else None)
-    # On a window around x, narrower than the support, the pole's spike can
-    # slip between quadrature nodes when it sits near or on the axis.  There
-    # subtract the flat density D(x), whose integral is the exact band
-    # logarithm, and integrate the bounded remainder.
-    a, b = max(lo, x - width / 4), min(hi, x + width / 4)
-    d0 = float(dens(x)) if abs(omega.imag) < 0.01 * width else 0.0
-    if omega.imag == 0:  # the boundary value from above
-        total = d0 * (np.log((x - a) / (b - x)) - 1j * np.pi)
-    else:
-        total = d0 * np.log((omega - a) / (omega - b))
-    # Every finite edge splits the range, so that the pole and the
-    # density's structure lie in finite pieces, not in an infinite tail.
-    edges = sorted({lo, hi, a, b, x, *model.breakpoints()})
-    for start, stop in zip(edges[:-1], edges[1:]):
-        flat = d0 if a <= start and stop <= b else 0.0
-        total += quad(lambda e: (dens(e) - flat) / (omega - e), start, stop)
-    return total
 
 
 class SelfEnergy:

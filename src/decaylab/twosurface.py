@@ -13,6 +13,8 @@ absorbed, and what the unitary substeps lose apart as drift.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import NamedTuple
@@ -245,6 +247,20 @@ class TwoSurfaceRun:
 TRAP_RADIUS = 4.0
 
 
+def _steps_below(dt: float, n_steps: int, t: float, below) -> int:
+    """The number of step times dt*i, i = 0..n_steps, with below(dt*i, t).
+
+    dt*i is nondecreasing in i, so they are the first ones: start from the
+    estimate t/dt and move to the first i that fails the float comparison.
+    """
+    k = math.ceil(min(max(t / dt, 0.0), n_steps + 1))
+    while k > 0 and not below(dt * (k - 1), t):
+        k -= 1
+    while k <= n_steps and below(dt * k, t):
+        k += 1
+    return k
+
+
 def _fit_window(config: TwoSurfaceConfig, rate: float, n_steps: int) -> tuple[float, float]:
     """The exponential fit window [0.5/rate, min(2.5/rate, t_max)], refused
     before the first step when it holds fewer than 10 step times."""
@@ -252,9 +268,12 @@ def _fit_window(config: TwoSurfaceConfig, rate: float, n_steps: int) -> tuple[fl
         raise DomainError("zero coupling: P1 does not decay, so the fit window is empty")
     t_lo = 0.5 / rate
     t_hi = min(2.5 / rate, config.t_max)
-    step_times = config.dt * np.arange(n_steps + 1)
-    if np.count_nonzero((step_times >= t_lo) & (step_times <= t_hi)) < 10:
-        raise DomainError("t_max too short for the exponential fit window")
+    count = max(0, _steps_below(config.dt, n_steps, t_hi, operator.le)
+                - _steps_below(config.dt, n_steps, t_lo, operator.lt))
+    if count < 10:
+        raise DomainError(f"the exponential fit window [{t_lo:.6g}, {2.5 / rate:.6g}] holds "
+                          f"{count} step times up to t_max = {config.t_max!r} at "
+                          f"dt = {config.dt!r}, fewer than 10")
     return t_lo, t_hi
 
 

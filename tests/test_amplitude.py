@@ -313,12 +313,28 @@ class TestTimeTransform:
         assert np.max(np.abs(fast - dense)) <= 1e-10
 
     def test_no_signal_import(self):
-        """The transform needs scipy.fft only; importing scipy.signal takes 0.7-0.8 s
-        on a 2-core Xeon, more than the benchmark's set-up bound allows."""
-        code = ("import sys, numpy as np, decaylab as dl\n"
+        """No production path loads scipy.signal or scipy.integrate.
+
+        The transform needs scipy.fft only: importing scipy.signal takes
+        0.7-0.8 s on a 2-core Xeon, and scipy.integrate, which brings
+        scipy.optimize, scipy.linalg and scipy.spatial, about 0.27 s.  The
+        modules are compared with those that numpy, scipy.special and
+        scipy.fft load themselves, which differ between scipy versions.
+        """
+        code = ("import sys, numpy as np, scipy.special, scipy.fft\n"
+                "before = set(sys.modules)\n"
+                "import decaylab as dl, decaylab.cli\n"
+                "times = np.linspace(0.0, 2.0, 5)\n"
                 "se = dl.SelfEnergy(dl.Lorentzian(0.1, 0.0, 1.0))\n"
-                "dl.survival_numeric(se, 0.0, np.linspace(0.0, 2.0, 5), n_points=4097)\n"
-                "assert 'scipy.signal' not in sys.modules, 'scipy.signal was imported'\n")
+                "dl.survival_numeric(se, 0.0, times, n_points=4097)\n"
+                "threshold = dl.SelfEnergy(dl.ThresholdPower(0.01, 0.5, 0.0, 20.0))\n"
+                "dl.survival_pole_cut(threshold, 5.0, times)\n"
+                "oracle = dl.build_discrete(dl.Box(0.05, 100.0), 0.0, 200)\n"
+                "dl.survival_exact_discrete(oracle, times)\n"
+                "eps = dl.default_energy_grid(50.0, 0.3, n=51, span=40.0)\n"
+                "dl.evolve_packet(1.0, 50.0, 0.3, eps, times, x=np.linspace(-10.0, 10.0, 64))\n"
+                "joined = {'scipy.signal', 'scipy.integrate'} & (set(sys.modules) - before)\n"
+                "assert not joined, f'{sorted(joined)} imported'\n")
         env = dict(os.environ, PYTHONPATH=str(Path(dl.__file__).resolve().parents[1]))
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)

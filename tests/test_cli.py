@@ -88,6 +88,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigParseError, match="section"):
             parse_config_text("x = 1\n")
 
+    def test_duplicated_key_names_both_lines(self):
+        # the same key path, however spaced, set twice is refused, not overwritten
+        with pytest.raises(ConfigParseError, match="line 4: a.x is already set on line 1"):
+            parse_config_text("a.x = 1\na.y = 2\n\na . x = 3\n")
+        assert parse_config_text("a.x = 1\nb.x = 2\n") == {"a": {"x": 1}, "b": {"x": 2}}
+
 
 class TestSurvivalCommand:
     def test_closed_form_initial_row(self, tmp_path):
@@ -416,6 +422,7 @@ class TestManifest:
 
 # a triangle density on [0, 2], sampled at its kink
 TABLE = Path(__file__).resolve().parent / "triangle_table.csv"
+NOTCH_TABLE = TABLE.with_name("notch_table.csv")  # D = 0 at epsilon = 1 only
 
 # A packet whose energy window stays above zero, where plane waves exist.
 PACKET_CONFIG = ("model.type = box\nmodel.A2 = 0.05\nmodel.L = 100\nsystem.omega0 = 50.0\n"
@@ -486,8 +493,13 @@ BAD_INPUTS = {
                      "packet.beta_slope = 3.0\npacket.offset = 0.5\n",
                      "unknown packet key 'offset'"),
     "reversed energy window": ("packet", PACKET_CONFIG + "packet.span = -5\n", "span"),
+    # the golden-rule rate 2 pi D(omega0) sizes the packet's window
     "zero packet rate": ("packet", PACKET_CONFIG.replace("model.A2 = 0.05", "model.A2 = 0.0"),
-                         "gamma > 0"),
+                         "D vanishes at system.omega0 = 50.0"),
+    "packet where the table vanishes": ("packet", "model.type = tabulated\n"
+                                        f"model.table_path = {NOTCH_TABLE}\n"
+                                        "system.omega0 = 1.0\npacket.nt = 2\n",
+                                        "D vanishes at system.omega0 = 1.0"),
     "zero snapshot stride": ("twosurface", "twosurface.snapshot_stride = 0\n",
                              "snapshot_stride"),
     "negative two-surface slope": ("twosurface", "twosurface.beta_slope = -1.0\n",
@@ -524,9 +536,16 @@ BAD_INPUTS = {
     "two-surface slope by its old name": ("twosurface", "twosurface.beta = 3.0\n",
                                           "'beta_slope'"),
     "no verification points": ("verify-partition", "verify.n_omega = 0\n", "verify.n_omega"),
+    # a second survival.tmax ran with the last value and exit 0
+    "duplicated key": ("survival", LORENTZIAN_CONFIG + "survival.tmax = 50.0\n",
+                       "line 10: survival.tmax is already set on line 8"),
     **{f"negative {key}": (command, LORENTZIAN_CONFIG + f"{key} = -3\n", key)
-       for command, key in (("spectral", "spectral.n"), ("survival", "survival.nt"), ("survival", "survival.n_bins"),
+       for command, key in (("spectral", "spectral.n"), ("survival", "survival.n_bins"),
                             ("packet", "packet.nt"), ("packet", "packet.n_x"))},
+    # LORENTZIAN_CONFIG sets survival.nt already, so replace it
+    "negative survival.nt": ("survival", LORENTZIAN_CONFIG.replace("survival.nt = 51",
+                                                                   "survival.nt = -3"),
+                             "survival.nt = -3 is not an integer >= 1"),
 }
 
 # survival CSVs that `compare` refuses, each with a hint its message carries

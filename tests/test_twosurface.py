@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -275,8 +277,18 @@ class TestRun:
         return str(raised.value)
 
     def test_too_short_run_rejected(self, monkeypatch):
-        message = self.assert_rejected_before_the_first_step(monkeypatch, t_max=1.0)
-        assert "fit window" in message
+        # a run ending before the window, and steps too coarse for it: the
+        # refusal counts the window's steps without building the step grid
+        # (at t_max = 1e6 and dt = 1 that took a 15.4 MB peak)
+        for fields, name in (({"t_max": 1.0}, "t_max"), ({"t_max": 1e6, "dt": 1.0}, "dt")):
+            tracemalloc.start()
+            try:
+                message = self.assert_rejected_before_the_first_step(monkeypatch, **fields)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert "fit window" in message and f"{name} = " in message
+            assert peak < 1e6
 
     @pytest.mark.parametrize("fields", [{"coupling": 0.0}, {"beta_slope": -1.0},
                                         {"dt": np.nan}, {"coupling": np.nan}], ids=str)
