@@ -9,13 +9,13 @@ energy k^2, mass-1/2 convention) or Airy states of a linear slope.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
 
 from ._blocks import row_blocks
+from ._phases import PhaseGrid
 from .errors import BasisUnavailable, DomainError
 
 __all__ = [
@@ -85,16 +85,13 @@ def plane_wave_eigenfunction(eps, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise DomainError(f"the plane-wave x grid must be 1-d, not of shape {x.shape}")
-    n = x.size
-    dx = (x[-1] - x[0]) / (n - 1) if n > 1 else 0.0
-    departure = np.max(np.abs(x[:1] + dx * np.arange(n) - x), initial=0.0)
-    if not departure <= 8.0 * np.finfo(float).eps * np.max(np.abs(x), initial=0.0):
+    grid = PhaseGrid(x)
+    if not grid.uniform:
         raise DomainError(f"the plane-wave basis needs a uniform x grid: x[j] departs from "
-                          f"x[0] + j*dx, dx = {dx:.6g}, by up to {departure:.3g}")
-    stride = max(1, math.ceil(math.sqrt(n)))
-    coarse = np.exp(1j * np.multiply.outer(x[::stride], k)) / np.sqrt(4.0 * np.pi * k)
-    fine = np.exp(1j * np.multiply.outer(dx * np.arange(stride), k))
-    return (coarse[:, None] * fine).reshape(-1, *k.shape)[:n]
+                          f"x[0] + j*dx, dx = {grid.step:.6g}, by up to {grid.departure:.3g}")
+    coarse, fine = grid.tables(k)
+    coarse /= np.sqrt(4.0 * np.pi * k)
+    return grid.product(coarse, fine, out=np.empty((x.size, *k.shape), dtype=complex))
 
 
 def _u_coefficients(switch: float) -> tuple[np.ndarray, np.ndarray]:

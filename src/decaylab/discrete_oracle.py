@@ -7,8 +7,10 @@ identities and provides a brute-force reference for the survival
 amplitude and the continuum occupation, trustworthy up to the recurrence
 time set by the level spacing.  The evolution comes from the roots of the secular
 equation (Bunch, Nielsen & Sorensen 1978; Gu & Eisenstat 1995) and the
-closed-form eigenvectors they give, in O(N^2) work and O(N) memory: no
-(N+1) x (N+1) array is built for it.
+closed-form eigenvectors they give, in O(N^2) work: no (N+1) x (N+1) array
+is built for it.  On a uniform time grid the phases come from two tables of
+O(N sqrt(nt)) entries, so without the occupations no (N+1) x nt array is
+built either.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blocks import row_blocks
+from ._phases import PhaseGrid
 from .errors import DomainError, NoConvergence, SingularMatrix
 from .amplitude import SurvivalSeries, _check_times
 from .spectral import SpectralModel
@@ -131,7 +134,7 @@ def resolvent_partitioned(m: DiscreteModel, omega: complex) -> PartitionedResolv
     g_p = 1.0 / (omega - m.omega0 - m.sigma_discrete(omega))
     free = 1.0 / (omega - m.energies)
     g_qp = free * m.couplings * g_p
-    g_q = np.diag(free).astype(complex)
+    g_q = np.diag(free)
     g_q += np.outer(free * m.couplings, free * np.conj(m.couplings)) * g_p
     return PartitionedResolvent(g_p=g_p, g_qp=g_qp, g_q=g_q)
 
@@ -304,16 +307,29 @@ def survival_exact_discrete(m: DiscreteModel, times, with_occupations: bool = Fa
     g(lam) = lam - omega0 - sum |V_i|^2/(lam - eps_i), the level's weights
     are w_k = |<0|k>|^2 = 1/g'(lam_k), so A(t) = sum_k w_k e^{-i lam_k t}
     and c_i(t) = V_i sum_k w_k e^{-i lam_k t}/(lam_k - eps_i), which is zero
-    on a decoupled bin.  Work is O(N^2); beyond the (N + 1) x len(times)
-    phases, memory is O(N).  ``info`` carries the root sweeps and
-    ``weight_defect`` = |sum_k w_k - 1|.
+    on a decoupled bin.  The phases w_k e^{-i lam_k t} come from the two
+    tables of PhaseGrid, J = ceil(sqrt(nt)) on nt uniform times and 1 on
+    any others, and A(t[J*a + b]) is their matrix product, one for each row
+    block of roots.  Work is O(N^2 + N nt), with O(N sqrt(nt)) exponentials
+    on uniform times; without occupations no (N + 1) x nt array is built,
+    and the occupations add the (N + 1) x nt weighted phases.  ``info``
+    carries the root sweeps, ``phase_stride`` = J and ``weight_defect`` =
+    |sum_k w_k - 1|.
     """
     times = _check_times(times)
     t = times.ravel()
     coupled, origin, tau, weights, sweeps = _spectrum(m)
-    phases = np.exp(-1j * np.outer(origin + tau, t))
-    phases *= weights[:, None]
-    amp = np.sum(phases, axis=0).reshape(times.shape)
+    grid = PhaseGrid(t)
+    # A(t[J*a + b]) at [a, b]: the weighted coarse table times the fine one
+    table = np.zeros((-(-t.size // grid.stride), grid.stride), dtype=complex)
+    phases = np.empty((tau.size, t.size), dtype=complex) if with_occupations else None
+    for rows in row_blocks(tau.size, table.shape[0] + grid.stride):
+        coarse, fine = grid.tables(-(origin[rows] + tau[rows]))
+        coarse *= weights[rows]
+        table += coarse @ fine.T
+        if with_occupations:
+            grid.product(coarse, fine, out=phases[rows].T)
+    amp = table.ravel()[:t.size].reshape(times.shape)
     occupations = None
     if with_occupations:
         occupations = np.zeros((m.size, t.size), dtype=complex)
@@ -330,6 +346,6 @@ def survival_exact_discrete(m: DiscreteModel, times, with_occupations: bool = Fa
     series = SurvivalSeries(
         times=times, amplitude=amp, method="discrete_oracle",
         info={"n_bins": m.size, "recurrence_time": m.recurrence_time(),
-              "secular_sweeps": sweeps,
+              "secular_sweeps": sweeps, "phase_stride": grid.stride,
               "weight_defect": abs(float(np.sum(weights)) - 1.0)})
     return series, occupations

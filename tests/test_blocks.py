@@ -17,6 +17,8 @@ from decaylab import _blocks, amplitude, continuum, discrete_oracle, spectral
 #   200-knot table: 102 points a block, 1,001 = 9 * 102 + 83;
 #   400-bin oracle: 51 roots a block of the secular sums (401 = 7 * 51 + 44)
 #   and 51 bins a Cauchy block of the occupations (400 = 7 * 51 + 43);
+#   1000-bin oracle at the 41 non-uniform times: 487 roots a block of the
+#   phase tables (1001 = 2 * 487 + 27);
 #   300 x points: 68 energies a block, 201 = 2 * 68 + 65, and Ai in chunks
 #   of 20,480 / 8 = 2,560 points, 20,400 = 7 * 2,560 + 2,480.
 # Like the default, it is a whole number of 4096-node chirp-z blocks, so the
@@ -63,6 +65,11 @@ CASES = {
     "tabulated_cauchy": (lambda: TABLE.cauchy(OMEGA), {"_knot_sum"}),
     "tabulated_cauchy_derivative": (lambda: TABLE.cauchy_derivative(OMEGA), {"_knot_sum"}),
     "oracle_with_occupations": (oracle, {"_rest_sums", "survival_exact_discrete"}),
+    "oracle_non_uniform_times": (
+        lambda: dl.survival_exact_discrete(
+            dl.build_discrete(dl.ThresholdPower(0.01, 0.5, 0.0, 20.0), 5.0, 1000),
+            NON_UNIFORM)[0].amplitude,
+        {"_rest_sums", "survival_exact_discrete"}),
     "packet_plane_wave": (lambda: packet("plane_wave"), {"synthesize_packet"}),
     "packet_airy": (lambda: packet("linear_slope_airy", beta_slope=3.0),
                     {"synthesize_packet", "_ai"}),

@@ -1,5 +1,10 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import decaylab as dl
@@ -250,3 +255,86 @@ class TestSecularAgainstEigh:
         monkeypatch.setattr(discrete_oracle, "_MAX_SWEEPS", 1)
         with pytest.raises(NoConvergence):
             dl.survival_exact_discrete(_uniform_box(), [0.0, 1.0])
+
+
+def direct_reference(m, times):
+    """A(t), c_i(t), the weights and the roots from one exp for each (root, time)."""
+    coupled, origin, tau, weights, _ = discrete_oracle._spectrum(m)
+    roots = origin + tau
+    phases = weights[:, None] * np.exp(-1j * np.outer(roots, times))
+    occupations = np.zeros((m.size, times.size), dtype=complex)
+    cauchy = 1.0 / (np.subtract.outer(m.energies[coupled], origin) - tau)
+    occupations[coupled] = -m.couplings[coupled, None] * (cauchy @ phases)
+    return phases.sum(axis=0), occupations, weights, roots
+
+
+def phase_budget(weights, roots, times):
+    """1e-13 plus the phases' rounding: lam*t is rounded in the reference and in
+    the tables' two factors, and the uniform rule lets t[J*a + b] stray from
+    t[J*a] + b*dt by 8 epsilons of max t, so 10 epsilons of max|lam| max t."""
+    phase = 10.0 * np.finfo(float).eps * np.max(np.abs(roots)) * np.max(times)
+    return (1e-13 + phase) * np.sum(weights)
+
+
+def matches_direct_exp(m, times, occupations):
+    """The oracle's series, after checking it against the direct reference."""
+    series, occ = dl.survival_exact_discrete(m, times, with_occupations=occupations)
+    amp, ref_occ, weights, roots = direct_reference(m, times)
+    budget = phase_budget(weights, roots, times)
+    assert np.max(np.abs(series.amplitude - amp)) <= budget
+    if occupations:
+        assert np.max(np.abs(occ - ref_occ)) <= budget
+    return series
+
+
+def random_band(seed, n, scale):
+    rng = np.random.default_rng(seed)
+    energies = scale * (2.0 * (np.arange(n) + rng.uniform(0.1, 0.9, n)) / n - 1.0)
+    couplings = 0.3 * math.sqrt(scale / n) * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    return dl.DiscreteModel(omega0=float(rng.uniform(-scale, scale)), energies=energies,
+                            couplings=couplings, widths=np.full(n, 2.0 * scale / n))
+
+
+class TestPhaseTables:
+    """The oracle's phases from a coarse and a fine table against one exp for each phase."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60),
+           scale=st.floats(0.1, 300.0), phase=st.floats(1.0, 1e4),
+           start=st.floats(0.0, 1.0), nt=st.integers(1, 300), occupations=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_uniform_grids_match_direct_exp(self, seed, n, scale, phase, start, nt,
+                                            occupations):
+        m = random_band(seed, n, scale)
+        _, origin, tau, _, _ = discrete_oracle._spectrum(m)
+        t_max = phase / np.max(np.abs(origin + tau))
+        series = matches_direct_exp(m, np.linspace(start * t_max, t_max, nt), occupations)
+        assert series.info["phase_stride"] == math.ceil(math.sqrt(nt))
+
+    @pytest.mark.parametrize("occupations", [False, True])
+    def test_moved_time_takes_one_table(self, occupations):
+        m = _uniform_box()
+        times = np.linspace(0.0, 30.0, 200)
+        times[57] += 1e-3
+        assert matches_direct_exp(m, times, occupations).info["phase_stride"] == 1
+
+    def test_no_root_by_time_array_without_occupations(self):
+        # the (N + 1) x nt phases alone would take 501 * 4000 * 16 B = 32 MB
+        m = dl.build_discrete(dl.ThresholdPower(0.01, 0.5, 1.0, 50.0), 0.2, 500)
+        times = np.linspace(0.0, 30.0, 4000)
+        tracemalloc.start()
+        try:
+            series, _ = dl.survival_exact_discrete(m, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert series.info["phase_stride"] == 64
+        assert peak < 8 * 2**20
+
+    def test_reruns_are_byte_identical(self):
+        m = dl.build_discrete(dl.Box(amplitude_sq=0.05, half_width=100.0), 0.3, 1500)
+        times = np.linspace(1.0, 6.0, 301)
+        first, first_occ = dl.survival_exact_discrete(m, times, with_occupations=True)
+        again, again_occ = dl.survival_exact_discrete(m, times, with_occupations=True)
+        assert first.amplitude.tobytes() == again.amplitude.tobytes()
+        assert first_occ.tobytes() == again_occ.tobytes()
+        assert first.info == again.info
