@@ -211,7 +211,9 @@ def _oracle_route(model, omega0, times, block):
                           f"survival.n_bins = {block['n_bins']}: raise survival.n_bins "
                           "or lower survival.tmax")
     block["recurrence_time"] = recurrence
-    return survival_exact_discrete(discrete, times)[0], None
+    series, _ = survival_exact_discrete(discrete, times)
+    return series, {key: series.info[key] for key in
+                    ("secular_sweeps", "weight_defect", "phase_stride", "tree_levels")}
 
 
 # survival.method -> route; also the choices of `survival --method`

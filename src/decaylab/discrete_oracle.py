@@ -7,16 +7,25 @@ identities and provides a brute-force reference for the survival
 amplitude and the continuum occupation, trustworthy up to the recurrence
 time set by the level spacing.  The evolution comes from the roots of the secular
 equation (Bunch, Nielsen & Sorensen 1978; Gu & Eisenstat 1995) and the
-closed-form eigenvectors they give, in O(N^2) work: no (N+1) x (N+1) array
-is built for it.  On a uniform time grid the phases come from two tables of
-O(N sqrt(nt)) entries, so without the occupations no (N+1) x nt array is
-built either.
+closed-form eigenvectors they give: no (N+1) x (N+1) array is built for it.
+The Cauchy sums over every (root, bin) pair, in each root sweep and in the
+occupations, come from a one-dimensional Chebyshev tree (a fast multipole
+method) over the bins: each root or bin sums the terms of its leaf and the
+two beside it, about 375, exactly and the rest through the tree, so a sweep
+costs O(N) work and the occupations O(N nt).  The far field of the poles is
+built once a solve, and the two outer roots, beyond the bins, are summed
+exactly.  Below 1,000 bins the tree would have fewer than three levels;
+every pair is then near, and the sums are the dense O(N^2) ones.
+On a uniform time grid the phases come from two tables of O(N sqrt(nt))
+entries, so without the occupations no (N+1) x nt array is built either.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -150,27 +159,255 @@ _MAX_SWEEPS = 50
 _MODEL_ITERATIONS = 100
 
 
-def _rest_sums(origin, tau, gap, poles, z2):
-    """Sums of z2/(lam - d) and z2/(lam - d)^2 over all poles but the gap's two.
+# Chebyshev nodes per box of the tree.  On 3000 and 10^4 bins of
+# Box(0.05, 100) and ThresholdPower(0.01, 0.5, 0, 20), 16 nodes left s2 off
+# the dense sum by up to 6.5e-14 of itself and s1 by 1.1e-14 of |z| sqrt(s2);
+# 20 took both to rounding, at most 2.6e-15 and 2.5e-16, and 24 or 32 were
+# no closer (s1 up to 4e-15) and up to 25 % slower.
+_TREE_NODES = 20
+# Points per leaf: the fewest that keep 500 and 800 bins, where a tree could
+# have but two levels, on the dense sums and their results as they were; a
+# two-level tree of 200 points a leaf ran one secular sweep over 800
+# Box(0.05, 100) bins in 1.7 ms against 2.1-2.2 ms dense.  From three
+# levels a sweep on the built tree takes 1.7-2.3 against 3.6-4.2 ms at 1000
+# bins, 6.3-6.9 against 21-23 ms at 3000 and 19 against 198-214 ms at 10^4,
+# and the tree's build, once a solve, 0.8, 1.2 and 2.8 ms.
+_TREE_LEAF = 125
+# The interaction list: the children of the parent's neighbours that are not
+# the box's own neighbours, at offsets -2 and +2 from every box, +3 from a
+# left child and -3 from a right one.
+_FAR_OFFSETS = (-3, -2, 2, 3)
 
-    lam - d is formed as (origin - d) + tau, so the offsets keep their
-    relative accuracy however closely a root hugs its pole.
+
+class _TreeOperators(NamedTuple):
+    coefficients: np.ndarray    # (p, p): c_k T_k(t_j), c_0 = 1/p and c_k = 2/p after
+    children: tuple             # (p, p) each: the parent's node polynomials at a child's nodes
+    translations: dict          # offset -> (x_j - y_j')/h between two boxes of width h
+
+
+class _Leaves(NamedTuple):
+    """Ascending points sorted into the leaves of the tree."""
+
+    index: np.ndarray           # each point's leaf
+    starts: np.ndarray          # where each leaf's points start, then the point count
+    coord: np.ndarray           # each point's place in its leaf, from -1 to 1
+
+
+def _chebyshev(s):
+    """T_0 .. T_{p-1} at s, on a new first axis, by the three-term recurrence."""
+    cheb = np.empty((_TREE_NODES,) + s.shape)
+    cheb[0] = 1.0
+    cheb[1] = s
+    for k in range(2, _TREE_NODES):
+        np.multiply(2.0 * s, cheb[k - 1], out=cheb[k])
+        cheb[k] -= cheb[k - 2]
+    return cheb
+
+
+def _interpolation(s):
+    """Each node's Lagrange polynomial at the leaf coordinates s, on a new last axis."""
+    return np.moveaxis(_chebyshev(s), 0, -1) @ _tree_operators().coefficients
+
+
+@functools.cache
+def _tree_operators() -> _TreeOperators:
+    """The tree's constant matrices, built at first use from the node count alone."""
+    p = _TREE_NODES
+    nodes = np.cos(np.pi * (np.arange(p) + 0.5) / p)
+    coefficients = _chebyshev(nodes) * (2.0 / p)
+    coefficients[0] /= 2.0
+    children = tuple(_chebyshev((nodes + side) / 2.0).T @ coefficients for side in (-1.0, 1.0))
+    translations = {offset: np.subtract.outer(nodes, nodes) / 2.0 - offset
+                    for offset in _FAR_OFFSETS}
+    return _TreeOperators(coefficients, children, translations)
+
+
+def _tree_depth(n: int) -> int:
+    """Levels below the root of the tree over n points, leaves of about _TREE_LEAF.
+
+    Boxes have a far field from the second level down, and from the third
+    the near field is at most 3/8 of the dense sum: a tree that would stop
+    above it is the root alone, and its sums are dense.
     """
-    s1 = np.empty(tau.size)
-    s2 = np.empty(tau.size)
-    m = poles.size
-    for rows in row_blocks(tau.size, m):
-        inv = np.subtract.outer(origin[rows], poles)
-        inv += tau[rows, None]
+    depth = (n // _TREE_LEAF).bit_length() - 1
+    return depth if depth >= 3 else 0
+
+
+def _leaves(points, lo, width, depth) -> _Leaves:
+    """Ascending points in the 2^depth leaves of [lo, lo + width]."""
+    n = 1 << depth
+    scaled = (points - lo) * (n / width)
+    index = np.minimum(scaled.astype(int), n - 1)
+    return _Leaves(index, np.searchsorted(index, np.arange(n + 1)), 2.0 * (scaled - index) - 1.0)
+
+
+def _slots(starts):
+    """Each leaf's points padded to the fullest leaf's: indices and a mask, (leaves, width)."""
+    counts = np.diff(starts)
+    slot = np.arange(int(np.max(counts)))
+    return np.minimum(starts[:-1, None] + slot, starts[-1] - 1), slot < counts[:, None]
+
+
+class _Tree(NamedTuple):
+    """The far field of fixed sources on the uniform leaves of [lo, lo + width]."""
+
+    lo: float
+    width: float
+    depth: int
+    inside: slice               # the sources within [lo, lo + width]
+    sources: _Leaves            # theirs, in the leaves
+    local: np.ndarray           # (leaves, powers, nodes, columns): each leaf's far field
+
+
+def _tree(span, y, weights, squares=False, y_shift=None) -> _Tree | None:
+    """The far field of sources Y = y + y_shift, ascending, on a tree over
+    [span[0], span[-1]] whose depth ``_tree_depth(span.size)`` sets, or None
+    below three levels, where every pair is near.
+
+    The sources within the span are anterpolated onto their leaves' nodes,
+    carried up the tree, across each level's interaction list and down
+    again, each step on all boxes of a level at once, the leaves in blocks
+    of the budget.  What is left is each leaf's far field at its nodes; it
+    depends on the sources alone, so one tree serves every set of targets.
+    Sources outside the span are left to ``_cauchy_sums``'s exact pass.
+    """
+    depth = _tree_depth(span.size)
+    if not depth:
+        return None
+    ops = _tree_operators()
+    lo, width = float(span[0]), float(span[-1] - span[0])
+    Y = y if y_shift is None else y + y_shift
+    inside = slice(int(np.searchsorted(Y, lo)), int(np.searchsorted(Y, lo + width, "right")))
+    sources = _leaves(Y[inside], lo, width, depth)
+    w = weights[inside].reshape(inside.stop - inside.start, -1)
+    leaves = 1 << depth
+    powers = np.arange(1, 2 + squares)
+    slots, valid = _slots(sources.starts)
+    multipole = np.empty((leaves, _TREE_NODES, w.shape[1]))
+    # A block of leaves takes half the budget, in its gathered weights and
+    # interpolation: at the whole budget the oracle benchmark's cases
+    # peaked 0.3 MB higher in RSS.
+    for group in row_blocks(leaves, 2 * slots.shape[1] * (w.shape[1] + _TREE_NODES)):
+        interp = _interpolation(sources.coord[slots[group]]) * valid[group, :, None]
+        multipole[group] = np.swapaxes(interp, 1, 2) @ w[slots[group]]
+    multipoles = [multipole]
+    while multipoles[-1].shape[0] > 4:
+        m = multipoles[-1]
+        multipoles.append(ops.children[0].T @ m[0::2] + ops.children[1].T @ m[1::2])
+    local = None
+    while multipoles:
+        m = multipoles.pop()
+        n = m.shape[0]
+        # the kernel between the nodes of box b and those of box b + offset
+        kernel = {offset: (ops.translations[offset] * (width / n)) ** -powers[:, None, None]
+                  for offset in _FAR_OFFSETS}
+        field = np.zeros((n, powers.size) + m.shape[1:])
+        if local is not None:
+            field[0::2] = ops.children[0] @ local
+            field[1::2] = ops.children[1] @ local
+        field[:n - 2] += kernel[2] @ m[2:, None]
+        field[2:] += kernel[-2] @ m[:n - 2, None]
+        field[0:n - 3:2] += kernel[3] @ m[3::2, None]
+        field[3::2] += kernel[-3] @ m[0:n - 3:2, None]
+        local = field
+    return _Tree(lo, width, depth, inside, sources, local)
+
+
+def _cauchy_sums(x, y, weights, squares=False, x_shift=None, y_shift=None, exclude=(),
+                 tree=None):
+    """Sums over sources i of weights[i]/(X_k - Y_i) and, with squares, of
+    weights[i]/(X_k - Y_i)^2, for targets X = x + x_shift and sources
+    Y = y + y_shift, both ascending; weights is (sources,) or (sources, cols).
+
+    X_k - Y_i is formed as (x_k - y_i) + x_shift_k - y_shift_i, so an offset
+    keeps its relative accuracy however closely a target hugs a source.
+    Each array of ``exclude``, which takes 1-d weights, names one source per
+    target to leave out, or an index outside the sources for none.
+
+    Without a tree every pair is summed exactly, in row blocks: the dense
+    sums.  With ``tree``, the sources' far field from ``_tree`` (Fong &
+    Darve, J. Comput. Phys. 228, 8712 (2009)), a target within its span
+    sums its leaf and the two beside it exactly, and the sources outside
+    the span, and takes the rest from its leaf's far field, interpolated
+    at _TREE_NODES nodes; a target outside the span sums every source
+    exactly.  Returns the sums, then, with squares, the sums of the squares.
+    """
+    sums = [np.empty(x.shape + weights.shape[1:]) for _ in range(1 + squares)]
+    everything = slice(0, y.size)
+    if tree is None:
+        groups = [(0, x.size, [everything])]
+    else:
+        X = x if x_shift is None else x + x_shift
+        lo, hi = tree.lo, tree.lo + tree.width
+        inside = slice(int(np.searchsorted(X, lo)), int(np.searchsorted(X, hi, "right")))
+        targets = _leaves(X[inside], lo, tree.width, tree.depth)
+        starts_x = targets.starts + inside.start
+        starts_y = tree.sources.starts + tree.inside.start
+        box = np.arange(1 << tree.depth)
+        near_lo = starts_y[np.maximum(box - 1, 0)]
+        near_hi = starts_y[np.minimum(box + 2, box.size)]
+        beyond = [cols for cols in (slice(0, tree.inside.start), slice(tree.inside.stop, y.size))
+                  if cols.stop > cols.start]
+        groups = [(starts_x[b], starts_x[b + 1], [slice(near_lo[b], near_hi[b])] + beyond)
+                  for b in box]
+        groups += [(0, inside.start, [everything]), (inside.stop, x.size, [everything])]
+        groups = [group for group in groups if group[1] > group[0]]
+
+    def pairs(rows, cols):
+        inv = np.subtract.outer(x[rows], y[cols])
+        if x_shift is not None:
+            inv += x_shift[rows, None]
+        if y_shift is not None:
+            inv -= y_shift[cols]
         np.reciprocal(inv, out=inv)
-        k = gap[rows]
-        r = np.arange(k.size)
-        inv[r[k > 0], k[k > 0] - 1] = 0.0
-        inv[r[k < m], k[k < m]] = 0.0
-        s1[rows] = inv @ z2
-        inv *= inv
-        s2[rows] = inv @ z2
-    return s1, s2
+        for left_out in exclude:
+            col = left_out[rows] - cols.start
+            hit = (col >= 0) & (col < cols.stop - cols.start)
+            inv[np.flatnonzero(hit), col[hit]] = 0.0
+        return inv
+
+    # The exact pass: the first columns of a group write its rows' sums,
+    # the sources beyond the span add to them.
+    for first, last, columns in groups:
+        for block in row_blocks(last - first, sum(c.stop - c.start for c in columns)):
+            rows = slice(first + block.start, first + block.stop)
+            for n, cols in enumerate(columns):
+                inv = pairs(rows, cols)
+                for power, out in enumerate(sums):
+                    if power:
+                        inv *= inv
+                    if n:
+                        out[rows] += inv @ weights[cols]
+                    else:
+                        np.matmul(inv, weights[cols], out=out[rows])
+                del inv  # before the next block's, or the far field's, arrays come
+    if tree is None or inside.stop == inside.start:
+        return sums
+    slots, valid = _slots(targets.starts)
+    _, powers, _, cols = tree.local.shape
+    for group in row_blocks(box.size, 2 * slots.shape[1] * (2 * powers * cols + _TREE_NODES)):
+        far = _interpolation(targets.coord[slots[group]])[:, None] @ tree.local[group]
+        rows = slice(starts_x[group.start], starts_x[group.stop])
+        for power, out in enumerate(sums):
+            out[rows] += far[:, power][valid[group]].reshape(out[rows].shape)
+    for left_out in exclude:
+        # a left-out source beyond the near field sits in the far sums
+        k = np.arange(inside.start, inside.stop)
+        i = left_out[k] - tree.inside.start
+        within = (i >= 0) & (i < tree.inside.stop - tree.inside.start)
+        k, i = k[within], i[within]
+        far_off = np.abs(tree.sources.index[i] - targets.index[k - inside.start]) > 1
+        k, i = k[far_off], i[far_off] + tree.inside.start
+        gap = np.subtract(x[k], y[i])
+        if x_shift is not None:
+            gap += x_shift[k]
+        if y_shift is not None:
+            gap -= y_shift[i]
+        term = weights[i] / gap
+        for out in sums:
+            out[k] -= term
+            term = term / gap
+    return sums
 
 
 def _bisection_point(lo, hi):
@@ -213,6 +450,7 @@ def _secular(omega0: float, poles: np.ndarray, z2: np.ndarray):
     gprime = np.empty(m + 1)
     last_step = np.full(m + 1, np.inf)
     active = k
+    tree = _tree(poles, poles, z2, squares=True)
 
     def pole_offsets(o, kk):
         # origin minus each pole of the gap; inf where the gap has none
@@ -222,7 +460,8 @@ def _secular(omega0: float, poles: np.ndarray, z2: np.ndarray):
     for sweep in range(1, _MAX_SWEEPS + 1):
         o, t, kk = origin[active], tau[active], k[active]
         al, ar = a_left[kk], a_right[kk]
-        s1, s2 = _rest_sums(o, t, kk, poles, z2)
+        s1, s2 = _cauchy_sums(o, poles, z2, squares=True, x_shift=t, exclude=(kk - 1, kk),
+                              tree=tree)
         cl, cr = pole_offsets(o, kk)
         rest = (o - omega0) + t - s1
         slope = 1.0 + s2
@@ -310,11 +549,15 @@ def survival_exact_discrete(m: DiscreteModel, times, with_occupations: bool = Fa
     on a decoupled bin.  The phases w_k e^{-i lam_k t} come from the two
     tables of PhaseGrid, J = ceil(sqrt(nt)) on nt uniform times and 1 on
     any others, and A(t[J*a + b]) is their matrix product, one for each row
-    block of roots.  Work is O(N^2 + N nt), with O(N sqrt(nt)) exponentials
-    on uniform times; without occupations no (N + 1) x nt array is built,
-    and the occupations add the (N + 1) x nt weighted phases.  ``info``
-    carries the root sweeps, ``phase_stride`` = J and ``weight_defect`` =
-    |sum_k w_k - 1|.
+    block of roots.  The sums over the roots and the bins, in each root
+    sweep and in c_i(t), run on a tree over the bins (``_tree``): O(N) work a
+    sweep and O(N nt) for the occupations, the dense O(N^2) and O(N^2 nt)
+    below about 1,000 bins.  The phases take O(N nt) work and O(N sqrt(nt))
+    exponentials on uniform times; without occupations no (N + 1) x nt
+    array is built, and the occupations add the (N + 1) x nt weighted
+    phases.  ``info`` carries the root sweeps, ``phase_stride`` = J,
+    ``weight_defect`` = |sum_k w_k - 1| and ``tree_levels``, the levels of
+    the tree below its root (0 where the sums are dense).
     """
     times = _check_times(times)
     t = times.ravel()
@@ -332,20 +575,20 @@ def survival_exact_discrete(m: DiscreteModel, times, with_occupations: bool = Fa
     amp = table.ravel()[:t.size].reshape(times.shape)
     occupations = None
     if with_occupations:
+        # the sums over the roots with the bins as targets, eps_i - lam_k formed
+        # as (eps_i - origin) - tau, so they are minus c_i / V_i
+        bins, phases = m.energies[coupled], phases.view(float)
+        sums, = _cauchy_sums(bins, origin, phases, y_shift=tau,
+                             tree=_tree(bins, origin, phases, y_shift=tau))
+        del phases  # so that the phases, the sums and the occupations never coexist
         occupations = np.zeros((m.size, t.size), dtype=complex)
-        weighted = phases.view(float)
-        poles = m.energies[coupled]
-        for rows in row_blocks(coupled.size, tau.size):
-            # the Cauchy block 1/(lam_k - eps_i), with lam_k - eps_i as (origin - eps_i) + tau
-            cauchy = np.subtract.outer(-poles[rows], -origin)
-            cauchy += tau
-            np.reciprocal(cauchy, out=cauchy)
-            occupations[coupled[rows]] = (m.couplings[coupled[rows], None]
-                                          * (cauchy @ weighted).view(complex))
+        occupations[coupled] = np.multiply(-m.couplings[coupled, None], sums.view(complex),
+                                           out=sums.view(complex))
         occupations = occupations.reshape(m.size, *times.shape)
     series = SurvivalSeries(
         times=times, amplitude=amp, method="discrete_oracle",
         info={"n_bins": m.size, "recurrence_time": m.recurrence_time(),
               "secular_sweeps": sweeps, "phase_stride": grid.stride,
-              "weight_defect": abs(float(np.sum(weights)) - 1.0)})
+              "weight_defect": abs(float(np.sum(weights)) - 1.0),
+              "tree_levels": _tree_depth(coupled.size)})
     return series, occupations

@@ -15,10 +15,14 @@ from decaylab import _blocks, amplitude, continuum, discrete_oracle, spectral
 #   direct sum at 41 times: 499 nodes a batch, 20,480 = 41 * 499 + 21;
 #   cut integral, 577 exp-sinh nodes: 35 times a batch, 100 = 2 * 35 + 30;
 #   200-knot table: 102 points a block, 1,001 = 9 * 102 + 83;
-#   400-bin oracle: 51 roots a block of the secular sums (401 = 7 * 51 + 44)
-#   and 51 bins a Cauchy block of the occupations (400 = 7 * 51 + 43);
-#   1000-bin oracle at the 41 non-uniform times: 487 roots a block of the
-#   phase tables (1001 = 2 * 487 + 27);
+#   400-bin oracle, dense sums: 51 roots a block of the secular sums
+#   (401 = 7 * 51 + 44) and 51 bins a Cauchy block of the occupations
+#   (400 = 7 * 51 + 43);
+#   1000-bin oracle at the 41 non-uniform times: the secular sums on a tree
+#   over the bins of eight leaves of 124 or 125 roots, 54 roots a block
+#   over an inner leaf's near field of 375 poles (125 = 2 * 54 + 17) and 81
+#   over an end leaf's 250, the two outer roots one row over all poles each,
+#   and 487 roots a block of the phase tables (1001 = 2 * 487 + 27);
 #   300 x points: 68 energies a block, 201 = 2 * 68 + 65, and Ai in chunks
 #   of 20,480 / 8 = 2,560 points, 20,400 = 7 * 2,560 + 2,480.
 # Like the default, it is a whole number of 4096-node chirp-z blocks, so the
@@ -64,12 +68,13 @@ CASES = {
         {"cut_integral"}),
     "tabulated_cauchy": (lambda: TABLE.cauchy(OMEGA), {"_knot_sum"}),
     "tabulated_cauchy_derivative": (lambda: TABLE.cauchy_derivative(OMEGA), {"_knot_sum"}),
-    "oracle_with_occupations": (oracle, {"_rest_sums", "survival_exact_discrete"}),
+    "oracle_with_occupations": (
+        oracle, {"_cauchy_sums<_secular", "_cauchy_sums<survival_exact_discrete"}),
     "oracle_non_uniform_times": (
         lambda: dl.survival_exact_discrete(
             dl.build_discrete(dl.ThresholdPower(0.01, 0.5, 0.0, 20.0), 5.0, 1000),
             NON_UNIFORM)[0].amplitude,
-        {"_rest_sums", "survival_exact_discrete"}),
+        {"_cauchy_sums<_secular", "survival_exact_discrete"}),
     "packet_plane_wave": (lambda: packet("plane_wave"), {"synthesize_packet"}),
     "packet_airy": (lambda: packet("linear_slope_airy", beta_slope=3.0),
                     {"synthesize_packet", "_ai"}),
@@ -86,7 +91,9 @@ def test_small_budget_changes_only_the_grouping(monkeypatch, compute, sites):
         blocks = list(_blocks.row_blocks(n_rows, n_cols))
         step = SMALL // n_cols
         if blocks[0].stop == step < n_rows and n_rows % step:
-            ragged.add(sys._getframe(1).f_code.co_name)
+            # the site, and the site with its caller: "_cauchy_sums<_secular"
+            site = sys._getframe(1).f_code
+            ragged.update((site.co_name, f"{site.co_name}<{sys._getframe(2).f_code.co_name}"))
         return iter(blocks)
 
     monkeypatch.setattr(_blocks, "BLOCK_ELEMENTS", SMALL)

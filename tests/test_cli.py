@@ -272,8 +272,19 @@ class TestOtherCommands:
         gamma = 2 * np.pi * 0.05
         expected = np.exp(-gamma * data["t"])
         assert np.max(np.abs(data["abs2_A"] - expected)) < 0.05
-        survival = json.loads((out / "run_manifest.json").read_text())["config"]["survival"]
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        survival = manifest["config"]["survival"]
         assert survival["recurrence_time"] == pytest.approx(2 * np.pi / (200 / 400))
+        series, _ = dl.survival_exact_discrete(
+            dl.build_discrete(dl.Box(amplitude_sq=0.05, half_width=100.0), 0.0, 400),
+            np.linspace(0.0, 5.0, 21))
+        assert manifest["results"] == {key: series.info[key] for key in
+                                       ("secular_sweeps", "weight_defect", "phase_stride",
+                                        "tree_levels")}
+        again = tmp_path / "again"
+        assert main(["survival", "-c", str(cfg), "--out", str(again), "--method", "oracle"]) == 0
+        for name in ("survival.csv", "run_manifest.json"):
+            assert (again / name).read_bytes() == (out / name).read_bytes()
 
     def test_oracle_agrees_with_numeric(self, tmp_path, capsys):
         # the same box, grid and file layout by two routes, checked by `compare`

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -206,6 +206,15 @@ def _gauss_legendre():
                             widths=5.0 * w)
 
 
+def _level_above():
+    # 1500 bins on (-2, 2) and the level at 30: the sums run on a tree of
+    # three levels, and the top root's gap spans most of its eight leaves,
+    # so that root's lower pole lies in the far field
+    m = random_discrete(np.random.default_rng(43), 1500)
+    return dl.DiscreteModel(omega0=30.0, energies=m.energies, couplings=m.couplings,
+                            widths=m.widths)
+
+
 SECULAR_CASES = {
     "random_complex": lambda: random_discrete(np.random.default_rng(41), 200),
     "gauss_legendre": _gauss_legendre,
@@ -213,6 +222,7 @@ SECULAR_CASES = {
     "omega0_on_a_bin": lambda: _uniform_box(omega0=float(_uniform_box().energies[77])),
     "some_zero": _some_zero,
     "all_zero": lambda: dl.build_discrete(dl.Box(amplitude_sq=0.0, half_width=5.0), 0.3, 200),
+    "level_above_1500_bins": _level_above,
 }
 
 
@@ -242,6 +252,7 @@ class TestSecularAgainstEigh:
         assert np.max(np.abs(occ - occupations)) <= 1e-12
         assert series.info["weight_defect"] <= 1e-13
         assert np.all(occ[decoupled] == 0.0)
+        assert (series.info["tree_levels"] >= 3) == (m.size >= 1000)
 
     def test_weight_defect_and_sweeps_on_3000_bins(self):
         m = dl.build_discrete(dl.Box(amplitude_sq=0.05, half_width=100.0), 0.3, 3000)
@@ -250,6 +261,16 @@ class TestSecularAgainstEigh:
         assert first.info["weight_defect"] <= 1e-13
         assert 1 <= first.info["secular_sweeps"] < discrete_oracle._MAX_SWEEPS
         assert first.info == again.info
+
+    def test_tree_spans_the_bins_when_the_level_lies_far_above_them(self):
+        # the top root, near 30, lies beyond the bins on (-2, 2) and is summed
+        # exactly; the eight leaves split the bins, so that a root's near field
+        # is three leaves of about 190 bins and not the whole band
+        m = _level_above()
+        tree = discrete_oracle._tree(m.energies, m.energies, np.abs(m.couplings) ** 2,
+                                     squares=True)
+        assert tree.depth == 3 and tree.inside == slice(0, m.size)
+        assert np.max(np.diff(tree.sources.starts)) <= 1.25 * m.size / 8
 
     def test_sweep_cap_raises(self, monkeypatch):
         monkeypatch.setattr(discrete_oracle, "_MAX_SWEEPS", 1)
@@ -338,3 +359,81 @@ class TestPhaseTables:
         assert first.amplitude.tobytes() == again.amplitude.tobytes()
         assert first_occ.tobytes() == again_occ.tobytes()
         assert first.info == again.info
+
+
+def dense_sums(x, y, weights, x_shift=None, y_shift=None, exclude=()):
+    """The sums of discrete_oracle._cauchy_sums, and of the terms' moduli, by dense blocks."""
+    sums = np.empty((3, x.size) + weights.shape[1:])
+    for start in range(0, x.size, 256):
+        rows = slice(start, start + 256)
+        inv = np.subtract.outer(x[rows], y)
+        if x_shift is not None:
+            inv += x_shift[rows, None]
+        if y_shift is not None:
+            inv -= y_shift
+        inv = 1.0 / inv
+        for left_out in exclude:
+            k = np.flatnonzero((left_out[rows] >= 0) & (left_out[rows] < y.size))
+            inv[k, left_out[rows][k]] = 0.0
+        sums[:, rows] = inv @ weights, inv**2 @ weights, np.abs(inv) @ np.abs(weights)
+    return sums
+
+
+def spread_poles(rng, n, gap):
+    """n ascending poles with exponential spacings of mean 1, a tenth of them
+    1e-12 n, about 1e-12 of the span, and one spacing, at a random place,
+    ``gap`` of the whole span."""
+    spacing = rng.exponential(size=n - 1)
+    spacing[rng.random(n - 1) < 0.1] = 1e-12 * n
+    if n > 2:
+        spacing[rng.integers(n - 1)] = 0.0
+        spacing[spacing == 0.0] = gap / (1.0 - gap) * np.sum(spacing)
+    return np.concatenate(([0.0], np.cumsum(spacing))) - 0.3 * np.sum(spacing)
+
+
+def roots_in_gaps(rng, poles):
+    """One point in each gap of the poles, and beyond each end, as an origin
+    pole and an offset from it, some within 1e-12 of the gap's width."""
+    n = poles.size
+    span = poles[-1] - poles[0] + 1.0
+    width = np.concatenate(([span], np.diff(poles), [span]))
+    fraction = 10.0 ** rng.uniform(-12.0, np.log10(0.5), n + 1)
+    left = rng.random(n + 1) < 0.5
+    left[0], left[-1] = False, True
+    origin = np.where(left, poles[np.maximum(np.arange(n + 1) - 1, 0)],
+                      poles[np.minimum(np.arange(n + 1), n - 1)])
+    return origin, np.where(left, 1.0, -1.0) * fraction * width
+
+
+class TestCauchyTree:
+    """The tree's sums against dense ones, on random arrowheads of up to 3000 poles."""
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           n=st.one_of(st.integers(2, 999), st.integers(1000, 3000)),
+           gap=st.floats(0.01, 0.7), columns=st.integers(1, 3))
+    @example(seed=1, n=3000, gap=0.6, columns=2)
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_tree_sums_match_dense_sums(self, seed, n, gap, columns):
+        rng = np.random.default_rng(seed)
+        poles = spread_poles(rng, n, gap)
+        z2 = 10.0 ** rng.uniform(-8.0, 0.0, n)
+        origin, tau = roots_in_gaps(rng, poles)
+        gaps = np.arange(n + 1)
+        exclude = (gaps - 1, gaps)
+        # the secular solve's sums: the roots as targets, each gap's poles left
+        # out, and the two outer roots beyond the tree's span
+        tree = discrete_oracle._tree(poles, poles, z2, squares=True)
+        assert (tree is None) == (n < 1000)
+        s1, s2 = discrete_oracle._cauchy_sums(origin, poles, z2, squares=True, x_shift=tau,
+                                              exclude=exclude, tree=tree)
+        d1, d2, _ = dense_sums(origin, poles, z2, x_shift=tau, exclude=exclude)
+        assert np.all(np.abs(s1 - d1) <= 1e-14 * math.sqrt(np.sum(z2)) * np.sqrt(d2))
+        assert np.all(np.abs(s2 - d2) <= 1e-14 * d2)
+        # the occupations' sums: the poles as targets, the roots as sources,
+        # the two outer ones beyond the span
+        weights = rng.normal(size=(n + 1, columns))
+        o, = discrete_oracle._cauchy_sums(
+            poles, origin, weights, y_shift=tau,
+            tree=discrete_oracle._tree(poles, origin, weights, y_shift=tau))
+        do, _, moduli = dense_sums(poles, origin, weights, y_shift=tau)
+        assert np.all(np.abs(o - do) <= 1e-14 * moduli)
