@@ -1,7 +1,8 @@
 """Phases exp(i r x) over a 1-d grid x from two small tables.
 
-The plane-wave basis in x and the discretized-continuum oracle in t both
-need exp(i r x_j) for many rates r at every point x_j of a grid.  On a
+The plane-wave basis in x, the discretized-continuum oracle in t and the
+contour inversion, over its nodes and then over its times, all need
+exp(i r x_j) for many rates r at every point x_j of a grid.  On a
 uniform grid each phase is the product of one entry of a coarse table and
 one of a fine table, so a rate costs about 2 sqrt(n) complex exponentials
 instead of n.

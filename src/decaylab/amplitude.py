@@ -24,11 +24,11 @@ t < 2 pi / h by Poisson summation (Dubner & Abate 1968; Trefethen & Weideman
 2014); the default step makes that bound 1e-12.
 It takes one pass over the N uniform contour nodes, in stretches of
 131,072: each stretch's Sigma and integrand are formed and its time sums
-added into A(t), so no array spans the whole contour.  On uniform times
-those sums are a chirp-z transform: split into blocks of 4096 nodes, each
-block is one Bluestein FFT convolution (Rabiner, Schafer & Rader 1969),
-O((N + M) log) in place of the O(N M) direct sum, which stays for
-non-uniform time grids.
+added into A(t), so no array spans the whole contour.  Those sums share the
+phase tables of ``_phases.PhaseGrid``: a stretch of n nodes at M times costs
+n M multiply-adds in one complex matrix product, and about 4 sqrt(n M)
+complex exponentials on uniform times or M (n/J + J), J = ceil(sqrt(n)), on
+any others.
 """
 
 from __future__ import annotations
@@ -37,9 +37,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as sfft, special
+from scipy import special
 
 from ._blocks import row_blocks
+from ._phases import PhaseGrid
 from .errors import (DomainError, QuadratureFailure, SingularDenominator,
                      TruncationError, UnsupportedContinuation)
 from .poles import find_pole, lorentzian_poles
@@ -87,54 +88,33 @@ _ALIAS_EPS = 1e-12
 # and the truncated tail that the default omega_max allows past them.
 _EXPANSION_TERMS = 6
 _TAIL_TARGET = 1e-8
-# Nodes per chirp-z block; FFT batches, direct-sum batches and the stretches
-# of the inversion's one pass over its grid all follow the shared block budget.
-_CZT_LEN = 4096
 # Exp-sinh nodes exp(pi/2 sinh(k h)) for |k h| <= 4.5, h = 1/64: 2e-31 to 5e30.
 # Column 0 weights the rule at step h, column 1 the rule at 2h (even k only).
 _DE_KH = np.arange(-288, 289) / 64
 _DE_NODES = np.exp(0.5 * np.pi * np.sinh(_DE_KH))
 _DE_WEIGHTS = np.outer(np.pi / 128 * np.cosh(_DE_KH) * _DE_NODES, [1.0, 2.0])
 _DE_WEIGHTS[1::2, 1] = 0.0
-# Times count as uniform when max_k |t_k - (t0 + k dt)| * max_j |x_j|, the
-# largest phase error of treating them as such, is at most this.
-_UNIFORM_PHASE = 1e-10
+def _phase_sum(f: np.ndarray, nodes: PhaseGrid, times: np.ndarray) -> np.ndarray:
+    """Sum_j f_j exp(-i x_j t_k) at every t_k, for the uniform nodes x of ``nodes``.
 
-
-def _chirp_z(f: np.ndarray, x0: float, h: float, times: np.ndarray,
-             dt: float) -> np.ndarray:
-    """Sum_j f_j exp(-i (x0 + j h) t_k) at t_k = times[0] + k dt, by blocked Bluestein.
-
-    Node j = bL + n splits the phase into the block start's x_b t_k, taken
-    directly, n h t0 and theta n k with theta = h dt.  Bluestein's
-    n k = (n^2 + k^2 - (k - n)^2) / 2 makes each block's sum over n one
-    FFT convolution, O((L + M) log) instead of O(L M).  The chirps are
-    built from exact integer squares, never from a rounded power.
+    Node J*a + b is x[J*a] + b*step, so at each time the phases are the product
+    of a coarse table exp(-i x[J*a] t), A entries, and a fine table
+    exp(-i b step t), J entries: f summed over b against the fine table, one
+    complex matrix product, and then over a against the coarse one.  The
+    tables over a block of times come from that block's own PhaseGrid, so on
+    uniform times they take about 2 sqrt(M) (A + J) exponentials for M times.
     """
-    L, m = _CZT_LEN, times.size
-    n, k = np.arange(L), np.arange(m)
-    theta = h * dt
-    nfft = sfft.next_fast_len(L + m - 1)
-    pre = np.exp(-1j * h * times[0] * n) * _chirp(-0.5 * theta, n * n)
-    lags = np.zeros(nfft, dtype=complex)      # exp(i theta j^2 / 2), j = -(L-1) .. m-1
-    lags[:m] = _chirp(0.5 * theta, k * k)
-    lags[nfft - L + 1:] = _chirp(0.5 * theta, n[:0:-1] * n[:0:-1])
-    kernel = sfft.fft(lags)
-    blocks = np.zeros((-(-f.size // L), L), dtype=complex)
-    blocks.reshape(-1)[:f.size] = f
-    x_b = x0 + h * np.arange(0, f.size, L)
-    out = np.zeros(m, dtype=complex)
-    for rows in row_blocks(x_b.size, nfft):   # blocks per FFT call, so memory stays O(nfft)
-        conv = sfft.ifft(sfft.fft(blocks[rows] * pre, nfft) * kernel)[:, :m]
-        out += (np.exp(-1j * np.outer(x_b[rows], times)) * conv).sum(axis=0)
-    return out * _chirp(-0.5 * theta, k * k)
-
-
-def _chirp(c: float, squares: np.ndarray) -> np.ndarray:
-    """exp(i c s) for integer squares s, split so that c_hi * s is exact for s < 2**33."""
-    mantissa, exponent = math.frexp(c)
-    c_hi = math.ldexp(round(mantissa * 2**19), exponent - 19)
-    return np.exp(1j * c_hi * squares) * np.exp(1j * (c - c_hi) * squares)
+    stride = nodes.stride
+    rates = -np.concatenate([nodes.x[::stride], nodes.step * np.arange(stride)])
+    coarse = rates.size - stride
+    f = np.pad(f, (0, coarse * stride - f.size)).reshape(coarse, stride).T
+    out = np.empty(times.size, dtype=complex)
+    for rows in row_blocks(times.size, rates.size):
+        block = PhaseGrid(times[rows])
+        tables = block.product(*block.tables(rates),
+                               out=np.empty((block.x.size, rates.size), dtype=complex))
+        out[rows] = np.einsum("ka,ka->k", tables[:, :coarse], tables[:, coarse:] @ f)
+    return out
 
 
 def _propagator_series(model, omega0: float, z0: complex, n: int):
@@ -186,10 +166,10 @@ def survival_numeric(se: SelfEnergy, omega0: float, times,
     ``info["alias_bound"]`` bounds the aliasing (inf if 2 pi / h <= t_max)
     and ``info["tail_estimate"]`` the truncated tail, from the first omitted
     coefficient; ``info["expansion_terms"]`` is K and ``info["expansion_point"]``
-    z0.  On uniform times (to a phase error of 1e-10) the sum over nodes is
-    the blocked chirp-z transform, otherwise the direct sum;
-    ``info["transform"]`` names the one taken ("chirp_z" or "direct").  The
-    amplitude has the shape of ``times``.
+    z0.  The sum over each stretch's nodes is ``_phase_sum``, whose node
+    tables have the stride J = ceil(sqrt(n)) on a stretch of n nodes;
+    ``info["phase_stride"]`` is J on the first, full stretch.  The amplitude
+    has the shape of ``times``.
     """
     times = _check_times(times)
     omega0 = float(omega0)
@@ -254,10 +234,8 @@ def survival_numeric(se: SelfEnergy, omega0: float, times,
     q = math.exp(-2.0 * np.pi * offset / h)
     alias_bound = 2.0 * q / (1.0 - q) if q < 1.0 and 2.0 * np.pi / h > t_max else math.inf
     t = times.ravel()
-    m = t.size
-    dt = (t[-1] - t[0]) / max(m - 1, 1)
-    uniform = np.max(np.abs(t - (t[0] + dt * np.arange(m)))) * omega_max <= _UNIFORM_PHASE
-    amp = np.zeros(m, dtype=complex)
+    amp = np.zeros(t.size, dtype=complex)
+    strides = []
     for stretch in row_blocks(n_points, 1):
         j = np.arange(stretch.start, stretch.stop)
         x = j * h - omega_max
@@ -269,11 +247,9 @@ def survival_numeric(se: SelfEnergy, omega0: float, times,
         f = (1.0 / (nodes - omega0 - se.sigma_upper_grid(nodes)) - 1.0 / (nodes - omega0)
              - expansion * u**3)
         f *= np.where((j == 0) | (j == n_points - 1), 0.5, 1.0)   # trapezoid end nodes
-        if uniform:
-            amp += _chirp_z(f, x[0], h, t, dt)
-        else:
-            for rows in row_blocks(j.size, m):
-                amp += f[rows] @ np.exp(-1j * np.outer(x[rows], t))
+        grid = PhaseGrid(x)
+        strides.append(grid.stride)
+        amp += _phase_sum(f, grid, t)
     # the trapezoid's h and the inversion's i / (2 pi), then the free pole's
     # and the subtracted terms' exact transforms
     amp *= 1j * h / (2.0 * np.pi) * np.exp(offset * t)
@@ -287,8 +263,7 @@ def survival_numeric(se: SelfEnergy, omega0: float, times,
         times=times, amplitude=amp, method="numeric_inversion",
         info={"contour_offset": offset, "omega_max": omega_max,
               "n_points": n_points, "alias_bound": alias_bound, "tail_estimate": tail_estimate,
-              "expansion_terms": K, "expansion_point": z0,
-              "transform": "chirp_z" if uniform else "direct"})
+              "expansion_terms": K, "expansion_point": z0, "phase_stride": strides[0]})
 
 
 def survival_lorentzian(model: Lorentzian, omega0: float, times) -> SurvivalSeries:

@@ -7,10 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 import decaylab as dl
 from decaylab import _blocks, amplitude
+from decaylab._phases import PhaseGrid
 from decaylab.errors import (DomainError, SingularDenominator, TruncationError,
                              UnsupportedContinuation)
 
@@ -103,17 +106,16 @@ class TestNumericInversion:
         series = dl.survival_numeric(lorentzian_se, 0.0, [0.0, 20.0], n_points=41)
         assert series.info["alias_bound"] == np.inf
 
-    def test_non_uniform_times_take_direct_sum(self, lorentzian_se):
+    def test_non_uniform_times_agree_with_uniform(self, lorentzian_se):
+        # one time moved off the grid leaves the other amplitudes as they were
         times = np.linspace(0.0, 10.0, 41)
         uniform = dl.survival_numeric(lorentzian_se, 0.0, times)
         perturbed = times.copy()
         perturbed[17] += 0.013
-        direct = dl.survival_numeric(lorentzian_se, 0.0, perturbed)
-        assert uniform.info["transform"] == "chirp_z"
-        assert direct.info["transform"] == "direct"
+        moved = dl.survival_numeric(lorentzian_se, 0.0, perturbed)
         shared = np.arange(times.size) != 17
-        np.testing.assert_allclose(direct.amplitude[shared], uniform.amplitude[shared],
-                                   rtol=0, atol=1e-10)
+        np.testing.assert_allclose(moved.amplitude[shared], uniform.amplitude[shared],
+                                   rtol=0, atol=1e-14)
 
 
 def expansion_coefficients(se, omega0, z0, radius, n):
@@ -154,12 +156,23 @@ class TestOnePass:
     N_POINTS = 2 * _blocks.BLOCK_ELEMENTS + 50_001
 
     @pytest.mark.parametrize("perturb", [0.0, 0.013], ids=["uniform", "non_uniform"])
-    def test_matches_full_array_formula(self, threshold_se, perturb):
+    def test_matches_full_array_formula(self, threshold_se, perturb, monkeypatch):
         times = np.linspace(0.0, 20.0, 41)
         times[17] += perturb
+        strides, phase_sum = [], amplitude._phase_sum
+
+        def recording_sum(f, nodes, t):
+            strides.append((nodes.x.size, nodes.stride))
+            return phase_sum(f, nodes, t)
+
+        monkeypatch.setattr(amplitude, "_phase_sum", recording_sum)
         series = dl.survival_numeric(threshold_se, 5.0, times, n_points=self.N_POINTS)
         info = series.info
-        assert info["transform"] == ("direct" if perturb else "chirp_z")
+        # every stretch gets node tables of stride ceil(sqrt(n)); a stride of 1
+        # gives the same sums with n exponentials a time
+        full = _blocks.BLOCK_ELEMENTS
+        assert strides == [(n, math.ceil(math.sqrt(n))) for n in (full, full, 50_001)]
+        assert info["phase_stride"] == math.ceil(math.sqrt(full))
         assert info["expansion_terms"] == 6
         # the support [0, 20] lies within 26 of z0 = 5 - 20i; the circle is at 200
         reference = full_array_inversion(threshold_se, 5.0, times, info["contour_offset"],
@@ -297,25 +310,43 @@ def test_amplitude_keeps_the_shape_of_times(route):
 
 
 class TestTimeTransform:
-    """The blocked chirp-z transform against the dense sum it replaces."""
+    """The node tables' time sum against a dense sum from long-double phases."""
 
-    @pytest.mark.parametrize("m", [1, 2, 601])
-    def test_chirp_z_matches_dense_sum(self, m):
-        rng = np.random.default_rng(m)
-        n, omega_max, t0, t_max = 3 * 4096 + 17, 613.7, 0.37, 97.3   # omega_max t_max ~ 6e4
+    @given(n=st.integers(2, 50_000), m=st.integers(1, 601),
+           kind=st.sampled_from(["uniform", "perturbed", "geometric"]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=50_000, m=20, kind="uniform", seed=1)
+    @example(n=2, m=601, kind="perturbed", seed=2)
+    @example(n=903, m=601, kind="uniform", seed=3)
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    def test_phase_sum_matches_long_double_sum(self, n, m, kind, seed):
+        assume(n * m <= 1_000_000)   # the reference takes about 0.4 us a phase
+        rng = np.random.default_rng(seed)
+        omega_max, t0, t_max = 613.7, 0.37, 97.3   # omega_max t_max ~ 6e4
+        x = np.arange(n) * (2.0 * omega_max / (n - 1)) - omega_max   # as the contour's nodes
         f = rng.normal(size=n) + 1j * rng.normal(size=n)
-        f /= np.abs(f).sum()
-        times = np.linspace(t0, t_max, m) if m > 1 else np.array([t_max])
-        dt = (t_max - t0) / (m - 1) if m > 1 else 0.0
-        fast = amplitude._chirp_z(f, -omega_max, 2.0 * omega_max / (n - 1), times, dt)
-        x = np.linspace(-omega_max, omega_max, n)
-        dense = np.exp(-1j * np.outer(times, x)) @ f
-        assert np.max(np.abs(fast - dense)) <= 1e-10
+        times = np.geomspace(t0, t_max, m) if kind == "geometric" else np.linspace(t0, t_max, m)
+        if kind == "perturbed":
+            times[min(17, m - 1)] += 0.013
+        nodes = PhaseGrid(x)
+        assert nodes.stride == math.ceil(math.sqrt(n))
+        fast = amplitude._phase_sum(f, nodes, times)
+        x_ld, f_re, f_im = (v.astype(np.longdouble) for v in (x, f.real, f.imag))
+        dense = np.empty(m, dtype=complex)
+        for rows in _blocks.row_blocks(m, n):
+            phase = np.multiply.outer(times[rows].astype(np.longdouble), x_ld)
+            cos, sin = np.cos(phase), np.sin(phase)
+            dense[rows] = (cos @ f_re + sin @ f_im) + 1j * (cos @ f_im - sin @ f_re)
+        # a phase x t rounds by about eps |x t|; the sum measured at most 1.7 of this
+        rounding = np.abs(f) * (1.0 + np.abs(x) * t_max)
+        scale = np.finfo(float).eps * np.sqrt(np.sum(rounding**2))
+        assert np.max(np.abs(fast - dense)) <= 5.0 * scale
 
     def test_no_signal_import(self):
         """No production path loads scipy.signal or scipy.integrate.
 
-        The transform needs scipy.fft only: importing scipy.signal takes
+        The package needs scipy.special and scipy.fft, which the split-operator
+        step takes, and nothing more: importing scipy.signal takes
         0.7-0.8 s on a 2-core Xeon, and scipy.integrate, which brings
         scipy.optimize, scipy.linalg and scipy.spatial, about 0.27 s.  The
         modules are compared with those that numpy, scipy.special and

@@ -10,9 +10,9 @@ from decaylab import _blocks, amplitude, continuum, discrete_oracle, spectral
 
 # Elements per block under test.  With it every site below splits into
 # several blocks and ends on a ragged one:
-#   stretches of 20,480 nodes: 20,480 + 20,480 + 7,001 of 47,961;
-#   chirp-z: 5 blocks of 4096 a stretch, 4 per FFT batch (nfft > 4096): 4 + 1;
-#   direct sum at 41 times: 499 nodes a batch, 20,480 = 41 * 499 + 21;
+#   stretches of 20,480 nodes: 20,480 + 20,480 + 7,001 of 47,961, and on a
+#   full stretch node tables of 143 + 144 columns (stride 144): 71 of the 101
+#   times a block, 101 = 71 + 30;
 #   cut integral, 577 exp-sinh nodes: 35 times a batch, 100 = 2 * 35 + 30;
 #   200-knot table: 102 points a block, 1,001 = 9 * 102 + 83;
 #   400-bin oracle, dense sums: 51 roots a block of the secular sums
@@ -25,13 +25,14 @@ from decaylab import _blocks, amplitude, continuum, discrete_oracle, spectral
 #   and 487 roots a block of the phase tables (1001 = 2 * 487 + 27);
 #   300 x points: 68 energies a block, 201 = 2 * 68 + 65, and Ai in chunks
 #   of 20,480 / 8 = 2,560 points, 20,400 = 7 * 2,560 + 2,480.
-# Like the default, it is a whole number of 4096-node chirp-z blocks, so the
-# stretches split the contour at the same nodes as the default's blocks;
-# stretches of 20,000 nodes shift every block and moved the amplitude by
-# 1.3e-12, the transform's own rounding level (6.6e-13 from the dense sum).
-SMALL = 5 * 4096
+# The stretches split the contour where the default's one stretch of 47,961
+# nodes does not, each with its own stride (144 and 84 for 220), so the
+# time sums group their terms differently: that moved the amplitude by 4.0e-14,
+# and stretches of 20,000 nodes by 8.7e-14.
+SMALL = 20_480
 N_POINTS = 2 * SMALL + 7_001
 TIMES = np.linspace(0.0, 20.0, 41)
+INVERSION_TIMES = np.linspace(0.0, 20.0, 101)
 NON_UNIFORM = TIMES + 0.013 * (np.arange(TIMES.size) == 17)
 TABLE_EPS = np.linspace(0.0, 20.0, 200)
 TABLE = dl.Tabulated(TABLE_EPS, dl.ThresholdPower(0.01, 0.5, 0.0, 20.0).density(TABLE_EPS))
@@ -54,14 +55,10 @@ def oracle():
 
 # case -> (computation, the functions whose blocked passes it runs)
 CASES = {
-    "chirp_z_inversion": (
-        lambda: dl.survival_numeric(dl.SelfEnergy(TABLE), 5.0, TIMES,
+    "inversion": (
+        lambda: dl.survival_numeric(dl.SelfEnergy(TABLE), 5.0, INVERSION_TIMES,
                                     n_points=N_POINTS).amplitude,
-        {"survival_numeric", "_chirp_z"}),
-    "direct_inversion": (
-        lambda: dl.survival_numeric(dl.SelfEnergy(TABLE), 5.0, NON_UNIFORM,
-                                    n_points=N_POINTS).amplitude,
-        {"survival_numeric"}),
+        {"survival_numeric", "_phase_sum"}),
     "cut_integral": (
         lambda: dl.cut_integral(dl.SelfEnergy(dl.ThresholdPower(0.01, 0.5, 0.0, 20.0)), 5.0,
                                 np.linspace(0.1, 50.0, 100)),

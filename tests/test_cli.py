@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import decaylab as dl
-from decaylab.cli import COMMANDS, SCHEMA, _abs2, _write_csv, main
+from decaylab.cli import COMMANDS, SCHEMA, _abs2, _build_parser, _write_csv, main
 from decaylab.config import parse_config_text
 from decaylab.errors import ConfigParseError
 from decaylab.spectral import MODEL_TYPES
@@ -133,11 +134,17 @@ class TestSurvivalCommand:
         # the contour height is derived, 3/t_max, and recorded as such
         assert survival["contour_offset"] == 3.0 / 5.0
         assert manifest["config"]["model"]["a"] == 0.0
-        assert manifest["results"]["transform"] == "chirp_z"
+        # the contour is one stretch, and its node tables split it with stride ceil(sqrt(n))
+        assert manifest["results"]["phase_stride"] == math.ceil(math.sqrt(survival["n_points"]))
         assert manifest["results"]["alias_bound"] < 1e-11
         # the default omega_max is set by the 1e-8 truncated-tail target of the
         # first term left out of the K = 6 subtracted about z0 = omega0 - i Gamma
         assert manifest["results"]["tail_estimate"] == pytest.approx(1e-8)
+        again = tmp_path / "again"
+        assert main(["survival", "-c", str(cfg), "--out", str(again),
+                     "--method", "numeric"]) == 0
+        for path in out.iterdir():
+            assert (again / path.name).read_bytes() == path.read_bytes(), path.name
         assert manifest["results"]["expansion_terms"] == 6
         z0 = manifest["results"]["expansion_point"]
         assert z0[0] == 0.0 and z0[1] < -1.0
@@ -663,6 +670,27 @@ class TestCsvWriter:
 
 
 class TestDeterminism:
+    def test_cached_parser_parses_like_a_fresh_one(self, capsys):
+        # one parser serves every main() call of a process; a refused flag
+        # leaves nothing behind for the parses after it
+        assert _build_parser() is _build_parser()
+        argvs = [["survival", "-c", "a.cfg", "--method", "oracle", "--nt", "11"],
+                 ["survival", "-c", "a.cfg", "--method", "exact"],
+                 ["survival", "-c", "a.cfg", "--tmax", "2.5"],
+                 ["packet", "-c", "b.cfg", "--out", "run"],
+                 ["verify-partition"],
+                 ["compare", "first.csv", "second.csv"],
+                 ["spectral"],
+                 ["survival", "-c", "a.cfg"]]
+        for argv in argvs:
+            outcomes = []
+            for parser in (_build_parser(), _build_parser.__wrapped__()):
+                try:
+                    outcomes.append(vars(parser.parse_args(argv)))
+                except SystemExit as exc:
+                    outcomes.append((exc.code, capsys.readouterr().err))
+            assert outcomes[0] == outcomes[1], argv
+
     def test_identical_reruns_are_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, LORENTZIAN_CONFIG)
         out1, out2 = tmp_path / "a", tmp_path / "b"

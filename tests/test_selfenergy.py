@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, special
+from scipy import integrate
 
 import decaylab as dl
 from decaylab.errors import DomainError
@@ -419,6 +419,39 @@ class TestCauchyTransform:
             assert abs(model.cauchy(omega) - exact) <= 1e-14 * abs(exact), omega
             assert abs(model.cauchy_derivative(omega) - slope) <= 1e-14 * abs(slope), omega
 
+    @pytest.mark.parametrize("scale", [2.0 * (1.0 - 1e-9), 1.5, 1.1])
+    def test_table_inside_the_switch_against_mpmath(self, scale):
+        # between R and 2R from the centre the knot terms cancelled to 7.6e-14
+        # of the value before their logs were referred to log(omega - c)
+        table = CAUCHY_MODELS[-1]
+        for angle in np.linspace(-np.pi, np.pi, 25)[1:]:
+            omega = 10.0 + 10.0 * scale * np.exp(1j * angle)
+            if angle in (0.0, np.pi):
+                omega = complex(omega.real, 0.0)   # on the axis, from above
+            exact, slope = _mpmath_transform(table, omega)
+            assert abs(table.cauchy(omega) - exact) <= 2e-14 * abs(exact), omega
+            assert abs(table.cauchy_derivative(omega) - slope) <= 2e-14 * abs(slope), omega
+
+    def test_table_at_its_centre_and_knots(self):
+        # omega - c vanishes at the centre, where the logs are referred to
+        # log R; at a knot on the axis u log u is 0 log 0 = 0, at the last one
+        # D does not vanish and the log diverges, and Sigma' is infinite at
+        # every knot where D bends
+        table = CAUCHY_MODELS[-1]
+        points = np.concatenate([[10.0], TABLE_EPS]).astype(complex)
+        values, slopes = table.cauchy(points), table.cauchy_derivative(points)
+        exact, slope = _mpmath_transform(table, 10.0)
+        assert abs(values[0] - exact) <= 1e-14 * abs(exact)
+        assert abs(slopes[0] - slope) <= 1e-14 * abs(slope)
+        for omega, value in zip(points[1:-1], values[1:-1]):
+            exact, _ = _mpmath_transform(table, omega)
+            assert abs(value - exact) <= 1e-13 * abs(exact), omega
+        assert np.isinf(values[-1]) and np.all(np.isinf(slopes[1:]))
+        # where D runs straight through a knot, 0 log 0 = 0 leaves Sigma' finite
+        straight = dl.Tabulated([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 0.0])
+        slope = straight.cauchy_derivative(1.0)
+        assert abs(slope - _mpmath_transform(straight, 1.0)[1]) <= 1e-14 * abs(slope)
+
     @pytest.mark.parametrize("model", CAUCHY_MODELS[1:], ids=_model_id)
     @given(angle=st.floats(0.0, 2.0 * np.pi), side=st.sampled_from([1.0, -1.0]))
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -433,10 +466,7 @@ class TestCauchyTransform:
         for public, closed, order in pairs:
             other = (closed(omega) if side > 0
                      else model._laurent(radius / (omega - centre), radius, order))
-            # the closed form's rounding: of its value, or of the knot sum's terms
-            scale = (_knot_sum_size(model, omega, order) if isinstance(model, dl.Tabulated)
-                     else abs(other))
-            assert abs(public(omega) - other) <= 1e-14 * scale, (order, omega)
+            assert abs(public(omega) - other) <= 1e-14 * abs(other), (order, omega)
 
     @pytest.mark.parametrize("x", [0.5, 5.0, 19.5, -3.0, 30.0, -1e-9])
     def test_threshold_near_axis_against_elementary_form(self, x):
@@ -507,22 +537,13 @@ def _mpmath_transform(model, omega):
             y = [mpmath.mpf(v) for v in model._vals]
             slopes = [(y[i + 1] - y[i]) / (x[i + 1] - x[i]) for i in range(len(x) - 1)]
             kinks = [b - a for a, b in zip([0, *slopes], [*slopes, 0])]
-            logs = [mpmath.log(w - xk) for xk in x]
+            # 0 log 0 = 0 where omega is a knot
+            logs = [mpmath.log(w - xk) if w != xk else 0 for xk in x]
             values = (y[0] * (logs[0] + 1) - y[-1] * (logs[-1] + 1)
                       + sum(k * (w - xk) * log for k, xk, log in zip(kinks, x, logs)),
-                      y[0] / (w - x[0]) - y[-1] / (w - x[-1])
+                      sum(yk / (w - xk) for yk, xk in ((y[0], x[0]), (-y[-1], x[-1])) if yk)
                       + sum(k * log for k, log in zip(kinks, logs)))
         return tuple(complex(v) for v in values)
-
-
-def _knot_sum_size(table, omega, order):
-    """Sum of the moduli of the terms of the tabulated closed form at omega."""
-    u = omega - table._eps
-    ends = np.abs(special.xlogy(table._vals[[0, -1]], u[[0, -1]]) if order == 0
-                  else table._vals[[0, -1]] / u[[0, -1]])
-    knots = np.abs(special.xlogy(u, u) if order == 0 else np.log(u)) @ np.abs(table._kinks)
-    constant = abs(table._vals[0] - table._vals[-1]) if order == 0 else 0.0
-    return ends.sum() + constant + knots
 
 
 def test_adaptive_reference_stays_out_of_production():
