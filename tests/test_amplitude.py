@@ -342,6 +342,20 @@ class TestTimeTransform:
         scale = np.finfo(float).eps * np.sqrt(np.sum(rounding**2))
         assert np.max(np.abs(fast - dense)) <= 5.0 * scale
 
+    @pytest.mark.parametrize("m", [1, 2, 601])
+    def test_chirp_z_matches_dense_sum(self, m):
+        # uniform times, the grid a chirp-z transform would take: the node
+        # tables' sum against the dense sum at one, two and many times
+        rng = np.random.default_rng(m)
+        n, omega_max, t0, t_max = 3 * 4096 + 17, 613.7, 0.37, 97.3   # omega_max t_max ~ 6e4
+        f = rng.normal(size=n) + 1j * rng.normal(size=n)
+        f /= np.abs(f).sum()
+        times = np.linspace(t0, t_max, m) if m > 1 else np.array([t_max])
+        x = np.arange(n) * (2.0 * omega_max / (n - 1)) - omega_max   # as the contour's nodes
+        fast = amplitude._phase_sum(f, PhaseGrid(x), times)
+        dense = np.exp(-1j * np.outer(times, x)) @ f
+        assert np.max(np.abs(fast - dense)) <= 1e-10
+
     def test_no_signal_import(self):
         """No production path loads scipy.signal or scipy.integrate.
 

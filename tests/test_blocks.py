@@ -34,6 +34,7 @@ N_POINTS = 2 * SMALL + 7_001
 TIMES = np.linspace(0.0, 20.0, 41)
 INVERSION_TIMES = np.linspace(0.0, 20.0, 101)
 NON_UNIFORM = TIMES + 0.013 * (np.arange(TIMES.size) == 17)
+NON_UNIFORM_INVERSION = INVERSION_TIMES + 0.013 * (np.arange(INVERSION_TIMES.size) == 17)
 TABLE_EPS = np.linspace(0.0, 20.0, 200)
 TABLE = dl.Tabulated(TABLE_EPS, dl.ThresholdPower(0.01, 0.5, 0.0, 20.0).density(TABLE_EPS))
 OMEGA = np.linspace(-5.0, 25.0, 1001) + 0.3j
@@ -55,8 +56,14 @@ def oracle():
 
 # case -> (computation, the functions whose blocked passes it runs)
 CASES = {
-    "inversion": (
+    # uniform times, and one time moved off the grid, where a block's tables
+    # take one exponential for every time and rate
+    "chirp_z_inversion": (
         lambda: dl.survival_numeric(dl.SelfEnergy(TABLE), 5.0, INVERSION_TIMES,
+                                    n_points=N_POINTS).amplitude,
+        {"survival_numeric", "_phase_sum"}),
+    "direct_inversion": (
+        lambda: dl.survival_numeric(dl.SelfEnergy(TABLE), 5.0, NON_UNIFORM_INVERSION,
                                     n_points=N_POINTS).amplitude,
         {"survival_numeric", "_phase_sum"}),
     "cut_integral": (
