@@ -41,8 +41,7 @@ from scipy import special
 
 from ._blocks import row_blocks
 from ._phases import PhaseGrid
-from .errors import (DomainError, QuadratureFailure, SingularDenominator,
-                     TruncationError, UnsupportedContinuation)
+from .errors import DomainError, NumericalError
 from .poles import find_pole, lorentzian_poles
 from .selfenergy import SelfEnergy
 from .spectral import Lorentzian, SpectralModel
@@ -187,8 +186,8 @@ def survival_numeric(se: SelfEnergy, omega0: float, times,
         c, mu = _propagator_series(model, omega0, z0, K + 3)
         radius = _singular_radius(model, omega0, z0, mu)
     if not (np.all(np.isfinite(c)) and np.all(np.isfinite(mu)) and np.isfinite(radius)):
-        raise TruncationError("the large-omega expansion of the propagator is not finite; "
-                              "the spectral support is too wide")
+        raise NumericalError("the large-omega expansion of the propagator is not finite; "
+                             "the spectral support is too wide")
 
     # with h ~ offset the node count grows as exp(offset t_max / 2) / offset
     offset = 3.0 / t_max if t_max > 0 else 0.1 * damping
@@ -205,15 +204,15 @@ def survival_numeric(se: SelfEnergy, omega0: float, times,
             raise DomainError("omega_max must be positive")
     margin = omega_max - reach
     if not np.isfinite(omega_max) or margin <= 0:
-        raise TruncationError("omega_max must be finite and clear the spectral support")
+        raise NumericalError("omega_max must be finite and clear the spectral support")
     if margin <= radius:
-        raise TruncationError(
+        raise NumericalError(
             f"omega_max {omega_max:.6g} lies within {radius:.6g} of the spectral reach "
             f"{reach:.6g}, inside the radius of the propagator's large-omega expansion")
     with np.errstate(over="ignore"):
         tail_estimate = tail_scale / np.float64(margin) ** (K + 2)   # 0, not OverflowError
     if not tail_estimate <= 1e-4:
-        raise TruncationError(
+        raise NumericalError(
             f"estimated truncated-tail contribution {tail_estimate:.3e} > 1e-4; "
             "increase omega_max")
 
@@ -221,7 +220,7 @@ def survival_numeric(se: SelfEnergy, omega0: float, times,
         # 1 + 2 omega_max / h nodes at the default step
         needed = 1.0 + omega_max * math.log(2.0 / _ALIAS_EPS) / (np.pi * offset)
         if not needed <= 4_000_001:
-            raise TruncationError(
+            raise NumericalError(
                 f"the default contour needs {needed:.4g} nodes to bound the aliasing by "
                 f"{_ALIAS_EPS:g} at t = {t_max:g}, above its cap of 4000001; shorten the times "
                 "or narrow the support, or pass n_points and accept the aliasing bound it gives")
@@ -318,7 +317,7 @@ def cut_integral(se: SelfEnergy, omega0: float, times):
                               for rows in row_blocks(t.size, _DE_NODES.size)]).T
     err = np.abs(fine - coarse)
     if not np.all(err <= 1e-6 * np.abs(fine) + 1e-13):
-        raise QuadratureFailure(f"cut integral error estimate {np.max(err):.3e} too large")
+        raise NumericalError(f"cut integral error estimate {np.max(err):.3e} too large")
     return (np.exp(-1j * mu * t) / (2.0 * np.pi) * fine.reshape(t.shape))[()]
 
 
@@ -335,7 +334,7 @@ def tail_asymptote(beta_th: float, alpha: float, mu: float, omega0: float,
         raise DomainError("tail asymptote requires t > 0")
     h_mu = mu - omega0 - sigma_at_mu
     if abs(h_mu) < 1e-12:
-        raise SingularDenominator("threshold denominator mu - omega0 - Sigma(mu) vanishes")
+        raise NumericalError("threshold denominator mu - omega0 - Sigma(mu) vanishes")
     phase = np.exp(-1j * (alpha + 1.0) * np.pi / 2.0)
     return (beta_th * np.exp(-1j * mu * t) * phase * special.gamma(alpha + 1.0)
             / (h_mu**2 * t ** (alpha + 1.0)))[()]
@@ -360,7 +359,7 @@ def survival_pole_cut(se: SelfEnergy, omega0: float, times) -> SurvivalSeries:
                           "take the closed form (survival_lorentzian, method 'closed') or "
                           "the inversion (survival_numeric, method 'numeric')")
     if type(se.model).density_complex is SpectralModel.density_complex:
-        raise UnsupportedContinuation(
+        raise DomainError(
             f"pole-cut survival needs the complex continuation of D, which "
             f"{type(se.model).__name__} does not have; take the inversion (survival_numeric, "
             "--method numeric) or the oracle (survival_exact_discrete, --method oracle)")

@@ -8,7 +8,7 @@ run manifest that records the fully resolved parameter set, derived
 values included.  Identical configs produce byte-identical outputs;
 files are written atomically (write, then rename).
 
-Exit codes: 0 success, 2 validation/config error, 3 numerical failure.
+Exit codes: 0 success, 2 a ValidationError (bad input), 3 a NumericalError.
 """
 
 from __future__ import annotations
@@ -95,14 +95,13 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
     _atomic_write(path, "".join(lines))
 
 
-def _abs2(z) -> np.ndarray:
-    """|z|^2 by the operations of abs(z) ** 2 on each element: hypot, then pow.
-
-    np.abs on a complex array and x * x each differ from those in the last bit
-    of about one element in 3 and in 1000, which would change the CSV bytes.
-    """
-    z = np.asarray(z)
-    return np.float_power(np.hypot(z.real, z.imag), 2)
+def _strict_json(value):
+    """value with each non-finite float as the string "inf", "-inf" or "nan" (RFC 8259)."""
+    if isinstance(value, dict):
+        return {key: _strict_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(item) for item in value]
+    return str(value) if isinstance(value, float) and not np.isfinite(value) else value
 
 
 def _single_row(*values) -> list[list]:
@@ -120,7 +119,7 @@ def _survival_table(series: SurvivalSeries):
     pole = series.pole_term if series.pole_term is not None else zero
     cut = series.cut_term if series.cut_term is not None else zero
     return (["t", "re_A", "im_A", "abs2_A", "re_pole", "im_pole", "re_cut", "im_cut"],
-            [series.times, a.real, a.imag, _abs2(a), pole.real, pole.imag,
+            [series.times, a.real, a.imag, np.abs(a) ** 2, pole.real, pole.imag,
              cut.real, cut.imag])
 
 
@@ -282,11 +281,12 @@ def _packet(cfg):
                            beta_slope=block["beta_slope"])
     block["window"] = packet.info["window"]
     tables = {"packet_coeff.csv": (["t", "epsilon", "abs2_c"],
-                                   _grid_columns(times, eps, _abs2(packet.coeffs)))}
+                                   _grid_columns(times, eps, np.abs(packet.coeffs) ** 2))}
     if packet.psi is not None:
         psi = packet.psi.ravel()
         tables["packet_psi.csv"] = (["t", "x", "re_psi", "im_psi", "abs2_psi"],
-                                    [*_grid_columns(times, x, psi.real), psi.imag, _abs2(psi)])
+                                    [*_grid_columns(times, x, psi.real), psi.imag,
+                                     np.abs(psi) ** 2])
     return tables, None
 
 
@@ -349,8 +349,8 @@ def _run(args) -> int:
                 "seed_free_determinism": not command.seeded}
     if results:
         manifest["results"] = results
-    _atomic_write(outdir / "run_manifest.json",
-                  json.dumps(manifest, sort_keys=True, indent=2, default=str) + "\n")
+    text = json.dumps(_strict_json(manifest), sort_keys=True, indent=2, allow_nan=False)
+    _atomic_write(outdir / "run_manifest.json", text + "\n")
     print(f"wrote {', '.join(str(outdir / name) for name in tables)}")
     return 0
 

@@ -13,7 +13,7 @@ import difflib
 import sys
 from pathlib import Path
 
-from .errors import ConfigParseError, DomainError, ValidationError
+from .errors import DomainError, ValidationError
 
 __all__ = ["REQUIRED", "Count", "parse_config_text", "load_config", "resolve_section",
            "did_you_mean"]
@@ -48,18 +48,18 @@ def parse_config_text(text: str) -> dict[str, dict[str, object]]:
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise ConfigParseError(f"line {lineno}: expected 'section.key = value', got {stripped!r}")
+            raise ValidationError(f"line {lineno}: expected 'section.key = value', got {stripped!r}")
         key_path, _, raw = stripped.partition("=")
         key_path = key_path.strip()
         if "." not in key_path:
-            raise ConfigParseError(f"line {lineno}: key {key_path!r} is missing its section prefix")
+            raise ValidationError(f"line {lineno}: key {key_path!r} is missing its section prefix")
         section, _, key = key_path.partition(".")
         section, key = section.strip(), key.strip()
         if not section or not key:
-            raise ConfigParseError(f"line {lineno}: malformed key path {key_path!r}")
+            raise ValidationError(f"line {lineno}: malformed key path {key_path!r}")
         first = first_line.setdefault((section, key), lineno)
         if first != lineno:
-            raise ConfigParseError(f"line {lineno}: {section}.{key} is already set on line {first}")
+            raise ValidationError(f"line {lineno}: {section}.{key} is already set on line {first}")
         sections.setdefault(section, {})[key] = _parse_value(raw)
     return sections
 
@@ -69,7 +69,7 @@ def load_config(path) -> dict[str, dict[str, object]]:
     try:
         text = path.read_text()
     except OSError as exc:
-        raise ConfigParseError(f"cannot read config file {path}: {exc}") from exc
+        raise ValidationError(f"cannot read config file {path}: {exc}") from exc
     return parse_config_text(text)
 
 

@@ -16,7 +16,7 @@ from scipy import special
 
 from ._blocks import row_blocks
 from ._phases import PhaseGrid
-from .errors import BasisUnavailable, DomainError
+from .errors import DomainError
 
 __all__ = [
     "default_energy_grid",
@@ -80,7 +80,7 @@ def plane_wave_eigenfunction(eps, x) -> np.ndarray:
     """
     eps = np.asarray(eps, dtype=float)
     if np.any(eps <= 0):
-        raise BasisUnavailable("plane-wave basis needs strictly positive energies")
+        raise DomainError("plane-wave basis needs strictly positive energies")
     k = np.sqrt(eps)
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
@@ -176,7 +176,7 @@ def airy_slope_eigenfunction(eps, x, beta_slope: float) -> np.ndarray:
     one (DLMF 9.7.5) at or above +10, and from scipy.special.airy in between.
     """
     if beta_slope is None or beta_slope <= 0:
-        raise BasisUnavailable("slope basis requires beta_slope > 0")
+        raise DomainError("slope basis requires beta_slope > 0")
     eps = np.asarray(eps, dtype=float)
     x = np.asarray(x, dtype=float)
     b3 = beta_slope ** (1.0 / 3.0)
@@ -208,9 +208,9 @@ def synthesize_packet(eps: np.ndarray, coeffs: np.ndarray, x: np.ndarray,
         raise DomainError("coefficients must match the energy grid")
     phi = BASES.get(basis)
     if phi is None:
-        raise BasisUnavailable(f"unknown basis '{basis}'")
+        raise DomainError(f"unknown basis '{basis}'")
     if basis == "plane_wave" and beta_slope is not None:
-        raise BasisUnavailable("the plane-wave basis takes no beta_slope")
+        raise DomainError("the plane-wave basis takes no beta_slope")
     weighted = coeffs * np.gradient(eps)
     psi = np.zeros(coeffs.shape[:-1] + x.shape, dtype=complex)
     for block in row_blocks(eps.size, x.size):
@@ -229,9 +229,6 @@ class ContinuumPacket:
     x: np.ndarray | None = None
     psi: np.ndarray | None = None  # shape (n_times, n_x) when synthesized
     info: dict = field(default_factory=dict)
-
-    def norm_sq(self) -> np.ndarray:
-        return packet_norm_sq(self.eps, self.coeffs)
 
 
 def evolve_packet(v_eps, omega0: float, gamma: float, eps: np.ndarray, times,

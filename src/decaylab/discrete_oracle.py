@@ -31,7 +31,7 @@ import numpy as np
 
 from ._blocks import row_blocks
 from ._phases import PhaseGrid
-from .errors import DomainError, NoConvergence, SingularMatrix
+from .errors import DomainError, NumericalError
 from .amplitude import SurvivalSeries, _check_times
 from .spectral import SpectralModel
 
@@ -81,12 +81,8 @@ class DiscreteModel:
     def sigma_discrete(self, omega):
         """Riemann-sum self-energy sum |V_i|^2 / (omega - eps_i), elementwise in omega."""
         w = np.asarray(omega, dtype=complex)
-        flat = w.ravel()
-        out = np.empty(flat.size, dtype=complex)
-        z2 = np.abs(self.couplings) ** 2
-        for rows in row_blocks(flat.size, self.size):
-            out[rows] = (1.0 / np.subtract.outer(flat[rows], self.energies)) @ z2
-        return out.reshape(w.shape)[()]
+        sums, = _cauchy_sums(w.ravel(), self.energies, np.abs(self.couplings) ** 2)
+        return sums.reshape(w.shape)[()]
 
     def recurrence_time(self) -> float:
         """2*pi over the largest level spacing; decay mimicry ends here."""
@@ -134,7 +130,7 @@ def resolvent_direct(m: DiscreteModel, omega: complex) -> np.ndarray:
     try:
         return np.linalg.solve(a, np.eye(n, dtype=complex))
     except np.linalg.LinAlgError as exc:
-        raise SingularMatrix(f"resolvent solve failed at omega={omega}: {exc}") from exc
+        raise NumericalError(f"resolvent solve failed at omega={omega}: {exc}") from exc
 
 
 def resolvent_partitioned(m: DiscreteModel, omega: complex) -> PartitionedResolvent:
@@ -152,7 +148,7 @@ def resolvent_partitioned(m: DiscreteModel, omega: complex) -> PartitionedResolv
 # or when g is at its rounding level.
 _STEP_TOL = 1e-15
 _EPS = np.finfo(float).eps
-# Root sweeps before NoConvergence.  Binned densities take 4; random models
+# Root sweeps before a NumericalError.  Binned densities take 4; random models
 # with couplings over ten decades and poles 1e-11 apart took up to 16.
 _MAX_SWEEPS = 50
 # Inner iterations of the local model's safeguarded Newton solve.
@@ -318,6 +314,7 @@ def _cauchy_sums(x, y, weights, squares=False, x_shift=None, y_shift=None, exclu
     """Sums over sources i of weights[i]/(X_k - Y_i) and, with squares, of
     weights[i]/(X_k - Y_i)^2, for targets X = x + x_shift and sources
     Y = y + y_shift, both ascending; weights is (sources,) or (sources, cols).
+    The dense sums also take complex targets, in any order.
 
     X_k - Y_i is formed as (x_k - y_i) + x_shift_k - y_shift_i, so an offset
     keeps its relative accuracy however closely a target hugs a source.
@@ -332,7 +329,8 @@ def _cauchy_sums(x, y, weights, squares=False, x_shift=None, y_shift=None, exclu
     at _TREE_NODES nodes; a target outside the span sums every source
     exactly.  Returns the sums, then, with squares, the sums of the squares.
     """
-    sums = [np.empty(x.shape + weights.shape[1:]) for _ in range(1 + squares)]
+    sums = [np.empty(x.shape + weights.shape[1:], np.result_type(x, weights))
+            for _ in range(1 + squares)]
     everything = slice(0, y.size)
     if tree is None:
         groups = [(0, x.size, [everything])]
@@ -518,8 +516,8 @@ def _secular(omega0: float, poles: np.ndarray, z2: np.ndarray):
         active = active[~done]
         if active.size == 0:
             return origin, tau, gprime, sweep
-    raise NoConvergence(f"secular equation: {active.size} of {m + 1} roots "
-                        f"unconverged after {_MAX_SWEEPS} sweeps")
+    raise NumericalError(f"secular equation: {active.size} of {m + 1} roots "
+                         f"unconverged after {_MAX_SWEEPS} sweeps")
 
 
 def _spectrum(m: DiscreteModel):

@@ -15,7 +15,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DegenerateRoots, DomainError, NoConvergence
+from .errors import DomainError, NumericalError
+from .spectral import SpectralModel
 
 if TYPE_CHECKING:
     from .selfenergy import SelfEnergy
@@ -76,6 +77,9 @@ def find_pole(se: SelfEnergy, omega0: float) -> PoleResult:
     lo, hi = se.model.support()
     if not lo < omega0 < hi:
         return _bound_state(se.model, omega0)
+    # a model without a continuation is bad input, not five failed starts
+    if type(se.model).density_complex is SpectralModel.density_complex:
+        raise DomainError(f"{type(se.model).__name__} does not support complex continuation")
     guess = omega0 - 1j * np.pi * float(se.model.density(omega0))
     tol = 1e-10 * max(1.0, abs(omega0))
     # A start on a symmetry line of g can trap Newton there (e.g. the
@@ -87,7 +91,7 @@ def find_pole(se: SelfEnergy, omega0: float) -> PoleResult:
         try:
             pole = _newton(se.sigma_continued, se.sigma_continued_derivative, omega0,
                            guess + shift, tol)
-        except (NoConvergence, DomainError) as exc:
+        except (NumericalError, DomainError) as exc:
             # DomainError here means the iterate left the model's
             # continuation domain; treat it as a failed start
             failures.append(str(exc))
@@ -96,7 +100,7 @@ def find_pole(se: SelfEnergy, omega0: float) -> PoleResult:
             return pole
         # off the support a zero of the continued g may lie under its own cut
         failures.append(f"zero {pole.omega:.6g} lies outside the support ({lo:g}, {hi:g})")
-    raise NoConvergence("every Newton start failed: " + "; ".join(dict.fromkeys(failures)))
+    raise NumericalError("every Newton start failed: " + "; ".join(dict.fromkeys(failures)))
 
 
 def _bound_state(model, omega0: float) -> PoleResult:
@@ -117,10 +121,10 @@ def _newton(sigma, dsigma, omega0: float, w: complex, tol: float) -> PoleResult:
         residual = abs(hw)
         deriv = 1.0 - complex(dsigma(w))
         if deriv == 0:
-            raise NoConvergence(f"vanishing derivative at iterate {w}")
+            raise NumericalError(f"vanishing derivative at iterate {w}")
         if residual < tol:
             if w.imag >= 10 * tol:
-                raise NoConvergence(f"iteration converged above the axis at {w}")
+                raise NumericalError(f"iteration converged above the axis at {w}")
             return PoleResult(
                 omega_prime=w.real,
                 omega_dprime=max(0.0, -w.imag),
@@ -129,7 +133,7 @@ def _newton(sigma, dsigma, omega0: float, w: complex, tol: float) -> PoleResult:
                 final_residual=residual,
             )
         w = w - hw / deriv
-    raise NoConvergence(
+    raise NumericalError(
         f"no pole after {_MAX_ITERATIONS} iterations; |g| = {residual:.3e}, next iterate {w}")
 
 
@@ -158,7 +162,7 @@ def lorentzian_poles(amplitude_sq: float, center: float, width: float,
         r1 = q
         r2 = c_coef / q
     if abs(r1 - r2) < 1e-12:
-        raise DegenerateRoots(f"double pole at {r1}")
+        raise NumericalError(f"double pole at {r1}")
     if abs(r1 - omega0) > abs(r2 - omega0):
         r1, r2 = r2, r1
     res1 = (r1 - pole_lower) / (r1 - r2)

@@ -33,7 +33,7 @@ from scipy import special
 
 from ._blocks import row_blocks
 from .config import REQUIRED, did_you_mean, resolve_section
-from .errors import BranchPointError, DomainError, UnsupportedContinuation
+from .errors import DomainError
 
 __all__ = [
     "SpectralModel",
@@ -80,9 +80,7 @@ class SpectralModel:
 
     def density_complex(self, z):
         """Analytic continuation of D at complex z (principal branch), elementwise."""
-        raise UnsupportedContinuation(
-            f"{type(self).__name__} does not support complex continuation"
-        )
+        raise DomainError(f"{type(self).__name__} does not support complex continuation")
 
     # the continuation's z-derivative, elementwise, refused alike where there is none
     density_complex_derivative = density_complex
@@ -210,7 +208,7 @@ class Lorentzian(SpectralModel):
         z = np.asarray(z, dtype=complex)
         denom = (z - self.center) ** 2 + self.width**2
         if np.any(denom == 0):
-            raise BranchPointError("Lorentzian continuation is singular at center ± i*width")
+            raise DomainError("Lorentzian continuation is singular at center ± i*width")
         return (self.amplitude_sq / denom)[()]
 
     def density_complex_derivative(self, z):
@@ -268,7 +266,7 @@ class AsymmetricBox(SpectralModel):
         # are the branch points of the induced self-energy.
         z = np.asarray(z, dtype=complex)
         if np.any((z.imag == 0) & ((z.real <= self.lower) | (z.real >= self.upper))):
-            raise BranchPointError("continuation undefined at/beyond the real band edges")
+            raise DomainError("continuation undefined at/beyond the real band edges")
         if np.any((z.real < self.lower) | (z.real > self.upper)):
             raise DomainError("continuation is defined on the strip lower <= Re z <= upper")
         return np.full(z.shape, self.amplitude_sq, dtype=complex)[()]
@@ -353,13 +351,13 @@ class ThresholdPower(SpectralModel):
         # point there: numpy's complex power gives 0**0 = 1 and 0**n = 0.
         w = np.asarray(z, dtype=complex) - self.threshold
         if np.any(w == 0) and not (self.exponent >= 0 and self.exponent == int(self.exponent)):
-            raise BranchPointError("threshold is a branch point of the continuation")
+            raise DomainError("threshold is a branch point of the continuation")
         return (self.beta * w**self.exponent)[()]
 
     def density_complex_derivative(self, z):
         w = np.asarray(z, dtype=complex) - self.threshold
         if np.any(w == 0):
-            raise BranchPointError("threshold is a branch point of the continuation")
+            raise DomainError("threshold is a branch point of the continuation")
         return (self.exponent * self.density_complex(z) / w)[()]
 
     def _cauchy_closed(self, omega):

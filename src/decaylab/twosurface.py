@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import fft, special
 
-from .errors import DomainError, GridTooNarrow, NumericalError
+from .errors import DomainError, NumericalError
 
 __all__ = ["MASS", "OMEGA_OSC", "OFFSET", "TwoSurfaceConfig", "TwoSurfaceState",
            "GoldenRule", "TwoSurfaceRun", "init_state", "step",
@@ -140,7 +140,7 @@ def init_state(config: TwoSurfaceConfig) -> TwoSurfaceState:
     x = config.grid()
     ground = (np.pi * np.sqrt(2.0)) ** -0.25 * np.exp(-x**2 / (2.0 * np.sqrt(2.0)))
     if max(abs(ground[0]), abs(ground[-1])) > 1e-12:
-        raise GridTooNarrow("initial Gaussian does not vanish at the grid edges")
+        raise DomainError("initial Gaussian does not vanish at the grid edges")
     psi = np.zeros((2, x.size), dtype=complex)
     psi[0] = ground
     return TwoSurfaceState(x=x, psi=psi, t=0.0, absorbed=0.0, dx=config.dx())

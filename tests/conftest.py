@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -5,7 +6,28 @@ import pytest
 from scipy import integrate
 
 import decaylab as dl
-from decaylab.errors import QuadratureFailure
+from decaylab import cli
+from decaylab.errors import NumericalError
+
+
+def strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity, as RFC 8259 parsers do."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not RFC 8259 JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.fixture(autouse=True)
+def strict_manifests(monkeypatch):
+    """Every run_manifest.json a test writes through the CLI parses as strict JSON."""
+    write = cli._atomic_write
+
+    def checked(path, text):
+        if path.name == "run_manifest.json":
+            strict_json(text)
+        write(path, text)
+
+    monkeypatch.setattr(cli, "_atomic_write", checked)
 
 
 @pytest.fixture(scope="session")
@@ -52,7 +74,7 @@ def sigma_quadrature(model, omega):
             val, err = integrate.quad(f, a, b, epsabs=1e-10, epsrel=1e-9, limit=10_000,
                                       points=points, complex_func=True)
         if not np.isfinite(val) or abs(err) > max(1e-6, 1e-7 * max(1.0, abs(val))):
-            raise QuadratureFailure(f"integral over ({a}, {b}) is {val} +- {abs(err):.3e}")
+            raise NumericalError(f"integral over ({a}, {b}) is {val} +- {abs(err):.3e}")
         return complex(val)
 
     if not lo < x < hi:

@@ -1,3 +1,5 @@
+import ast
+import builtins
 import json
 import math
 import os
@@ -10,9 +12,11 @@ import numpy as np
 import pytest
 
 import decaylab as dl
-from decaylab.cli import COMMANDS, SCHEMA, _abs2, _build_parser, _write_csv, main
+from conftest import strict_json
+from decaylab import cli
+from decaylab.cli import COMMANDS, SCHEMA, _build_parser, _write_csv, main
 from decaylab.config import parse_config_text
-from decaylab.errors import ConfigParseError
+from decaylab.errors import ValidationError
 from decaylab.spectral import MODEL_TYPES
 
 LORENTZIAN_CONFIG = """\
@@ -82,16 +86,16 @@ class TestConfigParsing:
         assert cfg["a"]["path"] == "some file.csv"
 
     def test_missing_equals_reports_line(self):
-        with pytest.raises(ConfigParseError, match="line 2"):
+        with pytest.raises(ValidationError, match="line 2"):
             parse_config_text("a.x = 1\nbogus line\n")
 
     def test_missing_section_prefix(self):
-        with pytest.raises(ConfigParseError, match="section"):
+        with pytest.raises(ValidationError, match="section"):
             parse_config_text("x = 1\n")
 
     def test_duplicated_key_names_both_lines(self):
         # the same key path, however spaced, set twice is refused, not overwritten
-        with pytest.raises(ConfigParseError, match="line 4: a.x is already set on line 1"):
+        with pytest.raises(ValidationError, match="line 4: a.x is already set on line 1"):
             parse_config_text("a.x = 1\na.y = 2\n\na . x = 3\n")
         assert parse_config_text("a.x = 1\nb.x = 2\n") == {"a": {"x": 1}, "b": {"x": 2}}
 
@@ -220,6 +224,35 @@ class TestOtherCommands:
         data = read_csv(out / "spectral.csv")
         assert np.all(data["im_sigma"][np.isfinite(data["im_sigma"])] <= 1e-12)
         np.testing.assert_allclose(data["im_sigma"], -np.pi * data["D"], rtol=1e-14, atol=0)
+
+    def test_manifest_writes_non_finite_values_as_strings(self, tmp_path):
+        # the Lorentzian's support is the whole axis
+        cfg = write_config(tmp_path, LORENTZIAN_CONFIG)
+        out = tmp_path / "run"
+        assert main(["spectral", "-c", str(cfg), "--out", str(out)]) == 0
+        manifest = strict_json((out / "run_manifest.json").read_text())
+        assert manifest["config"]["spectral"]["support"] == ["-inf", "inf"]
+        assert cli._strict_json({"a": (np.nan, [1.5, -np.inf])}) == {"a": ["nan", [1.5, "-inf"]]}
+
+    def test_abs2_columns_are_the_library_squares(self, tmp_path, monkeypatch):
+        # every abs2_* column is np.abs(z) ** 2 of the library's array, bit for bit
+        made = {}
+        for name in ("survival_lorentzian", "evolve_packet"):
+            def keep(*args, _name=name, _call=getattr(cli, name), **kwargs):
+                made[_name] = _call(*args, **kwargs)
+                return made[_name]
+            monkeypatch.setattr(cli, name, keep)
+        cfg = write_config(tmp_path, LORENTZIAN_CONFIG)
+        assert main(["survival", "-c", str(cfg), "--out", str(tmp_path / "survival")]) == 0
+        cfg = write_config(tmp_path, PACKET_CONFIG + "packet.basis = plane_wave\n", "packet.cfg")
+        assert main(["packet", "-c", str(cfg), "--out", str(tmp_path / "packet")]) == 0
+        data = read_csv(tmp_path / "survival" / "survival.csv")
+        np.testing.assert_array_equal(data["abs2_A"], made["survival_lorentzian"].probability())
+        packet = made["evolve_packet"]
+        data = read_csv(tmp_path / "packet" / "packet_coeff.csv")
+        np.testing.assert_array_equal(data["abs2_c"], np.abs(packet.coeffs).ravel() ** 2)
+        data = read_csv(tmp_path / "packet" / "packet_psi.csv")
+        np.testing.assert_array_equal(data["abs2_psi"], np.abs(packet.psi).ravel() ** 2)
 
     def test_selfenergy_on_band_edges(self, tmp_path):
         # the grid lands exactly on the edges +-L, where the boundary value diverges
@@ -548,6 +581,9 @@ BAD_INPUTS = {
                             "survival.method = pole-cut\n",
                             "--method numeric) or the oracle (survival_exact_discrete, "
                             "--method oracle)"),
+    # nor one to seek the resonance on: bad input, not a numerical failure
+    "poles of a table": ("poles", f"model.type = tabulated\nmodel.table_path = {TABLE}\n"
+                         "system.omega0 = 1.0\n", "Tabulated does not support complex continuation"),
     "packet rate": ("packet", PACKET_CONFIG + "packet.gamma = 0.3\n", "'gamma'"),
     "two-surface coupling by its old name": ("twosurface", "twosurface.V = 0.5\n",
                                              "'coupling'"),
@@ -635,6 +671,29 @@ class TestExitCodes:
             assert main(["survival", "-c", str(cfg), "--out", str(tmp_path / "x")]) == 3
             capsys.readouterr()
 
+    def test_errors_defines_the_only_exception_classes(self):
+        # The exit codes tell two families apart and nothing tells their
+        # members apart but the message: errors.py defines the base, the
+        # two families and DomainError, and no other module an exception.
+        bases = {}
+        for path in Path(dl.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ClassDef):
+                    bases[path.name, node.name] = {getattr(b, "id", getattr(b, "attr", None))
+                                                   for b in node.bases}
+        exceptions = {name for name in dir(builtins)
+                      if isinstance(getattr(builtins, name), type)
+                      and issubclass(getattr(builtins, name), BaseException)}
+        defined = set()
+        while True:
+            found = {key for key, names in bases.items() if names & exceptions}
+            if found == defined:
+                break
+            defined = found
+            exceptions |= {name for _, name in found}
+        assert defined == {("errors.py", name) for name in
+                           ("DecayLabError", "ValidationError", "DomainError", "NumericalError")}
+
 
 class TestCsvWriter:
     """Whole-column writing gives the bytes of formatting every cell on its own."""
@@ -659,14 +718,6 @@ class TestCsvWriter:
         path = tmp_path / "row.csv"
         _write_csv(path, ["iterations", "residual"], [[12], [3.0e-17]])
         assert path.read_text() == "iterations,residual\n12,3.0000000000000001e-17\n"
-
-    def test_abs2_is_the_per_cell_square(self):
-        rng = np.random.default_rng(4)
-        z = (rng.normal(size=20_000) + 1j * rng.normal(size=20_000)) * np.exp(
-            rng.uniform(-300.0, 300.0, 20_000))
-        z = np.concatenate([z, [0j, -0.0 + 5e-324j, complex(np.inf, 1.0), complex(np.nan, 0.0)]])
-        per_cell = np.array([abs(v) ** 2 for v in z])
-        np.testing.assert_array_equal(_abs2(z), per_cell)
 
 
 class TestDeterminism:

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 import decaylab as dl
 from decaylab import continuum
-from decaylab.errors import BasisUnavailable, DomainError
+from decaylab.errors import DomainError
 from conftest import linear_fit_r2
 
 A2 = 0.05
@@ -155,7 +155,7 @@ class TestPlaneWaveSynthesis:
 
     def test_energies_must_be_positive(self):
         eps = np.linspace(-1.0, 1.0, 21)
-        with pytest.raises(BasisUnavailable):
+        with pytest.raises(DomainError, match="plane-wave basis needs strictly positive energies"):
             dl.plane_wave_eigenfunction(eps, np.linspace(-1, 1, 8))
 
     def test_tables_match_a_longdouble_reference(self):
@@ -290,12 +290,12 @@ class TestAiryBasis:
         assert np.any(psi != 0)
 
     def test_unknown_basis(self):
-        with pytest.raises(BasisUnavailable):
+        with pytest.raises(DomainError, match="unknown basis 'bessel'"):
             dl.synthesize_packet(np.array([1.0, 2.0]), np.ones(2, complex),
                                  np.linspace(0, 1, 4), basis="bessel")
 
     def test_airy_needs_slope(self):
-        with pytest.raises(BasisUnavailable):
+        with pytest.raises(DomainError, match=r"slope basis requires beta_slope > 0"):
             dl.synthesize_packet(np.array([1.0, 2.0]), np.ones(2, complex),
                                  np.linspace(0, 1, 4), basis="linear_slope_airy")
 
@@ -343,7 +343,7 @@ class TestBlockSynthesis:
         block = dl.packet_coefficients(flat_coupling, omega0, GAMMA, packet.eps, times)
         np.testing.assert_array_equal(
             block[-1], dl.packet_coefficients(flat_coupling, omega0, GAMMA, packet.eps, LATE))
-        np.testing.assert_array_equal(packet.norm_sq(),
+        np.testing.assert_array_equal(dl.packet_norm_sq(packet.eps, packet.coeffs),
                                       [dl.packet_norm_sq(packet.eps, c) for c in stacked])
 
     def test_x_without_basis_synthesizes_plane_waves(self, basis, kwargs, window):
@@ -354,6 +354,10 @@ class TestBlockSynthesis:
             np.testing.assert_array_equal(
                 packet.psi, dl.synthesize_packet(packet.eps, packet.coeffs, x))
         else:
-            # the Airy window reaches below zero, where plane waves do not exist
-            with pytest.raises(BasisUnavailable):
+            # the Airy window reaches below zero, where plane waves do not exist,
+            # and plane waves take no slope
+            with pytest.raises(DomainError,
+                               match="plane-wave basis needs strictly positive energies"):
+                self.packet(window, x)
+            with pytest.raises(DomainError, match="the plane-wave basis takes no beta_slope"):
                 self.packet(window, x, **kwargs)

@@ -9,7 +9,7 @@ from scipy.linalg import expm
 
 import decaylab as dl
 from decaylab import discrete_oracle
-from decaylab.errors import DomainError, NoConvergence
+from decaylab.errors import DomainError, NumericalError
 
 GAMMA_BOX = 2.0 * np.pi * 0.05
 
@@ -274,7 +274,7 @@ class TestSecularAgainstEigh:
 
     def test_sweep_cap_raises(self, monkeypatch):
         monkeypatch.setattr(discrete_oracle, "_MAX_SWEEPS", 1)
-        with pytest.raises(NoConvergence):
+        with pytest.raises(NumericalError, match=r"secular equation: \d+ of \d+ roots"):
             dl.survival_exact_discrete(_uniform_box(), [0.0, 1.0])
 
 

@@ -5,7 +5,7 @@ import pytest
 
 import decaylab as dl
 from decaylab import twosurface
-from decaylab.errors import DomainError, GridTooNarrow, NumericalError
+from decaylab.errors import DomainError, NumericalError
 from decaylab.twosurface import (OMEGA_OSC, TwoSurfaceConfig, golden_rule_rate,
                                  init_state, packet_moments, run, step,
                                  survival_probability)
@@ -41,7 +41,7 @@ class TestInitialState:
         assert second == pytest.approx(np.sqrt(2.0) / 2.0, abs=1e-10)
 
     def test_narrow_grid_rejected(self):
-        with pytest.raises(GridTooNarrow):
+        with pytest.raises(DomainError, match="initial Gaussian does not vanish at the grid edges"):
             init_state(TwoSurfaceConfig(x_min=-2.0, x_max=6.0, n_x=64,
                                         absorber_width=1.0))
 
