@@ -17,11 +17,16 @@ six terms of the dressed propagator's large-frequency expansion in the
 spectral moments, about a point below the axis, so the quadrature only
 sees a smooth remainder that decays like the ninth inverse power of
 frequency; the subtracted terms are restored by their exact transforms,
-and the cutoff is sized from the first omitted term.
+and the cutoff is sized from the first omitted term, whose truncated tail
+oscillates at t > 0: one integration by parts bounds it by 2 (K+2) / (margin t)
+times its size at t = 0.
 The remainder is analytic above the contour, so the trapezoid rule on it
 errs only by aliasing, at most 2q/(1 - q) with q = exp(-2 pi offset / h) for
 t < 2 pi / h by Poisson summation (Dubner & Abate 1968; Trefethen & Weideman
-2014); the default step makes that bound 1e-12.
+2014); the default step makes that bound 1e-12.  The result is scaled by
+exp(offset t), which amplifies the node sum's rounding; the height
+offset = sigma / t_max, sigma = ln(1e-12 / (10 eps)) = 6.11, keeps
+exp(sigma) eps a decade below that bound (Abate & Whitt 1992).
 It takes one pass over the N uniform contour nodes, in stretches of
 131,072: each stretch's Sigma and integrand are formed and its time sums
 added into A(t), so no array spans the whole contour.  Those sums share the
@@ -83,6 +88,10 @@ def _check_times(times) -> np.ndarray:
 
 # Aliasing bound of the default contour step h = 2 pi offset / ln(2 / eps).
 _ALIAS_EPS = 1e-12
+# The contour's height times t_max, sigma = ln(_ALIAS_EPS / (10 eps)) = 6.11:
+# a rounding of eps in the node sum, amplified by exp(sigma) at t_max, stays a
+# decade below the aliasing bound (Abate & Whitt 1992; Trefethen & Weideman 2014).
+_HEIGHT = math.log(_ALIAS_EPS / (10.0 * np.finfo(float).eps))
 # Terms K of the propagator's large-omega expansion that the inversion subtracts,
 # and the truncated tail that the default omega_max allows past them.
 _EXPANSION_TERMS = 6
@@ -160,12 +169,15 @@ def survival_numeric(se: SelfEnergy, omega0: float, times,
     Gamma is the model's width, or the radius about omega0 that holds every
     singularity of the difference if that is larger, so that the restored
     terms, at most |c_n| / Gamma^n, stay near W / Gamma^2 and do not cancel.
-    The height is 3/t_max (0.1 of Gamma at t_max = 0), reported
-    as ``info["contour_offset"]``.
-    ``info["alias_bound"]`` bounds the aliasing (inf if 2 pi / h <= t_max)
-    and ``info["tail_estimate"]`` the truncated tail, from the first omitted
-    coefficient; ``info["expansion_terms"]`` is K and ``info["expansion_point"]``
-    z0.  The sum over each stretch's nodes is ``_phase_sum``, whose node
+    The height is sigma/t_max, sigma = ln(1e-12 / (10 eps)) = 6.11 (0.1 of
+    Gamma at t_max = 0), reported as ``info["contour_offset"]``.
+    ``info["alias_bound"]`` bounds the aliasing (inf if 2 pi / h <= t_max),
+    ``info["tail_estimate"]`` the truncated tail at every time, from the first
+    omitted coefficient, and ``info["rounding_bound"]`` the node sum's
+    rounding, eps h / (2 pi) sum_j |f_j| (1 + |x_j| t_max) over the weighted
+    integrand f at the nodes' real parts x, amplified by exp(offset t_max);
+    ``info["expansion_terms"]`` is K and ``info["expansion_point"]`` z0.
+    The sum over each stretch's nodes is ``_phase_sum``, whose node
     tables have the stride J = ceil(sqrt(n)) on a stretch of n nodes;
     ``info["phase_stride"]`` is J on the first, full stretch.  The amplitude
     has the shape of ``times``.
@@ -189,15 +201,33 @@ def survival_numeric(se: SelfEnergy, omega0: float, times,
         raise NumericalError("the large-omega expansion of the propagator is not finite; "
                              "the spectral support is too wide")
 
-    # with h ~ offset the node count grows as exp(offset t_max / 2) / offset
-    offset = 3.0 / t_max if t_max > 0 else 0.1 * damping
-    growth = np.exp(offset * t_max)
-    # the truncated tail of the first omitted term, growth |c| / (pi (K+2) margin^(K+2))
-    tail_scale = growth * abs(c[K + 2]) / (np.pi * (K + 2))
+    # the tail law below sets margin^(K+2) ~ exp(offset t_max) and h ~ offset, so
+    # the node count 2 omega_max / h grows as exp(sigma / (K+2)) / sigma at a fixed t_max
+    offset = _HEIGHT / t_max if t_max > 0 else 0.1 * damping
+    first_omitted = abs(c[K + 2]) / np.pi
+
+    def tail(margin):
+        """The first omitted term's truncated tail, the largest over 0 <= t <= t_max
+        of exp(offset t) |c| / (pi margin^(K+2)) min(1/(K+2), 2/(margin t)).
+
+        The second branch is one integration by parts of the oscillating
+        tail; the maximum lies at t1 = min(2 (K+2) / margin, t_max) or at t_max.
+        """
+        t1 = min(2.0 * (K + 2) / margin, t_max)
+        shape = max(math.exp(offset * t1) / (K + 2),
+                    math.exp(offset * t_max) / max(K + 2, 0.5 * margin * t_max))
+        with np.errstate(over="ignore"):
+            return first_omitted * shape / np.float64(margin) ** (K + 2)   # 0, not OverflowError
 
     if omega_max is None:
-        omega_max = max(4.0 * (reach + damping), reach + 2.0 * radius,
-                        reach + (tail_scale / _TAIL_TARGET) ** (1.0 / (K + 2)))
+        # tail falls as the margin grows: bisect for tail = _TAIL_TARGET between
+        # the margin without the growth exp(offset t) and the one with all of it
+        lo = (first_omitted / ((K + 2) * _TAIL_TARGET)) ** (1.0 / (K + 2))
+        hi = lo * math.exp(offset * t_max / (K + 2))
+        for _ in range(40 if lo > 0 else 0):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if tail(mid) > _TAIL_TARGET else (lo, mid)
+        omega_max = max(4.0 * (reach + damping), reach + 2.0 * radius, reach + hi)
     else:
         omega_max = float(omega_max)
         if omega_max <= 0:
@@ -209,8 +239,7 @@ def survival_numeric(se: SelfEnergy, omega0: float, times,
         raise NumericalError(
             f"omega_max {omega_max:.6g} lies within {radius:.6g} of the spectral reach "
             f"{reach:.6g}, inside the radius of the propagator's large-omega expansion")
-    with np.errstate(over="ignore"):
-        tail_estimate = tail_scale / np.float64(margin) ** (K + 2)   # 0, not OverflowError
+    tail_estimate = tail(margin)
     if not tail_estimate <= 1e-4:
         raise NumericalError(
             f"estimated truncated-tail contribution {tail_estimate:.3e} > 1e-4; "
@@ -234,7 +263,7 @@ def survival_numeric(se: SelfEnergy, omega0: float, times,
     alias_bound = 2.0 * q / (1.0 - q) if q < 1.0 and 2.0 * np.pi / h > t_max else math.inf
     t = times.ravel()
     amp = np.zeros(t.size, dtype=complex)
-    strides = []
+    strides, magnitude = [], 0.0
     for stretch in row_blocks(n_points, 1):
         j = np.arange(stretch.start, stretch.stop)
         x = j * h - omega_max
@@ -246,12 +275,15 @@ def survival_numeric(se: SelfEnergy, omega0: float, times,
         f = (1.0 / (nodes - omega0 - se.sigma_upper_grid(nodes)) - 1.0 / (nodes - omega0)
              - expansion * u**3)
         f *= np.where((j == 0) | (j == n_points - 1), 0.5, 1.0)   # trapezoid end nodes
+        # each phase x t rounds by about eps |x t|
+        magnitude += np.sum(np.abs(f) * (1.0 + np.abs(x) * t_max))
         grid = PhaseGrid(x)
         strides.append(grid.stride)
         amp += _phase_sum(f, grid, t)
     # the trapezoid's h and the inversion's i / (2 pi), then the free pole's
     # and the subtracted terms' exact transforms
     amp *= 1j * h / (2.0 * np.pi) * np.exp(offset * t)
+    rounding_bound = math.exp(offset * t_max) * np.finfo(float).eps * h / (2.0 * np.pi) * magnitude
     restored = c[K + 1] / math.factorial(K + 1)
     for n in range(K, 1, -1):
         restored = restored * (-1j * t) + c[n] / math.factorial(n)
@@ -262,6 +294,7 @@ def survival_numeric(se: SelfEnergy, omega0: float, times,
         times=times, amplitude=amp, method="numeric_inversion",
         info={"contour_offset": offset, "omega_max": omega_max,
               "n_points": n_points, "alias_bound": alias_bound, "tail_estimate": tail_estimate,
+              "rounding_bound": rounding_bound,
               "expansion_terms": K, "expansion_point": z0, "phase_stride": strides[0]})
 
 

@@ -175,7 +175,8 @@ def _numeric_route(model, omega0, times, block):
     series = survival_numeric(SelfEnergy(model), omega0, times)
     block.update({key: series.info[key] for key in ("contour_offset", "omega_max", "n_points")})
     results = {key: series.info[key]
-               for key in ("phase_stride", "alias_bound", "tail_estimate", "expansion_terms")}
+               for key in ("phase_stride", "alias_bound", "tail_estimate", "rounding_bound",
+                           "expansion_terms")}
     z0 = series.info["expansion_point"]
     results["expansion_point"] = [z0.real, z0.imag]
     return series, results

@@ -88,9 +88,6 @@ class TwoSurfaceState:
     dx: float
     drift: float = 0.0
 
-    def norm_total(self) -> float:
-        return float(np.vdot(self.psi, self.psi).real) * self.dx
-
 
 class GoldenRule(NamedTuple):
     rate: float

@@ -27,8 +27,9 @@ from decaylab import _blocks, amplitude, continuum, discrete_oracle, spectral
 #   of 20,480 / 8 = 2,560 points, 20,400 = 7 * 2,560 + 2,480.
 # The stretches split the contour where the default's one stretch of 47,961
 # nodes does not, each with its own stride (144 and 84 for 220), so the
-# time sums group their terms differently: that moved the amplitude by 4.0e-14,
-# and stretches of 20,000 nodes by 8.7e-14.
+# time sums group their terms differently: that moved the amplitude by 7.4e-14
+# (8.2e-14 at the non-uniform times), and stretches of 20,000 nodes by 2.0e-13,
+# within the inversion's rounding_bound of 1.4e-12.
 SMALL = 20_480
 N_POINTS = 2 * SMALL + 7_001
 TIMES = np.linspace(0.0, 20.0, 41)

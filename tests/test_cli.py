@@ -135,8 +135,8 @@ class TestSurvivalCommand:
         survival = manifest["config"]["survival"]
         for key in ("omega_max", "n_points", "tmax", "nt", "method"):
             assert key in survival
-        # the contour height is derived, 3/t_max, and recorded as such
-        assert survival["contour_offset"] == 3.0 / 5.0
+        # the contour height is derived, ln(1e-12 / (10 eps)) / t_max, and recorded as such
+        assert survival["contour_offset"] == math.log(1e-12 / (10.0 * np.finfo(float).eps)) / 5.0
         assert manifest["config"]["model"]["a"] == 0.0
         # the contour is one stretch, and its node tables split it with stride ceil(sqrt(n))
         assert manifest["results"]["phase_stride"] == math.ceil(math.sqrt(survival["n_points"]))
@@ -144,6 +144,8 @@ class TestSurvivalCommand:
         # the default omega_max is set by the 1e-8 truncated-tail target of the
         # first term left out of the K = 6 subtracted about z0 = omega0 - i Gamma
         assert manifest["results"]["tail_estimate"] == pytest.approx(1e-8)
+        # the node sum's rounding, amplified by exp(offset t_max), stated beside them
+        assert 0.0 < manifest["results"]["rounding_bound"] < 1e-13
         again = tmp_path / "again"
         assert main(["survival", "-c", str(cfg), "--out", str(again),
                      "--method", "numeric"]) == 0

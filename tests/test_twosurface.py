@@ -25,7 +25,8 @@ def coupled_run():
 class TestInitialState:
     def test_normalized(self):
         state = init_state(TwoSurfaceConfig())
-        assert state.norm_total() == pytest.approx(1.0, abs=1e-10)
+        norm = np.vdot(state.psi, state.psi).real * state.dx
+        assert norm == pytest.approx(1.0, abs=1e-10)
         assert survival_probability(state) == pytest.approx(1.0, abs=1e-10)
 
     def test_second_surface_empty(self):
