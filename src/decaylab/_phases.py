@@ -1,19 +1,18 @@
 """Phases exp(i r x) over a 1-d grid x from two small tables.
 
 The plane-wave basis in x, the discretized-continuum oracle in t and the
-contour inversion, over its nodes and then over its times, all need
-exp(i r x_j) for many rates r at every point x_j of a grid.  On a
-uniform grid each phase is the product of one entry of a coarse table and
-one of a fine table, so a rate costs about 2 sqrt(n) complex exponentials
-instead of n.
+contour inversion over its times all need exp(i r x_j) for many rates r at
+every point x_j of a grid that comes from outside: a grid is measured here,
+not assumed uniform.  On a uniform grid each phase is the product of one
+entry of a coarse table and one of a fine table, so a rate costs about
+2 sqrt(n) complex exponentials instead of n.
 
-The two time sums built on it stay separate: ``amplitude._phase_sum`` tables
-uniform nodes over any times, the oracle non-uniform roots over uniform
-times, and each is slow on the other's layout.  Best of 5 on a 2-CPU Xeon, on
-non-uniform roots ``_phase_sum`` took 4.4 ms against 0.91 ms for the oracle's
-product (N = 500, nt = 200) and 8.4 against 2.4 ms (N = 3,000, nt = 60); on
-131,072 uniform nodes the oracle's layout took 83-348 ms against 2.0-20 ms
-(M = 41-601 times).
+The two time sums built on it stay separate.  The oracle's roots are not
+uniform, so it tables them as rates over uniform times.  The contour's nodes
+are uniform by construction, so ``amplitude._phase_sum`` tables them from
+their own step at J = ceil(sqrt(n)) and measures only its blocks of times;
+best of 5 on a 2-CPU Xeon, on 131,072 nodes the oracle's layout took
+83-348 ms against 2.0-20 ms (M = 41-601 times).
 """
 
 from __future__ import annotations

@@ -29,11 +29,11 @@ offset = sigma / t_max, sigma = ln(1e-12 / (10 eps)) = 6.11, keeps
 exp(sigma) eps a decade below that bound (Abate & Whitt 1992).
 It takes one pass over the N uniform contour nodes, in stretches of
 131,072: each stretch's Sigma and integrand are formed and its time sums
-added into A(t), so no array spans the whole contour.  Those sums share the
-phase tables of ``_phases.PhaseGrid``: a stretch of n nodes at M times costs
+added into A(t), so no array spans the whole contour.  A stretch of n nodes
+is tabled from the step it was built with, at the stride J = ceil(sqrt(n)),
+and each block of times through ``_phases.PhaseGrid``: at M times it costs
 n M multiply-adds in one complex matrix product, and about 4 sqrt(n M)
-complex exponentials on uniform times or M (n/J + J), J = ceil(sqrt(n)), on
-any others.
+complex exponentials on uniform times or M (n/J + J) on any others.
 """
 
 from __future__ import annotations
@@ -102,18 +102,20 @@ _DE_KH = np.arange(-288, 289) / 64
 _DE_NODES = np.exp(0.5 * np.pi * np.sinh(_DE_KH))
 _DE_WEIGHTS = np.outer(np.pi / 128 * np.cosh(_DE_KH) * _DE_NODES, [1.0, 2.0])
 _DE_WEIGHTS[1::2, 1] = 0.0
-def _phase_sum(f: np.ndarray, nodes: PhaseGrid, times: np.ndarray) -> np.ndarray:
-    """Sum_j f_j exp(-i x_j t_k) at every t_k, for the uniform nodes x of ``nodes``.
 
-    Node J*a + b is x[J*a] + b*step, so at each time the phases are the product
-    of a coarse table exp(-i x[J*a] t), A entries, and a fine table
-    exp(-i b step t), J entries: f summed over b against the fine table, one
-    complex matrix product, and then over a against the coarse one.  The
+
+def _phase_sum(f: np.ndarray, x: np.ndarray, step: float, times: np.ndarray) -> np.ndarray:
+    """Sum_j f_j exp(-i x_j t_k) at every t_k, for n contour nodes x built as x_0 + j*step.
+
+    At the stride J = ceil(sqrt(n)), node J*a + b is x[J*a] + b*step, so at each
+    time the phases are the product of a coarse table exp(-i x[J*a] t), A entries,
+    and a fine table exp(-i b step t), J entries: f summed over b against the fine
+    table, one complex matrix product, and then over a against the coarse one.  The
     tables over a block of times come from that block's own PhaseGrid, so on
     uniform times they take about 2 sqrt(M) (A + J) exponentials for M times.
     """
-    stride = nodes.stride
-    rates = -np.concatenate([nodes.x[::stride], nodes.step * np.arange(stride)])
+    stride = math.ceil(math.sqrt(x.size))
+    rates = -np.concatenate([x[::stride], step * np.arange(stride)])
     coarse = rates.size - stride
     f = np.pad(f, (0, coarse * stride - f.size)).reshape(coarse, stride).T
     out = np.empty(times.size, dtype=complex)
@@ -177,10 +179,10 @@ def survival_numeric(se: SelfEnergy, omega0: float, times,
     rounding, eps h / (2 pi) sum_j |f_j| (1 + |x_j| t_max) over the weighted
     integrand f at the nodes' real parts x, amplified by exp(offset t_max);
     ``info["expansion_terms"]`` is K and ``info["expansion_point"]`` z0.
-    The sum over each stretch's nodes is ``_phase_sum``, whose node
-    tables have the stride J = ceil(sqrt(n)) on a stretch of n nodes;
-    ``info["phase_stride"]`` is J on the first, full stretch.  The amplitude
-    has the shape of ``times``.
+    The sum over each stretch's nodes is ``_phase_sum``, handed the nodes and
+    the step h they were built with, so every stretch of n nodes is tabled at
+    the stride J = ceil(sqrt(n)) by construction; ``info["phase_stride"]`` is
+    the J of every full stretch.  The amplitude has the shape of ``times``.
     """
     times = _check_times(times)
     omega0 = float(omega0)
@@ -263,10 +265,9 @@ def survival_numeric(se: SelfEnergy, omega0: float, times,
     alias_bound = 2.0 * q / (1.0 - q) if q < 1.0 and 2.0 * np.pi / h > t_max else math.inf
     t = times.ravel()
     amp = np.zeros(t.size, dtype=complex)
-    strides, magnitude = [], 0.0
-    for stretch in row_blocks(n_points, 1):
-        j = np.arange(stretch.start, stretch.stop)
-        x = j * h - omega_max
+    magnitude, stretches = 0.0, list(row_blocks(n_points, 1))
+    for stretch in stretches:
+        x = np.arange(stretch.start, stretch.stop) * h - omega_max
         nodes = x + 1j * offset
         u = 1.0 / (nodes - z0)
         expansion = c[K + 1]
@@ -274,12 +275,11 @@ def survival_numeric(se: SelfEnergy, omega0: float, times,
             expansion = expansion * u + cn
         f = (1.0 / (nodes - omega0 - se.sigma_upper_grid(nodes)) - 1.0 / (nodes - omega0)
              - expansion * u**3)
-        f *= np.where((j == 0) | (j == n_points - 1), 0.5, 1.0)   # trapezoid end nodes
+        f[0] *= 0.5 if stretch.start == 0 else 1.0   # the trapezoid's end nodes
+        f[-1] *= 0.5 if stretch.stop == n_points else 1.0
         # each phase x t rounds by about eps |x t|
         magnitude += np.sum(np.abs(f) * (1.0 + np.abs(x) * t_max))
-        grid = PhaseGrid(x)
-        strides.append(grid.stride)
-        amp += _phase_sum(f, grid, t)
+        amp += _phase_sum(f, x, h, t)
     # the trapezoid's h and the inversion's i / (2 pi), then the free pole's
     # and the subtracted terms' exact transforms
     amp *= 1j * h / (2.0 * np.pi) * np.exp(offset * t)
@@ -294,8 +294,8 @@ def survival_numeric(se: SelfEnergy, omega0: float, times,
         times=times, amplitude=amp, method="numeric_inversion",
         info={"contour_offset": offset, "omega_max": omega_max,
               "n_points": n_points, "alias_bound": alias_bound, "tail_estimate": tail_estimate,
-              "rounding_bound": rounding_bound,
-              "expansion_terms": K, "expansion_point": z0, "phase_stride": strides[0]})
+              "rounding_bound": rounding_bound, "expansion_terms": K, "expansion_point": z0,
+              "phase_stride": math.ceil(math.sqrt(stretches[0].stop))})
 
 
 def survival_lorentzian(model: Lorentzian, omega0: float, times) -> SurvivalSeries:

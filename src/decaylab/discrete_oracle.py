@@ -318,8 +318,9 @@ def _cauchy_sums(x, y, weights, squares=False, x_shift=None, y_shift=None, exclu
 
     X_k - Y_i is formed as (x_k - y_i) + x_shift_k - y_shift_i, so an offset
     keeps its relative accuracy however closely a target hugs a source.
-    Each array of ``exclude``, which takes 1-d weights, names one source per
-    target to leave out, or an index outside the sources for none.
+    Each array of ``exclude``, which takes 1-d weights and unshifted
+    sources (no y_shift), names one source per target to leave out, or an
+    index outside the sources for none.
 
     Without a tree every pair is summed exactly, in row blocks: the dense
     sums.  With ``tree``, the sources' far field from ``_tree`` (Fong &
@@ -399,8 +400,6 @@ def _cauchy_sums(x, y, weights, squares=False, x_shift=None, y_shift=None, exclu
         gap = np.subtract(x[k], y[i])
         if x_shift is not None:
             gap += x_shift[k]
-        if y_shift is not None:
-            gap -= y_shift[i]
         term = weights[i] / gap
         for out in sums:
             out[k] -= term

@@ -155,12 +155,9 @@ def lorentzian_poles(amplitude_sq: float, center: float, width: float,
     s = np.sqrt(complex(disc))
     if (b_coef.real * s.real + b_coef.imag * s.imag) < 0:
         s = -s
-    q = -0.5 * (b_coef + s)
-    if q == 0:
-        r1, r2 = 0j, 0j
-    else:
-        r1 = q
-        r2 = c_coef / q
+    # never zero: Im b_coef = width > 0, and s is signed not to cancel b_coef
+    r1 = -0.5 * (b_coef + s)
+    r2 = c_coef / r1
     if abs(r1 - r2) < 1e-12:
         raise NumericalError(f"double pole at {r1}")
     if abs(r1 - omega0) > abs(r2 - omega0):

@@ -286,7 +286,8 @@ def run(config: TwoSurfaceConfig) -> TwoSurfaceRun:
     golden = golden_rule_rate(config.coupling, config.beta_slope)
     t_lo, t_hi = _fit_window(config, golden.rate, n_steps)
 
-    times = np.empty(n_steps + 1)
+    # the step times dt*i that _fit_window counts, not the running sum state.t
+    times = config.dt * np.arange(n_steps + 1)
     p1 = np.empty(n_steps + 1)
     near = np.empty(n_steps + 1)
     absorbed = np.empty(n_steps + 1)
@@ -294,20 +295,19 @@ def run(config: TwoSurfaceConfig) -> TwoSurfaceRun:
     norm_dev: float = 0.0
 
     def record(i: int):
-        times[i] = state.t
         p1[i] = survival_probability(state)
         near[i] = np.vdot(state.psi[:, trap], state.psi[:, trap]).real * dx
         absorbed[i] = state.absorbed
 
     record(0)
-    snaps_t.append(state.t)
+    snaps_t.append(times[0])
     snaps.append(np.abs(state.psi[1]) ** 2)
     for i in range(1, n_steps + 1):
         step(state, config)
         record(i)
         norm_dev = max(norm_dev, abs(state.drift))
         if i % config.snapshot_stride == 0 or i == n_steps:
-            snaps_t.append(state.t)
+            snaps_t.append(times[i])
             snaps.append(np.abs(state.psi[1]) ** 2)
 
     window = (times >= t_lo) & (times <= t_hi) & (p1 > 0)

@@ -54,6 +54,9 @@ class TestNumericInversion:
         # a positive cutoff inside the support truncates it
         with pytest.raises(NumericalError, match="clear the spectral support"):
             dl.survival_numeric(box_se, 0.0, [0.0, 1.0], omega_max=50.0)
+        # past the radius but short of the tail budget: the estimate reads 8.7e-2
+        with pytest.raises(NumericalError, match="truncated-tail contribution 8.7"):
+            dl.survival_numeric(lorentzian_se, 0.0, [0.0, 1.0], omega_max=3.0)
 
     def test_non_finite_expansion_guard(self):
         # the moments of a band of half-width 1e308 overflow
@@ -175,19 +178,19 @@ class TestOnePass:
     def test_matches_full_array_formula(self, threshold_se, perturb, monkeypatch):
         times = np.linspace(0.0, 20.0, 41)
         times[17] += perturb
-        strides, phase_sum = [], amplitude._phase_sum
+        stretches, phase_sum = [], amplitude._phase_sum
 
-        def recording_sum(f, nodes, t):
-            strides.append((nodes.x.size, nodes.stride))
-            return phase_sum(f, nodes, t)
+        def recording_sum(f, x, step, t):
+            stretches.append((x.size, step))
+            return phase_sum(f, x, step, t)
 
         monkeypatch.setattr(amplitude, "_phase_sum", recording_sum)
         series = dl.survival_numeric(threshold_se, 5.0, times, n_points=self.N_POINTS)
         info = series.info
-        # every stretch gets node tables of stride ceil(sqrt(n)); a stride of 1
-        # gives the same sums with n exponentials a time
+        # every stretch is summed with the contour's own step
         full = _blocks.BLOCK_ELEMENTS
-        assert strides == [(n, math.ceil(math.sqrt(n))) for n in (full, full, 50_001)]
+        h = 2.0 * info["omega_max"] / (self.N_POINTS - 1)
+        assert stretches == [(n, h) for n in (full, full, 50_001)]
         assert info["phase_stride"] == math.ceil(math.sqrt(full))
         assert info["expansion_terms"] == 6
         # the support [0, 20] lies within 26 of z0 = 5 - 20i; the circle is at 200
@@ -195,6 +198,39 @@ class TestOnePass:
                                          info["omega_max"], info["n_points"],
                                          info["expansion_point"], 200.0)
         assert np.max(np.abs(series.amplitude - reference)) <= 1e-11
+
+    def test_every_full_stretch_takes_the_same_stride(self, monkeypatch):
+        """Measuring the nodes for uniformity, within 8 eps max|x|, failed on the
+        stretch that holds omega = 0, whose nodes round by eps omega_max: that
+        stretch alone took a stride of 1, one exponential a node and time."""
+        se, times = dl.SelfEnergy(dl.Lorentzian(0.1, 0.0, 1.0)), np.linspace(0.0, 10.0, 201)
+        rates, tables = [], PhaseGrid.tables
+
+        def recording_tables(grid, r):
+            rates.append(r.size)
+            return tables(grid, r)
+
+        monkeypatch.setattr(PhaseGrid, "tables", recording_tables)
+        series = dl.survival_numeric(se, 0.0, times, n_points=4_000_001)
+        info = series.info
+        full, last = _blocks.BLOCK_ELEMENTS, 4_000_001 % _blocks.BLOCK_ELEMENTS
+        assert info["phase_stride"] == 363 == math.ceil(math.sqrt(full))
+        # each block of times takes the stretch's ceil(n/J) coarse and J fine rates
+        stride_last = math.ceil(math.sqrt(last))
+        assert set(rates) == {-(-full // 363) + 363, -(-last // stride_last) + stride_last}
+
+        # the stretch that holds omega = 0 with one exponential a node and time
+        phase_sum = amplitude._phase_sum
+
+        def node_by_node(f, x, step, t):
+            if not x[0] <= 0.0 <= x[-1]:
+                return phase_sum(f, x, step, t)
+            return np.concatenate([np.exp(-1j * np.outer(t[rows], x)) @ f
+                                   for rows in _blocks.row_blocks(t.size, x.size)])
+
+        monkeypatch.setattr(amplitude, "_phase_sum", node_by_node)
+        direct = dl.survival_numeric(se, 0.0, times, n_points=4_000_001)
+        assert np.max(np.abs(series.amplitude - direct.amplitude)) <= info["rounding_bound"]
 
     @pytest.mark.parametrize("model, omega0, n_points, n_times", [
         (dl.Lorentzian(0.1, 0.0, 1.0), 0.0, 4_000_001, 11),
@@ -355,9 +391,7 @@ class TestTimeTransform:
         times = np.geomspace(t0, t_max, m) if kind == "geometric" else np.linspace(t0, t_max, m)
         if kind == "perturbed":
             times[min(17, m - 1)] += 0.013
-        nodes = PhaseGrid(x)
-        assert nodes.stride == math.ceil(math.sqrt(n))
-        fast = amplitude._phase_sum(f, nodes, times)
+        fast = amplitude._phase_sum(f, x, 2.0 * omega_max / (n - 1), times)
         x_ld, f_re, f_im = (v.astype(np.longdouble) for v in (x, f.real, f.imag))
         dense = np.empty(m, dtype=complex)
         for rows in _blocks.row_blocks(m, n):
@@ -379,7 +413,7 @@ class TestTimeTransform:
         f /= np.abs(f).sum()
         times = np.linspace(t0, t_max, m) if m > 1 else np.array([t_max])
         x = np.arange(n) * (2.0 * omega_max / (n - 1)) - omega_max   # as the contour's nodes
-        fast = amplitude._phase_sum(f, PhaseGrid(x), times)
+        fast = amplitude._phase_sum(f, x, 2.0 * omega_max / (n - 1), times)
         dense = np.exp(-1j * np.outer(times, x)) @ f
         assert np.max(np.abs(fast - dense)) <= 1e-10
 
@@ -465,6 +499,13 @@ def adaptive_cut_integral(se, omega0, t):
 
 
 class TestCutIntegral:
+    def test_error_estimate_gate(self, threshold_se, monkeypatch):
+        # the rule at 2h with doubled weights disagrees with the rule at h
+        weights = amplitude._DE_WEIGHTS * [1.0, 2.0]
+        monkeypatch.setattr(amplitude, "_DE_WEIGHTS", weights)
+        with pytest.raises(NumericalError, match="cut integral error estimate"):
+            dl.cut_integral(threshold_se, 5.0, [1.0, 10.0])
+
     def test_vanishing_threshold_weight(self):
         se = dl.SelfEnergy(dl.ThresholdPower(beta=0.0, exponent=0.5,
                                              threshold=0.0, cutoff=20.0))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import decaylab as dl
+from decaylab import poles
 from decaylab.errors import DomainError, NumericalError
 
 
@@ -136,6 +137,15 @@ class TestFindPole:
             dl.find_pole(se, 5.0)
         with pytest.raises(NumericalError, match="every Newton start failed"):
             dl.survival_pole_cut(se, 5.0, [0.5, 5.0])
+
+    def test_newton_refusals(self):
+        # a synthetic Sigma = 0.5i puts the only zero of g at omega0 + 0.5i,
+        # above the axis, where no propagator pole lies
+        with pytest.raises(NumericalError, match="converged above the axis"):
+            poles._newton(lambda w: 0.5j, lambda w: 0.0, 1.0, 1.0 + 0j, 1e-12)
+        # Sigma' = 1 makes g' = 1 - Sigma' vanish
+        with pytest.raises(NumericalError, match="vanishing derivative"):
+            poles._newton(lambda w: 0.5j, lambda w: 1.0, 1.0, 1.0 + 0j, 1e-12)
 
 
 class TestLorentzianPoles:

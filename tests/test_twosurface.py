@@ -291,6 +291,15 @@ class TestRun:
             assert "fit window" in message and f"{name} = " in message
             assert peak < 1e6
 
+    def test_times_are_the_counted_step_times(self):
+        # 3,000 steps of 1e-3 summed one by one end at 2.9999999999997806; the
+        # fit window counts the step times dt*i, so the run records those
+        config = TwoSurfaceConfig(t_max=3.0, dt=1e-3, n_x=256, snapshot_stride=1000)
+        result = run(config)
+        assert result.times[-1] == 3.0
+        np.testing.assert_array_equal(result.times, [1e-3 * i for i in range(3001)])
+        np.testing.assert_array_equal(result.snapshot_times, [0.0, 1.0, 2.0, 3.0])
+
     @pytest.mark.parametrize("fields", [{"coupling": 0.0}, {"beta_slope": -1.0},
                                         {"dt": np.nan}, {"coupling": np.nan}], ids=str)
     def test_bad_run_rejected_before_the_first_step(self, monkeypatch, fields):
