@@ -149,7 +149,9 @@ def resolvent_partitioned(m: DiscreteModel, omega: complex) -> PartitionedResolv
 _STEP_TOL = 1e-15
 _EPS = np.finfo(float).eps
 # Root sweeps before a NumericalError.  Binned densities take 4; random models
-# with couplings over ten decades and poles 1e-11 apart took up to 16.
+# with couplings over ten decades and a tenth of the poles 1e-11 apart take
+# 12 to 15 on 200 bins (TestSecularAgainstEigh.test_couplings_over_ten_decades
+# in tests/test_discrete_oracle.py) and up to 17 on up to 1,600.
 _MAX_SWEEPS = 50
 # Inner iterations of the local model's safeguarded Newton solve.
 _MODEL_ITERATIONS = 100
@@ -184,7 +186,6 @@ class _TreeOperators(NamedTuple):
 class _Leaves(NamedTuple):
     """Ascending points sorted into the leaves of the tree."""
 
-    index: np.ndarray           # each point's leaf
     starts: np.ndarray          # where each leaf's points start, then the point count
     coord: np.ndarray           # each point's place in its leaf, from -1 to 1
 
@@ -234,7 +235,7 @@ def _leaves(points, lo, width, depth) -> _Leaves:
     n = 1 << depth
     scaled = (points - lo) * (n / width)
     index = np.minimum(scaled.astype(int), n - 1)
-    return _Leaves(index, np.searchsorted(index, np.arange(n + 1)), 2.0 * (scaled - index) - 1.0)
+    return _Leaves(np.searchsorted(index, np.arange(n + 1)), 2.0 * (scaled - index) - 1.0)
 
 
 def _slots(starts):
@@ -309,8 +310,7 @@ def _tree(span, y, weights, squares=False, y_shift=None) -> _Tree | None:
     return _Tree(lo, width, depth, inside, sources, local)
 
 
-def _cauchy_sums(x, y, weights, squares=False, x_shift=None, y_shift=None, exclude=(),
-                 tree=None):
+def _cauchy_sums(x, y, weights, squares=False, x_shift=None, y_shift=None, tree=None):
     """Sums over sources i of weights[i]/(X_k - Y_i) and, with squares, of
     weights[i]/(X_k - Y_i)^2, for targets X = x + x_shift and sources
     Y = y + y_shift, both ascending; weights is (sources,) or (sources, cols).
@@ -318,9 +318,8 @@ def _cauchy_sums(x, y, weights, squares=False, x_shift=None, y_shift=None, exclu
 
     X_k - Y_i is formed as (x_k - y_i) + x_shift_k - y_shift_i, so an offset
     keeps its relative accuracy however closely a target hugs a source.
-    Each array of ``exclude``, which takes 1-d weights and unshifted
-    sources (no y_shift), names one source per target to leave out, or an
-    index outside the sources for none.
+    Every source enters every target's sums; a caller that wants a term
+    out subtracts it from them.
 
     Without a tree every pair is summed exactly, in row blocks: the dense
     sums.  With ``tree``, the sources' far field from ``_tree`` (Fong &
@@ -358,12 +357,7 @@ def _cauchy_sums(x, y, weights, squares=False, x_shift=None, y_shift=None, exclu
             inv += x_shift[rows, None]
         if y_shift is not None:
             inv -= y_shift[cols]
-        np.reciprocal(inv, out=inv)
-        for left_out in exclude:
-            col = left_out[rows] - cols.start
-            hit = (col >= 0) & (col < cols.stop - cols.start)
-            inv[np.flatnonzero(hit), col[hit]] = 0.0
-        return inv
+        return np.reciprocal(inv, out=inv)
 
     # The exact pass: the first columns of a group write its rows' sums,
     # the sources beyond the span add to them.
@@ -389,21 +383,6 @@ def _cauchy_sums(x, y, weights, squares=False, x_shift=None, y_shift=None, exclu
         rows = slice(starts_x[group.start], starts_x[group.stop])
         for power, out in enumerate(sums):
             out[rows] += far[:, power][valid[group]].reshape(out[rows].shape)
-    for left_out in exclude:
-        # a left-out source beyond the near field sits in the far sums
-        k = np.arange(inside.start, inside.stop)
-        i = left_out[k] - tree.inside.start
-        within = (i >= 0) & (i < tree.inside.stop - tree.inside.start)
-        k, i = k[within], i[within]
-        far_off = np.abs(tree.sources.index[i] - targets.index[k - inside.start]) > 1
-        k, i = k[far_off], i[far_off] + tree.inside.start
-        gap = np.subtract(x[k], y[i])
-        if x_shift is not None:
-            gap += x_shift[k]
-        term = weights[i] / gap
-        for out in sums:
-            out[k] -= term
-            term = term / gap
     return sums
 
 
@@ -420,15 +399,17 @@ def _secular(omega0: float, poles: np.ndarray, z2: np.ndarray):
     Root k lies in gap k, (d_{k-1}, d_k), with the Weyl bounds
     min(omega0, d_0) - |z| and max(omega0, d_{m-1}) + |z| closing the two
     outer gaps.  Each root is kept as an offset tau from its nearer pole,
-    picked by the sign of g at the gap's midpoint.  A sweep updates every
-    unfinished root with the fixed-weight model of g (Bunch, Nielsen &
-    Sorensen 1978): the gap's two poles exact, every other term, the linear
-    lam - omega0 among them, linearized about the current point.  The model
-    is solved by safeguarded Newton inside the root's bracket.  A sweep
-    whose step is no shorter than the root's last one bisects the bracket
-    instead, which ends the slow climb out of a weakly coupled pole's
-    neighbourhood when a strong pole lies just beyond it.
-    Returns the origin poles, the offsets, g' at the roots and the sweeps.
+    picked by the sign of g at the gap's midpoint.  A sweep sums g and g'
+    over every pole and updates every unfinished root with the fixed-weight
+    model of g (Bunch, Nielsen & Sorensen 1978; LAPACK's dlaed4): the gap's
+    two pole terms exact, and g less them, the linear lam - omega0 among
+    it, linearized about the current point.  The model is solved by
+    safeguarded Newton inside the root's bracket.  A sweep whose step is
+    no shorter than the root's last one bisects the bracket instead, which
+    ends the slow climb out of a weakly coupled pole's neighbourhood when
+    a strong pole lies just beyond it.
+    Returns the origin poles, the offsets, g' = 1 + sum z2/(lam - d)^2 at
+    the roots and the sweeps.
     """
     m = poles.size
     k = np.arange(m + 1)
@@ -457,17 +438,17 @@ def _secular(omega0: float, poles: np.ndarray, z2: np.ndarray):
     for sweep in range(1, _MAX_SWEEPS + 1):
         o, t, kk = origin[active], tau[active], k[active]
         al, ar = a_left[kk], a_right[kk]
-        s1, s2 = _cauchy_sums(o, poles, z2, squares=True, x_shift=t, exclude=(kk - 1, kk),
-                              tree=tree)
+        s1, s2 = _cauchy_sums(o, poles, z2, squares=True, x_shift=t, tree=tree)
         cl, cr = pole_offsets(o, kk)
-        rest = (o - omega0) + t - s1
-        slope = 1.0 + s2
-        g = rest - al / (cl + t) - ar / (cr + t)
-        gprime[active] = slope + al / (cl + t) ** 2 + ar / (cr + t) ** 2
-        # g's rounding level: Cauchy-Schwarz bounds the rest's sum of
-        # |z2/(lam - d)| by |z| sqrt(s2); the two pole terms are known exactly
-        noise = _EPS * (np.abs(o - omega0) + np.abs(t) + norm * np.sqrt(s2)
-                        + np.abs(al / (cl + t)) + np.abs(ar / (cr + t)))
+        g = (o - omega0) + t - s1
+        gprime[active] = 1.0 + s2
+        # the model's rest and slope: g and g' less the gap's two pole terms
+        pl, pr = al / (cl + t), ar / (cr + t)
+        rest = g + pl + pr
+        slope = 1.0 + s2 - pl / (cl + t) - pr / (cr + t)
+        # g's rounding level: Cauchy-Schwarz bounds the sum of |z2/(lam - d)|
+        # over every pole by |z| sqrt(s2)
+        noise = _EPS * (np.abs(o - omega0) + np.abs(t) + norm * np.sqrt(s2))
         if sweep == 1:
             # g < 0 at an inner gap's midpoint: the root hugs the right pole
             right = active[has_left[kk] & has_right[kk] & (g < 0)]

@@ -81,6 +81,10 @@ class TestNumericInversion:
         for omega_max in (-1.0, 0.0):
             with pytest.raises(DomainError, match="omega_max must be positive"):
                 dl.survival_numeric(lorentzian_se, 0.0, [1.0], omega_max=omega_max)
+        with pytest.raises(DomainError, match="n_points must be at least 2"):
+            dl.survival_numeric(lorentzian_se, 0.0, [1.0], n_points=1)
+        with pytest.raises(DomainError, match="empty time grid"):
+            dl.survival_numeric(lorentzian_se, 0.0, [])
 
     def test_unit_bound(self, lorentzian_se):
         times = np.linspace(0.0, 10.0, 60)

@@ -476,6 +476,7 @@ class TestManifest:
 # a triangle density on [0, 2], sampled at its kink
 TABLE = Path(__file__).resolve().parent / "triangle_table.csv"
 NOTCH_TABLE = TABLE.with_name("notch_table.csv")  # D = 0 at epsilon = 1 only
+ONE_COLUMN_TABLE = TABLE.with_name("one_column_table.csv")  # epsilon and no D
 
 # A packet whose energy window stays above zero, where plane waves exist.
 PACKET_CONFIG = ("model.type = box\nmodel.A2 = 0.05\nmodel.L = 100\nsystem.omega0 = 50.0\n"
@@ -527,6 +528,13 @@ BAD_INPUTS = {
         "model.A2 = 0.1", "model.A2 = abc"), "model.A2"),
     "missing density table": ("survival", "model.type = tabulated\n"
                               "model.table_path = no_such_table.csv\n", "no_such_table.csv"),
+    "one-column density table": ("survival", "model.type = tabulated\n"
+                                 f"model.table_path = {ONE_COLUMN_TABLE}\n",
+                                 "needs epsilon and D columns"),
+    "survival without a model": ("survival", "survival.tmax = 5.0\n",
+                                 "model block is missing the 'type' key"),
+    "key path with no key": ("survival", LORENTZIAN_CONFIG + "survival. = 1\n",
+                             "malformed key path 'survival.'"),
     "non-integral count": ("survival", LORENTZIAN_CONFIG.replace(
         "survival.nt = 51", "survival.nt = 2.5"), "survival.nt"),
     "nan band width": ("survival", LORENTZIAN_CONFIG.replace(
@@ -614,6 +622,8 @@ BAD_SURVIVAL_CSVS = {
     "short rows": ("t,re_A,im_A,abs2_A\n0,1,0\n1,0.5,0\n", "4 finite numbers"),
     "non-numeric cell": ("t,re_A,im_A\n0,1,0\n1,abc,0\n", "bad.csv"),
     "nan cell": ("t,re_A,im_A\n0,1,0\n1,nan,0\n", "finite"),
+    "other times": ("t,re_A,im_A\n0,1,0\n2,0.5,0.5\n", "different time grids"),
+    "fewer times": ("t,re_A,im_A\n0,1,0\n", "different time grids"),
 }
 
 

@@ -158,6 +158,13 @@ class TestPlaneWaveSynthesis:
         with pytest.raises(DomainError, match="plane-wave basis needs strictly positive energies"):
             dl.plane_wave_eigenfunction(eps, np.linspace(-1, 1, 8))
 
+    def test_validation(self):
+        eps = np.linspace(1.0, 2.0, 5)
+        with pytest.raises(DomainError, match=r"must be 1-d, not of shape \(2, 4\)"):
+            dl.plane_wave_eigenfunction(eps, np.linspace(-1.0, 1.0, 8).reshape(2, 4))
+        with pytest.raises(DomainError, match="coefficients must match the energy grid"):
+            dl.synthesize_packet(eps, np.ones(4), np.linspace(-1.0, 1.0, 8))
+
     def test_tables_match_a_longdouble_reference(self):
         """The benchmark's grid, where k*x reaches 1000: rounding of the phase
         puts the tables 2.5e-13 of max|phi| off, and the direct exp 1.1e-13."""

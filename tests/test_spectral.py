@@ -23,6 +23,15 @@ class TestBox:
     def test_support(self):
         assert dl.Box(amplitude_sq=1.0, half_width=5.0).support() == (-5.0, 5.0)
 
+    def test_validation(self):
+        for half_width in (0.0, -1.0):
+            with pytest.raises(DomainError, match="half_width must be positive"):
+                dl.Box(amplitude_sq=0.05, half_width=half_width)
+        box = dl.Box(amplitude_sq=0.05, half_width=5.0)
+        for bad in (np.nan, np.array([0.0, np.inf])):
+            with pytest.raises(DomainError, match="finite real energies"):
+                box.density(bad)
+
     def test_strip_continuation_is_constant(self):
         box = dl.Box(amplitude_sq=0.3, half_width=2.0)
         for z in (0.5 + 1j, -1.9 - 0.3j, 1e-3j):
@@ -84,6 +93,10 @@ class TestLorentzian:
         m = dl.Lorentzian(amplitude_sq=0.1, width=2.0)
         assert m.total_weight() == pytest.approx(np.pi * 0.1 / 2.0)
 
+    def test_validation(self):
+        with pytest.raises(DomainError, match="amplitude_sq must be nonnegative"):
+            dl.Lorentzian(amplitude_sq=-0.1)
+
 
 class TestThresholdPower:
     def test_below_threshold_zero(self):
@@ -112,6 +125,8 @@ class TestThresholdPower:
         for bad in (3.0, np.array([4.0 - 1j, 3.0])):
             with pytest.raises(DomainError, match="threshold is a branch point"):
                 m.density_complex(bad)
+            with pytest.raises(DomainError, match="threshold is a branch point"):
+                m.density_complex_derivative(bad)
 
     def test_integer_exponent_has_no_branch_point(self):
         m = dl.ThresholdPower(beta=1.0, exponent=1.0, threshold=3.0, cutoff=10.0)
@@ -137,6 +152,8 @@ class TestThresholdPower:
             dl.ThresholdPower(beta=1.0, exponent=-1.5, threshold=0.0, cutoff=1.0)
         with pytest.raises(DomainError):
             dl.ThresholdPower(beta=1.0, exponent=0.5, threshold=1.0, cutoff=1.0)
+        with pytest.raises(DomainError, match="beta must be nonnegative"):
+            dl.ThresholdPower(beta=-1.0, exponent=0.5, threshold=0.0, cutoff=1.0)
 
 
 class TestAsymmetricBox:
@@ -150,6 +167,10 @@ class TestAsymmetricBox:
     def test_ordering_enforced(self):
         with pytest.raises(DomainError):
             dl.AsymmetricBox(amplitude_sq=0.2, lower=3.0, upper=-1.0)
+
+    def test_validation(self):
+        with pytest.raises(DomainError, match="amplitude_sq must be nonnegative"):
+            dl.AsymmetricBox(amplitude_sq=-0.2, lower=-1.0, upper=3.0)
 
     @pytest.mark.parametrize("omega", [1e3, 1e5, 1e7, -1e7, 1e5 * (1 + 1j), 5.0,
                                        2.0 + 1e-3, -2.0 - 1e-10, 0.3, 0.3 + 1e-3j])
@@ -181,6 +202,10 @@ class TestTabulated:
             dl.Tabulated(eps=[0.0, 0.0], values=[1.0, 1.0])
         with pytest.raises(DomainError):
             dl.Tabulated(eps=[0.0, 1.0], values=[1.0, -1.0])
+        for eps, values in (([0.0, 1.0, 2.0], [1.0, 1.0]), ([0.0], [1.0]),
+                            ([[0.0, 1.0]], [[1.0, 1.0]])):
+            with pytest.raises(DomainError, match="matching 1-d eps/values arrays"):
+                dl.Tabulated(eps=eps, values=values)
         # nan slips past both comparisons above, since nan < 0 is False
         for eps, values in (([0.0, 1.0, 2.0], [1.0, np.nan, 1.0]),
                             ([0.0, 1.0, 2.0], [1.0, np.inf, 1.0]),

@@ -1,3 +1,5 @@
+import math
+import operator
 import tracemalloc
 
 import numpy as np
@@ -300,6 +302,24 @@ class TestRun:
         np.testing.assert_array_equal(result.times, [1e-3 * i for i in range(3001)])
         np.testing.assert_array_equal(result.snapshot_times, [0.0, 1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("below", [operator.lt, operator.le], ids=["lt", "le"])
+    def test_steps_below_counts_the_step_times(self, below):
+        # t/dt can round up past a step time: at dt = 1e-3 and
+        # t = 1.0010000000000001, ceil(t/dt) = 1002 though dt*1001 == t, so
+        # under < the estimate overshoots by one and steps back
+        assert math.ceil(1.0010000000000001 / 1e-3) == 1002 and 1e-3 * 1001 == 1.0010000000000001
+        cases = [(1e-3, 3000, 1.0010000000000001), (1e-3, 3000, -1.0), (1e-3, 3000, 0.0),
+                 (1e-3, 3000, 5.0), (1e-3, 3000, 3.0)]
+        rng = np.random.default_rng(3)
+        for dt in (1e-3, 0.1, 7e-4, 1.0 / 3.0):
+            for k in rng.integers(0, 1001, 20):
+                for t in (dt * k, k / (1.0 / dt), math.nextafter(dt * k, -math.inf),
+                          math.nextafter(dt * k, math.inf)):
+                    cases.append((dt, 1000, t))
+        for dt, n, t in cases:
+            assert twosurface._steps_below(dt, n, t, below) == np.count_nonzero(
+                below(dt * np.arange(n + 1), t)), (dt, n, t)
+
     @pytest.mark.parametrize("fields", [{"coupling": 0.0}, {"beta_slope": -1.0},
                                         {"dt": np.nan}, {"coupling": np.nan}], ids=str)
     def test_bad_run_rejected_before_the_first_step(self, monkeypatch, fields):
@@ -348,10 +368,22 @@ class TestConfigValidation:
     def test_positive_slope(self, beta):
         with pytest.raises(DomainError, match="beta_slope"):
             TwoSurfaceConfig(beta_slope=beta)
+        with pytest.raises(DomainError, match="beta_slope must be positive"):
+            golden_rule_rate(0.5, beta)
+
+    @pytest.mark.parametrize("x_max", [-80.0, -100.0])
+    def test_ordered_grid(self, x_max):
+        with pytest.raises(DomainError, match="x_min must be below x_max"):
+            TwoSurfaceConfig(x_min=-80.0, x_max=x_max)
 
     def test_absorber_fits(self):
         with pytest.raises(DomainError):
             TwoSurfaceConfig(absorber_width=1000.0)
+
+    @pytest.mark.parametrize("strength", [0.0, 1.0, -0.1, 1.5])
+    def test_absorber_strength_in_unit_interval(self, strength):
+        with pytest.raises(DomainError, match=r"absorber strength must be in \(0, 1\)"):
+            TwoSurfaceConfig(absorber_strength=strength)
 
     @pytest.mark.parametrize("stride", [0, -5])
     def test_positive_snapshot_stride(self, stride):
