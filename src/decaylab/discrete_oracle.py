@@ -9,13 +9,15 @@ time set by the level spacing.  The evolution comes from the roots of the secula
 equation (Bunch, Nielsen & Sorensen 1978; Gu & Eisenstat 1995) and the
 closed-form eigenvectors they give: no (N+1) x (N+1) array is built for it.
 The Cauchy sums over every (root, bin) pair, in each root sweep and in the
-occupations, come from a one-dimensional Chebyshev tree (a fast multipole
-method) over the bins: each root or bin sums the terms of its leaf and the
-two beside it, about 375, exactly and the rest through the tree, so a sweep
-costs O(N) work and the occupations O(N nt).  The far field of the poles is
-built once a solve, and the two outer roots, beyond the bins, are summed
-exactly.  Below 1,000 bins the tree would have fewer than three levels;
-every pair is then near, and the sums are the dense O(N^2) ones.
+occupations, come from a one-level Chebyshev far field (a black-box fast
+multipole method) over L = 2^levels uniform leaves of the bins: each root or
+bin sums the terms of its leaf and the two beside it, about 375, exactly,
+and the rest from its leaf's far field, which sums every other leaf
+directly at Chebyshev nodes.  That far field is built once a solve in
+O(L^2) work, so a sweep costs O(N) work and the occupations O(N nt) plus
+O(L^2 nt); the two outer roots, beyond the bins, are summed exactly.
+Below 1,000 bins there would be fewer than 8 leaves; every pair is then
+near, and the sums are the dense O(N^2) ones.
 On a uniform time grid the phases come from two tables of O(N sqrt(nt))
 entries, so without the occupations no (N+1) x nt array is built either.
 """
@@ -157,7 +159,7 @@ _MAX_SWEEPS = 50
 _MODEL_ITERATIONS = 100
 
 
-# Chebyshev nodes per box of the tree.  On 3000 and 10^4 bins of
+# Chebyshev nodes per leaf.  On 3000 and 10^4 bins of
 # Box(0.05, 100) and ThresholdPower(0.01, 0.5, 0, 20), 16 nodes left s2 off
 # the dense sum by up to 6.5e-14 of itself and s1 by 1.1e-14 of |z| sqrt(s2);
 # 20 took both to rounding, at most 2.6e-15 and 2.5e-16, and 24 or 32 were
@@ -169,18 +171,14 @@ _TREE_NODES = 20
 # Box(0.05, 100) bins in 1.7 ms against 2.1-2.2 ms dense.  From three
 # levels a sweep on the built tree takes 1.7-2.3 against 3.6-4.2 ms at 1000
 # bins, 6.3-6.9 against 21-23 ms at 3000 and 19 against 198-214 ms at 10^4,
-# and the tree's build, once a solve, 0.8, 1.2 and 2.8 ms.
+# and the far field's build, once a solve, 0.3, 0.8-1.3 and 3.2-3.4 ms
+# (best of 15 on a shared 2-CPU machine).
 _TREE_LEAF = 125
-# The interaction list: the children of the parent's neighbours that are not
-# the box's own neighbours, at offsets -2 and +2 from every box, +3 from a
-# left child and -3 from a right one.
-_FAR_OFFSETS = (-3, -2, 2, 3)
 
 
 class _TreeOperators(NamedTuple):
     coefficients: np.ndarray    # (p, p): c_k T_k(t_j), c_0 = 1/p and c_k = 2/p after
-    children: tuple             # (p, p) each: the parent's node polynomials at a child's nodes
-    translations: dict          # offset -> (x_j - y_j')/h between two boxes of width h
+    spread: np.ndarray          # (p, p): (t_i - t_j)/2, node i's place less node j's, in leaves
 
 
 class _Leaves(NamedTuple):
@@ -213,18 +211,18 @@ def _tree_operators() -> _TreeOperators:
     nodes = np.cos(np.pi * (np.arange(p) + 0.5) / p)
     coefficients = _chebyshev(nodes) * (2.0 / p)
     coefficients[0] /= 2.0
-    children = tuple(_chebyshev((nodes + side) / 2.0).T @ coefficients for side in (-1.0, 1.0))
-    translations = {offset: np.subtract.outer(nodes, nodes) / 2.0 - offset
-                    for offset in _FAR_OFFSETS}
-    return _TreeOperators(coefficients, children, translations)
+    return _TreeOperators(coefficients, np.subtract.outer(nodes, nodes) / 2.0)
 
 
 def _tree_depth(n: int) -> int:
-    """Levels below the root of the tree over n points, leaves of about _TREE_LEAF.
+    """log2 of the leaf count L over n points, _TREE_LEAF to 2 _TREE_LEAF a leaf.
 
-    Boxes have a far field from the second level down, and from the third
-    the near field is at most 3/8 of the dense sum: a tree that would stop
-    above it is the root alone, and its sums are dense.
+    A leaf's far field is every leaf but itself and its two neighbours, so
+    from 8 leaves the near field is at most 3/8 of the dense sum; with
+    fewer the sums are dense, and the depth is 0.  The far field's build
+    takes (L - 1)(L - 2) products of a _TREE_NODES^2 kernel, per column
+    and power: O(L^2) = O(n^2 / _TREE_LEAF^2) work, against the exact near
+    field's O(n^2 / L) in every pass over the targets.
     """
     depth = (n // _TREE_LEAF).bit_length() - 1
     return depth if depth >= 3 else 0
@@ -257,16 +255,18 @@ class _Tree(NamedTuple):
 
 
 def _tree(span, y, weights, squares=False, y_shift=None) -> _Tree | None:
-    """The far field of sources Y = y + y_shift, ascending, on a tree over
-    [span[0], span[-1]] whose depth ``_tree_depth(span.size)`` sets, or None
-    below three levels, where every pair is near.
+    """The far field of sources Y = y + y_shift, ascending, on the
+    2^depth uniform leaves of [span[0], span[-1]], with the depth from
+    ``_tree_depth(span.size)``, or None below 8 leaves, where every pair is
+    near.
 
     The sources within the span are anterpolated onto their leaves' nodes,
-    carried up the tree, across each level's interaction list and down
-    again, each step on all boxes of a level at once, the leaves in blocks
-    of the budget.  What is left is each leaf's far field at its nodes; it
-    depends on the sources alone, so one tree serves every set of targets.
-    Sources outside the span are left to ``_cauchy_sums``'s exact pass.
+    the leaves in blocks of the budget.  Each leaf's far field at its nodes
+    then sums the nodes of every leaf two or more away directly, one
+    offset d at a time on all leaves at once: 2 (L - 2) kernels and
+    O(L^2) work at L leaves.  The far field depends on the sources alone,
+    so one tree serves every set of targets.  Sources outside the span are
+    left to ``_cauchy_sums``'s exact pass.
     """
     depth = _tree_depth(span.size)
     if not depth:
@@ -287,26 +287,15 @@ def _tree(span, y, weights, squares=False, y_shift=None) -> _Tree | None:
     for group in row_blocks(leaves, 2 * slots.shape[1] * (w.shape[1] + _TREE_NODES)):
         interp = _interpolation(sources.coord[slots[group]]) * valid[group, :, None]
         multipole[group] = np.swapaxes(interp, 1, 2) @ w[slots[group]]
-    multipoles = [multipole]
-    while multipoles[-1].shape[0] > 4:
-        m = multipoles[-1]
-        multipoles.append(ops.children[0].T @ m[0::2] + ops.children[1].T @ m[1::2])
-    local = None
-    while multipoles:
-        m = multipoles.pop()
-        n = m.shape[0]
-        # the kernel between the nodes of box b and those of box b + offset
-        kernel = {offset: (ops.translations[offset] * (width / n)) ** -powers[:, None, None]
-                  for offset in _FAR_OFFSETS}
-        field = np.zeros((n, powers.size) + m.shape[1:])
-        if local is not None:
-            field[0::2] = ops.children[0] @ local
-            field[1::2] = ops.children[1] @ local
-        field[:n - 2] += kernel[2] @ m[2:, None]
-        field[2:] += kernel[-2] @ m[:n - 2, None]
-        field[0:n - 3:2] += kernel[3] @ m[3::2, None]
-        field[3::2] += kernel[-3] @ m[0:n - 3:2, None]
-        local = field
+    local = np.zeros((leaves, powers.size) + multipole.shape[1:])
+    h = width / leaves
+    # the kernel from leaf b - d to leaf b is ((spread + d) h)^-power, and from
+    # b + d the same with -d: a sign times a power of (d - spread) h, as a
+    # negative base takes pow about 25 times as long
+    sign = (-1.0) ** powers[:, None, None]
+    for d in range(2, leaves):
+        local[:-d] += sign * ((d - ops.spread) * h) ** -powers[:, None, None] @ multipole[d:, None]
+        local[d:] += ((d + ops.spread) * h) ** -powers[:, None, None] @ multipole[:-d, None]
     return _Tree(lo, width, depth, inside, sources, local)
 
 
@@ -528,14 +517,17 @@ def survival_exact_discrete(m: DiscreteModel, times, with_occupations: bool = Fa
     tables of PhaseGrid, J = ceil(sqrt(nt)) on nt uniform times and 1 on
     any others, and A(t[J*a + b]) is their matrix product, one for each row
     block of roots.  The sums over the roots and the bins, in each root
-    sweep and in c_i(t), run on a tree over the bins (``_tree``): O(N) work a
-    sweep and O(N nt) for the occupations, the dense O(N^2) and O(N^2 nt)
-    below about 1,000 bins.  The phases take O(N nt) work and O(N sqrt(nt))
-    exponentials on uniform times; without occupations no (N + 1) x nt
+    sweep and in c_i(t), run on L uniform leaves of the bins with a far
+    field built once a solve (``_tree``): O(L^2) work to build it, then O(N)
+    a sweep, and O(N nt + L^2 nt) for the occupations; L is 2^tree_levels,
+    between N/250 and N/125.  Below about 1,000 bins, under 8 leaves, the
+    sums are the dense O(N^2) and O(N^2 nt) ones.  The phases take O(N nt)
+    work and O(N sqrt(nt)) exponentials on uniform times; without
+    occupations no (N + 1) x nt
     array is built, and the occupations add the (N + 1) x nt weighted
     phases.  ``info`` carries the root sweeps, ``phase_stride`` = J,
-    ``weight_defect`` = |sum_k w_k - 1| and ``tree_levels``, the levels of
-    the tree below its root (0 where the sums are dense).
+    ``weight_defect`` = |sum_k w_k - 1| and ``tree_levels``, log2 of the
+    leaf count (0 where the sums are dense).
     """
     times = _check_times(times)
     t = times.ravel()

@@ -111,6 +111,13 @@ class TestResolventDirect:
         identity = (omega * np.eye(41) - m.hamiltonian()) @ g
         assert np.max(np.abs(identity - np.eye(41))) < 1e-12
 
+    def test_singular_solve_refused(self):
+        # omega on an uncoupled bin's energy: that bin's row of omega - H is zero
+        m = dl.DiscreteModel(omega0=0.5, energies=np.array([-1.0, 1.0]),
+                             couplings=np.zeros(2), widths=np.ones(2))
+        with pytest.raises(NumericalError, match="resolvent solve failed.*Singular matrix$"):
+            dl.resolvent_direct(m, -1.0)
+
 
 class TestPartitionIdentity:
     def test_uncoupled_blocks(self):
@@ -219,8 +226,8 @@ def _gauss_legendre():
 
 
 def _level_above():
-    # 1500 bins on (-2, 2) and the level at 30: the sums run on a tree of
-    # three levels over the bins alone; the top root, near 30, lies beyond
+    # 1500 bins on (-2, 2) and the level at 30: the sums run on eight
+    # leaves over the bins alone; the top root, near 30, lies beyond
     # them and sums every pole exactly, its gap's lower pole among them
     m = random_discrete(np.random.default_rng(43), 1500)
     return dl.DiscreteModel(omega0=30.0, energies=m.energies, couplings=m.couplings,
@@ -465,12 +472,13 @@ def roots_in_gaps(rng, poles):
 
 
 class TestCauchyTree:
-    """The tree's sums against dense ones, on random arrowheads of up to 3000 poles."""
+    """The tree's sums against dense ones, on random arrowheads of up to 10^4 poles."""
 
     @given(seed=st.integers(0, 2**32 - 1),
            n=st.one_of(st.integers(2, 999), st.integers(1000, 3000)),
            gap=st.floats(0.01, 0.7), columns=st.integers(1, 3))
     @example(seed=1, n=3000, gap=0.6, columns=2)
+    @example(seed=1, n=10000, gap=0.6, columns=2)
     @settings(max_examples=25, deadline=None, derandomize=True)
     def test_tree_sums_match_dense_sums(self, seed, n, gap, columns):
         rng = np.random.default_rng(seed)

@@ -268,6 +268,12 @@ class TestRun:
         assert np.all(np.diff(centroids) > 0)
         assert np.all(np.diff(variances) > 0)
 
+    def test_packet_moments_of_no_weight_are_zero(self):
+        x = np.linspace(-4.0, 4.0, 9)
+        assert packet_moments(x, np.zeros_like(x), 1.0) == (0.0, 0.0, 0.0)
+        # a mask over the whole grid leaves no weight either
+        assert packet_moments(x, np.ones_like(x), 1.0, exclude_half_width=5.0) == (0.0, 0.0, 0.0)
+
     @staticmethod
     def assert_rejected_before_the_first_step(monkeypatch, **fields):
         # the config and the fit window [0.5/gamma, min(2.5/gamma, t_max)] are
