@@ -5,7 +5,8 @@ contour inversion over its times all need exp(i r x_j) for many rates r at
 every point x_j of a grid that comes from outside: a grid is measured here,
 not assumed uniform.  On a uniform grid each phase is the product of one
 entry of a coarse table and one of a fine table, so a rate costs about
-2 sqrt(n) complex exponentials instead of n.
+2 sqrt(n) complex exponentials instead of n; any other grid takes the same
+tables at stride 1, n exponentials a rate.
 
 The two time sums built on it stay separate.  The oracle's roots are not
 uniform, so it tables them as rates over uniform times.  The contour's nodes
@@ -41,10 +42,9 @@ class PhaseGrid:
         n = x.size
         self.x = x
         self.step = (x[-1] - x[0]) / (n - 1) if n > 1 else 0.0
-        self.departure = np.max(np.abs(x[:1] + self.step * np.arange(n) - x), initial=0.0)
-        self.uniform = bool(self.departure
-                            <= _UNIFORM_EPS * np.finfo(float).eps * np.max(np.abs(x), initial=0.0))
-        self.stride = max(1, math.ceil(math.sqrt(n))) if self.uniform else 1
+        departure = np.max(np.abs(x[:1] + self.step * np.arange(n) - x), initial=0.0)
+        uniform = departure <= _UNIFORM_EPS * np.finfo(float).eps * np.max(np.abs(x), initial=0.0)
+        self.stride = max(1, math.ceil(math.sqrt(n))) if uniform else 1
 
     def tables(self, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The coarse and fine tables, of shapes (ceil(n/J), *rates.shape) and (J, *rates.shape)."""

@@ -71,12 +71,12 @@ def packet_norm_sq(eps: np.ndarray, coeffs: np.ndarray) -> float | np.ndarray:
 def plane_wave_eigenfunction(eps, x) -> np.ndarray:
     """Energy-normalized free wave exp(ikx)/sqrt(4*pi*k) with eps = k^2, shape (n_x, n_eps).
 
-    x must be a uniform 1-d grid: every x[j] within 8 float64 epsilons of
-    max|x| of x[0] + j*dx, dx = (x[-1] - x[0])/(n_x - 1); grids of one or
-    two points are uniform.  With j = J*a + b and J = ceil(sqrt(n_x)), the
+    x is any 1-d grid, tabled by _phases.PhaseGrid.  On a uniform x (every
+    x[j] within 8 float64 epsilons of max|x| of x[0] + j*dx; grids of one or
+    two points are uniform), with j = J*a + b and J = ceil(sqrt(n_x)), the
     wave is the product of a coarse table exp(ik x[J*a])/sqrt(4*pi*k) and a
-    fine table exp(ik b*dx), so each energy costs n_x/J + J complex
-    exponentials instead of n_x.  A non-uniform x raises DomainError.
+    fine table exp(ik b*dx): n_x/J + J complex exponentials an energy instead
+    of n_x.  On any other x, J = 1 and each point takes its own exponential.
     """
     eps = np.asarray(eps, dtype=float)
     if np.any(eps <= 0):
@@ -86,9 +86,6 @@ def plane_wave_eigenfunction(eps, x) -> np.ndarray:
     if x.ndim != 1:
         raise DomainError(f"the plane-wave x grid must be 1-d, not of shape {x.shape}")
     grid = PhaseGrid(x)
-    if not grid.uniform:
-        raise DomainError(f"the plane-wave basis needs a uniform x grid: x[j] departs from "
-                          f"x[0] + j*dx, dx = {grid.step:.6g}, by up to {grid.departure:.3g}")
     coarse, fine = grid.tables(k)
     coarse /= np.sqrt(4.0 * np.pi * k)
     return grid.product(coarse, fine, out=np.empty((x.size, *k.shape), dtype=complex))
@@ -197,9 +194,9 @@ def synthesize_packet(eps: np.ndarray, coeffs: np.ndarray, x: np.ndarray,
 
     Coefficients of shape (..., n_eps) give a packet of shape (..., n_x);
     each eigenfunction is evaluated once, in energy blocks of the shared
-    block budget of (x, eps) points.  The plane-wave basis needs a uniform
-    x grid and builds each block from its two phase tables (see
-    plane_wave_eigenfunction); the Airy basis takes any x.
+    block budget of (x, eps) points.  Both bases take any 1-d x; the
+    plane-wave basis builds each block from its two phase tables, which
+    are cheapest on a uniform x (see plane_wave_eigenfunction).
     """
     eps = np.asarray(eps, dtype=float)
     coeffs = np.asarray(coeffs, dtype=complex)

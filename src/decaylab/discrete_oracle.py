@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebvander
 
 from ._blocks import row_blocks
 from ._phases import PhaseGrid
@@ -188,20 +189,10 @@ class _Leaves(NamedTuple):
     coord: np.ndarray           # each point's place in its leaf, from -1 to 1
 
 
-def _chebyshev(s):
-    """T_0 .. T_{p-1} at s, on a new first axis, by the three-term recurrence."""
-    cheb = np.empty((_TREE_NODES,) + s.shape)
-    cheb[0] = 1.0
-    cheb[1] = s
-    for k in range(2, _TREE_NODES):
-        np.multiply(2.0 * s, cheb[k - 1], out=cheb[k])
-        cheb[k] -= cheb[k - 2]
-    return cheb
-
-
 def _interpolation(s):
-    """Each node's Lagrange polynomial at the leaf coordinates s, on a new last axis."""
-    return np.moveaxis(_chebyshev(s), 0, -1) @ _tree_operators().coefficients
+    """Each node's Lagrange polynomial at the leaf coordinates s, on a new last axis:
+    numpy's chebvander, T_0 .. T_{p-1} at s, times the nodes' Chebyshev coefficients."""
+    return chebvander(s, _TREE_NODES - 1) @ _tree_operators().coefficients
 
 
 @functools.cache
@@ -209,7 +200,7 @@ def _tree_operators() -> _TreeOperators:
     """The tree's constant matrices, built at first use from the node count alone."""
     p = _TREE_NODES
     nodes = np.cos(np.pi * (np.arange(p) + 0.5) / p)
-    coefficients = _chebyshev(nodes) * (2.0 / p)
+    coefficients = chebvander(nodes, p - 1).T * (2.0 / p)
     coefficients[0] /= 2.0
     return _TreeOperators(coefficients, np.subtract.outer(nodes, nodes) / 2.0)
 

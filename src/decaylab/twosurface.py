@@ -312,7 +312,7 @@ def run(config: TwoSurfaceConfig) -> TwoSurfaceRun:
 
     window = (times >= t_lo) & (times <= t_hi) & (p1 > 0)
     if window.sum() < 10:
-        raise DomainError("P1 is positive at fewer than 10 times of the exponential fit window")
+        raise NumericalError("P1 is positive at fewer than 10 times of the exponential fit window")
     slope, intercept = np.polyfit(times[window], np.log(p1[window]), 1)
     log_fit = slope * times[window] + intercept
     ss_res = float(np.sum((np.log(p1[window]) - log_fit) ** 2))

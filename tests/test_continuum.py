@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy.integrate import quad
 
 import decaylab as dl
 from decaylab import continuum
+from decaylab._phases import PhaseGrid
 from decaylab.errors import DomainError
 from conftest import linear_fit_r2
 
@@ -193,16 +195,32 @@ class TestPlaneWaveSynthesis:
             np.testing.assert_allclose(dl.plane_wave_eigenfunction(eps, x), direct,
                                        rtol=0, atol=1e-13 * np.max(np.abs(direct)))
 
-    @pytest.mark.parametrize("x", [
+    NON_UNIFORM_X = pytest.mark.parametrize("x", [
         np.linspace(0.0, 1.0, 64) + 1e-9 * (np.arange(64) == 17),
         np.geomspace(1.0, 100.0, 50),
         np.array([0.0, 1.0, 3.0]),
     ], ids=["one point moved", "geometric", "three points"])
+
+    @NON_UNIFORM_X
     def test_non_uniform_grid_is_refused(self, x):
-        with pytest.raises(DomainError, match="uniform x grid"):
-            dl.plane_wave_eigenfunction(np.linspace(1.0, 2.0, 5), x)
-        with pytest.raises(DomainError, match="uniform x grid"):
-            dl.synthesize_packet(np.linspace(1.0, 2.0, 5), np.ones(5), x)
+        # a non-uniform x is refused the coarse/fine split and drops to
+        # stride 1; the uniform grid of the same ends and size keeps it
+        assert PhaseGrid(x).stride == 1
+        assert PhaseGrid(np.linspace(x[0], x[-1], x.size)).stride == math.ceil(math.sqrt(x.size))
+
+    @NON_UNIFORM_X
+    def test_non_uniform_grid_matches_the_direct_formula(self, x):
+        # these grids take the tables at stride 1: one exponential a point
+        eps = np.linspace(0.5, 30.0, 37)
+        k = np.sqrt(eps)
+        direct = np.exp(1j * np.multiply.outer(x, k)) / np.sqrt(4.0 * np.pi * k)
+        np.testing.assert_allclose(dl.plane_wave_eigenfunction(eps, x), direct,
+                                   rtol=0, atol=1e-13 * np.max(np.abs(direct)))
+        coeffs = np.exp(0.3j * np.arange(eps.size)) / (1.0 + eps)
+        weighted = coeffs * np.gradient(eps)
+        np.testing.assert_allclose(dl.synthesize_packet(eps, coeffs, x), direct @ weighted,
+                                   rtol=0, atol=1e-13 * np.max(np.abs(direct))
+                                   * np.sum(np.abs(weighted)))
 
 
 class TestAiryBasis:

@@ -502,3 +502,17 @@ class TestCauchyTree:
             tree=discrete_oracle._tree(poles, origin, weights, y_shift=tau))
         do, _, moduli = dense_sums(poles, origin, weights, y_shift=tau)
         assert np.all(np.abs(o - do) <= 1e-14 * moduli)
+
+    def test_interpolation_is_the_nodes_lagrange_table(self):
+        # each node's Lagrange polynomial is 1 at that node and 0 at the others,
+        # and the polynomials sum to the constant 1 anywhere in the leaf
+        p = discrete_oracle._TREE_NODES
+        nodes = np.cos(np.pi * (np.arange(p) + 0.5) / p)
+        table = discrete_oracle._interpolation(nodes)
+        assert table.shape == (p, p)
+        assert np.max(np.abs(table - np.eye(p))) <= 1e-14
+        coords = np.concatenate(([-1.0, 0.0, 1.0],
+                                 np.random.default_rng(7).uniform(-1.0, 1.0, 9997)))
+        rows = discrete_oracle._interpolation(coords.reshape(2, -1))
+        assert rows.shape == (2, coords.size // 2, p)
+        assert np.max(np.abs(np.sum(rows, axis=-1) - 1.0)) <= 1e-14

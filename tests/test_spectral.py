@@ -197,6 +197,13 @@ class TestTabulated:
         with pytest.raises(DomainError, match="Tabulated does not support complex continuation"):
             m.density_complex(0.5 + 0.1j)
 
+    def test_repr_names_the_knot_count_and_span(self):
+        m = dl.Tabulated(eps=[0.0, 1.0, 2.0], values=[0.0, 1.0, 0.0])
+        assert repr(m) == "Tabulated(n=3, span=(0.0, 2.0))"
+        # a long table still gives one short line, not its knots
+        text = repr(dl.Tabulated(eps=np.linspace(-1.0, 1.0, 10**5), values=np.ones(10**5)))
+        assert text == "Tabulated(n=100000, span=(-1.0, 1.0))"
+
     def test_validation(self):
         with pytest.raises(DomainError):
             dl.Tabulated(eps=[0.0, 0.0], values=[1.0, 1.0])

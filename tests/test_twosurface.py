@@ -308,6 +308,22 @@ class TestRun:
         np.testing.assert_array_equal(result.times, [1e-3 * i for i in range(3001)])
         np.testing.assert_array_equal(result.snapshot_times, [0.0, 1.0, 2.0, 3.0])
 
+    def test_emptied_bound_surface_fails_after_the_run(self, monkeypatch):
+        # the config passes the fit-window check, so a P1 with no positive
+        # value to fit is the propagation's failure, not bad input
+        calls = []
+
+        def emptying_step(state, config):
+            calls.append(state.t)
+            state.psi[0] = 0.0
+            state.t += config.dt
+            return state
+
+        monkeypatch.setattr(twosurface, "step", emptying_step)
+        with pytest.raises(NumericalError, match="P1 is positive at fewer than 10 times"):
+            run(TwoSurfaceConfig(t_max=3.0, dt=1e-3, n_x=256, snapshot_stride=1000))
+        assert len(calls) == 3000
+
     @pytest.mark.parametrize("below", [operator.lt, operator.le], ids=["lt", "le"])
     def test_steps_below_counts_the_step_times(self, below):
         # t/dt can round up past a step time: at dt = 1e-3 and
