@@ -172,7 +172,9 @@ def survival_numeric(se: SelfEnergy, omega0: float, times,
     singularity of the difference if that is larger, so that the restored
     terms, at most |c_n| / Gamma^n, stay near W / Gamma^2 and do not cancel.
     The height is sigma/t_max, sigma = ln(1e-12 / (10 eps)) = 6.11 (0.1 of
-    Gamma at t_max = 0), reported as ``info["contour_offset"]``.
+    Gamma at t_max = 0), reported as ``info["contour_offset"]``.  The default omega_max
+    is the reach, the largest of |omega0| and the finite support edges, plus the larger
+    of twice the expansion's radius and the smallest margin whose tail estimate is 1e-8.
     ``info["alias_bound"]`` bounds the aliasing (inf if 2 pi / h <= t_max),
     ``info["tail_estimate"]`` the truncated tail at every time, from the first
     omitted coefficient, and ``info["rounding_bound"]`` the node sum's
@@ -190,9 +192,7 @@ def survival_numeric(se: SelfEnergy, omega0: float, times,
     model = se.model
     K = _EXPANSION_TERMS
 
-    lo, hi = model.support()
-    reach = max(abs(b) for b in (lo, hi) if np.isfinite(b)) if np.isfinite(lo) or np.isfinite(hi) else 0.0
-    reach = max(reach, abs(omega0))
+    reach = max([abs(edge) for edge in model.support() if np.isfinite(edge)] + [abs(omega0)])
     with np.errstate(all="ignore"):
         damping = max(model.char_width(),
                       _singular_radius(model, omega0, omega0, model.moments(omega0, 2)))
@@ -207,19 +207,19 @@ def survival_numeric(se: SelfEnergy, omega0: float, times,
     # the node count 2 omega_max / h grows as exp(sigma / (K+2)) / sigma at a fixed t_max
     offset = _HEIGHT / t_max if t_max > 0 else 0.1 * damping
     first_omitted = abs(c[K + 2]) / np.pi
+    log_first = math.log(first_omitted) if first_omitted > 0 else -math.inf
 
-    def tail(margin):
-        """The first omitted term's truncated tail, the largest over 0 <= t <= t_max
-        of exp(offset t) |c| / (pi margin^(K+2)) min(1/(K+2), 2/(margin t)).
+    def log_tail(margin):
+        """The log of the first omitted term's truncated tail, the largest over
+        0 <= t <= t_max of exp(offset t) |c| / (pi margin^(K+2)) min(1/(K+2), 2/(margin t)).
 
         The second branch is one integration by parts of the oscillating
         tail; the maximum lies at t1 = min(2 (K+2) / margin, t_max) or at t_max.
         """
         t1 = min(2.0 * (K + 2) / margin, t_max)
-        shape = max(math.exp(offset * t1) / (K + 2),
-                    math.exp(offset * t_max) / max(K + 2, 0.5 * margin * t_max))
-        with np.errstate(over="ignore"):
-            return first_omitted * shape / np.float64(margin) ** (K + 2)   # 0, not OverflowError
+        growth = max(offset * t1 - math.log(K + 2),
+                     offset * t_max - math.log(max(K + 2, 0.5 * margin * t_max)))
+        return log_first + growth - (K + 2) * math.log(margin)
 
     if omega_max is None:
         # tail falls as the margin grows: bisect for tail = _TAIL_TARGET between
@@ -228,8 +228,8 @@ def survival_numeric(se: SelfEnergy, omega0: float, times,
         hi = lo * math.exp(offset * t_max / (K + 2))
         for _ in range(40 if lo > 0 else 0):
             mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if tail(mid) > _TAIL_TARGET else (lo, mid)
-        omega_max = max(4.0 * (reach + damping), reach + 2.0 * radius, reach + hi)
+            lo, hi = (mid, hi) if log_tail(mid) > math.log(_TAIL_TARGET) else (lo, mid)
+        omega_max = reach + max(2.0 * radius, hi)
     else:
         omega_max = float(omega_max)
         if omega_max <= 0:
@@ -241,7 +241,7 @@ def survival_numeric(se: SelfEnergy, omega0: float, times,
         raise NumericalError(
             f"omega_max {omega_max:.6g} lies within {radius:.6g} of the spectral reach "
             f"{reach:.6g}, inside the radius of the propagator's large-omega expansion")
-    tail_estimate = tail(margin)
+    tail_estimate = math.exp(log_tail(margin))   # 0 once margin^(K+2) passes the floats
     if not tail_estimate <= 1e-4:
         raise NumericalError(
             f"estimated truncated-tail contribution {tail_estimate:.3e} > 1e-4; "

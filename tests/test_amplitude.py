@@ -309,11 +309,58 @@ class TestErrorBudget:
     @pytest.mark.parametrize("scale", [0.6, 1.0])
     @pytest.mark.parametrize("case", BUDGET_CASES.values(), ids=BUDGET_CASES)
     def test_tail_estimate_is_not_far_above_the_error(self, case, scale):
-        # measured 2.4x to 22x here; charging every time the growth at t_max,
+        # measured 2.8x to 45x here; charging every time the growth at t_max,
         # without the oscillation of the tail, read 23x to 140x, and the
         # 1/omega^2 bound before the moment subtraction about 1000x
         info, err = self._measured(*case, scale)
         assert info["tail_estimate"] < 50.0 * err
+
+    @pytest.mark.parametrize("case", BUDGET_CASES.values(), ids=BUDGET_CASES)
+    def test_default_cutoff_is_the_smallest_within_the_tail_target(self, case):
+        model, omega0, times = case
+        se = dl.SelfEnergy(model)
+        info = dl.survival_numeric(se, omega0, times).info
+        reach = max([abs(edge) for edge in model.support() if np.isfinite(edge)] + [abs(omega0)])
+        margin = info["omega_max"] - reach
+        assert info["tail_estimate"] <= amplitude._TAIL_TARGET
+        # the tail estimate does not depend on the node count
+        shorter = dl.survival_numeric(se, omega0, times, omega_max=reach + 0.999 * margin,
+                                      n_points=2)
+        assert shorter.info["tail_estimate"] > amplitude._TAIL_TARGET
+
+    def test_radius_floor_sets_the_cutoff_of_a_weak_narrow_band(self):
+        # the tail target is met well inside twice the expansion's radius here
+        model = dl.Box(1e-10, 1.0)
+        info = dl.survival_numeric(dl.SelfEnergy(model), 0.0, np.linspace(0.0, 5.0, 11)).info
+        _, mu = amplitude._propagator_series(model, 0.0, info["expansion_point"],
+                                             amplitude._EXPANSION_TERMS + 3)
+        radius = amplitude._singular_radius(model, 0.0, info["expansion_point"], mu)
+        assert info["omega_max"] == 1.0 + 2.0 * radius == pytest.approx(5.4722, abs=1e-4)
+        assert info["tail_estimate"] == pytest.approx(2.3e-11, rel=0.05)
+
+    @given(family=st.sampled_from(["box", "asymmetric_box", "threshold_0.25", "threshold_0.5",
+                                   "threshold_1", "threshold_1.5", "table", "lorentzian"]),
+           coupling=st.floats(0.01, 0.1), width=st.floats(2.0, 20.0), inside=st.booleans(),
+           position=st.floats(0.05, 0.95), t_max=st.floats(0.5, 100.0))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_budget_bounds_the_error_across_families(self, family, coupling, width, inside,
+                                                     position, t_max):
+        """Every family at its default cutoff, the level in its support or past an edge."""
+        if family == "lorentzian":
+            model, lo, hi = dl.Lorentzian(coupling, 0.0, 1.0 + width / 20.0), -1.0, 1.0
+        elif family == "table":
+            eps = np.linspace(0.0, width, 200)
+            model, lo, hi = dl.Tabulated(eps, dl.ThresholdPower(coupling, 0.5, 0.0, width)
+                                         .density(eps)), 0.0, width
+        elif family == "box":
+            model, lo, hi = dl.Box(coupling, width / 2.0), -width / 2.0, width / 2.0
+        elif family == "asymmetric_box":
+            model, lo, hi = dl.AsymmetricBox(coupling, -0.3 * width, width), -0.3 * width, width
+        else:
+            model, lo, hi = dl.ThresholdPower(coupling, float(family[10:]), 0.0, width), 0.0, width
+        omega0 = lo + position * (hi - lo) if inside else hi + position * (hi - lo)
+        info, err = self._measured(model, omega0, np.linspace(0.0, t_max, 41), 1.0)
+        assert err <= info["alias_bound"] + info["tail_estimate"] + info["rounding_bound"]
 
     @pytest.mark.parametrize("case", [BUDGET_CASES[k] for k in FINITE_SUPPORT],
                              ids=FINITE_SUPPORT)

@@ -27,11 +27,14 @@ from decaylab import _blocks, amplitude, continuum, discrete_oracle, spectral
 #   of 20,480 / 8 = 2,560 points, 20,400 = 7 * 2,560 + 2,480.
 # The stretches split the contour where the default's one stretch of 47,961
 # nodes does not, each with its own stride (144 and 84 for 220), so the
-# time sums group their terms differently: that moved the amplitude by 7.4e-14
-# (8.2e-14 at the non-uniform times), and stretches of 20,000 nodes by 2.0e-13,
-# within the inversion's rounding_bound of 1.4e-12.
+# time sums group their terms differently: at the cutoff 160 that moved the
+# amplitude by 7.4e-14 (8.2e-14 at the non-uniform times), stretches of 20,000
+# nodes by 2.0e-13, and the same nodes over the default cutoff 121.8 by 4.0e-13,
+# all within the inversion's rounding_bound of 1.4e-12.  The inversions pin
+# both the cutoff and the node count, so the grouping is all that moves.
 SMALL = 20_480
 N_POINTS = 2 * SMALL + 7_001
+OMEGA_MAX = 160.0
 TIMES = np.linspace(0.0, 20.0, 41)
 INVERSION_TIMES = np.linspace(0.0, 20.0, 101)
 NON_UNIFORM = TIMES + 0.013 * (np.arange(TIMES.size) == 17)
@@ -61,11 +64,11 @@ CASES = {
     # take one exponential for every time and rate
     "chirp_z_inversion": (
         lambda: dl.survival_numeric(dl.SelfEnergy(TABLE), 5.0, INVERSION_TIMES,
-                                    n_points=N_POINTS).amplitude,
+                                    omega_max=OMEGA_MAX, n_points=N_POINTS).amplitude,
         {"survival_numeric", "_phase_sum"}),
     "direct_inversion": (
         lambda: dl.survival_numeric(dl.SelfEnergy(TABLE), 5.0, NON_UNIFORM_INVERSION,
-                                    n_points=N_POINTS).amplitude,
+                                    omega_max=OMEGA_MAX, n_points=N_POINTS).amplitude,
         {"survival_numeric", "_phase_sum"}),
     "cut_integral": (
         lambda: dl.cut_integral(dl.SelfEnergy(dl.ThresholdPower(0.01, 0.5, 0.0, 20.0)), 5.0,
