@@ -96,11 +96,13 @@ _HEIGHT = math.log(_ALIAS_EPS / (10.0 * np.finfo(float).eps))
 # and the truncated tail that the default omega_max allows past them.
 _EXPANSION_TERMS = 6
 _TAIL_TARGET = 1e-8
-# Exp-sinh nodes exp(pi/2 sinh(k h)) for |k h| <= 4.5, h = 1/64: 2e-31 to 5e30.
+# Exp-sinh nodes exp(pi/2 sinh(k h)) for |k h| <= 4.5, h = 1/32: 2e-31 to 5e30.
 # Column 0 weights the rule at step h, column 1 the rule at 2h (even k only).
-_DE_KH = np.arange(-288, 289) / 64
+# h = 1/32 is the coarsest step whose 2h estimate passes cut_integral's check:
+# at h = 1/16 it fails on Box(0.05, 100) at omega0 = 0.
+_DE_KH = np.arange(-144, 145) / 32
 _DE_NODES = np.exp(0.5 * np.pi * np.sinh(_DE_KH))
-_DE_WEIGHTS = np.outer(np.pi / 128 * np.cosh(_DE_KH) * _DE_NODES, [1.0, 2.0])
+_DE_WEIGHTS = np.outer(np.pi / 64 * np.cosh(_DE_KH) * _DE_NODES, [1.0, 2.0])
 _DE_WEIGHTS[1::2, 1] = 0.0
 
 

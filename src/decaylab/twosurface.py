@@ -14,7 +14,6 @@ absorbed, and what the unitary substeps lose apart as drift.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import NamedTuple
@@ -244,34 +243,35 @@ class TwoSurfaceRun:
 TRAP_RADIUS = 4.0
 
 
-def _steps_below(dt: float, n_steps: int, t: float, below) -> int:
-    """The number of step times dt*i, i = 0..n_steps, with below(dt*i, t).
+def _window_steps(dt: float, n_steps: int, t_lo: float, t_hi: float) -> np.ndarray:
+    """The steps i = 0..n_steps whose times dt*i lie in [t_lo, t_hi].
 
-    dt*i is nondecreasing in i, so they are the first ones: start from the
-    estimate t/dt and move to the first i that fails the float comparison.
+    dt*i is nondecreasing in i and lands within a rounding of t at i = t/dt,
+    so only the candidates from one below floor(t_lo/dt) to one above
+    ceil(t_hi/dt) can pass; each quotient is clipped to [-1, n_steps + 1]
+    first, so that it cannot overflow.
     """
-    k = math.ceil(min(max(t / dt, 0.0), n_steps + 1))
-    while k > 0 and not below(dt * (k - 1), t):
-        k -= 1
-    while k <= n_steps and below(dt * k, t):
-        k += 1
-    return k
+    first = max(math.floor(min(max(t_lo / dt, -1.0), n_steps + 1.0)) - 1, 0)
+    last = min(math.ceil(min(max(t_hi / dt, -1.0), n_steps + 1.0)) + 1, n_steps)
+    i = np.arange(first, last + 1)
+    t = dt * i
+    return i[(t >= t_lo) & (t <= t_hi)]
 
 
-def _fit_window(config: TwoSurfaceConfig, rate: float, n_steps: int) -> tuple[float, float]:
-    """The exponential fit window [0.5/rate, min(2.5/rate, t_max)], refused
-    before the first step when it holds fewer than 10 step times."""
+def _fit_window(config: TwoSurfaceConfig, rate: float,
+                n_steps: int) -> tuple[float, float, np.ndarray]:
+    """The exponential fit window [0.5/rate, min(2.5/rate, t_max)] and its
+    steps, refused before the first step when it holds fewer than 10."""
     if rate == 0.0:
         raise DomainError("zero coupling: P1 does not decay, so the fit window is empty")
     t_lo = 0.5 / rate
     t_hi = min(2.5 / rate, config.t_max)
-    count = max(0, _steps_below(config.dt, n_steps, t_hi, operator.le)
-                - _steps_below(config.dt, n_steps, t_lo, operator.lt))
-    if count < 10:
+    steps = _window_steps(config.dt, n_steps, t_lo, t_hi)
+    if steps.size < 10:
         raise DomainError(f"the exponential fit window [{t_lo:.6g}, {2.5 / rate:.6g}] holds "
-                          f"{count} step times up to t_max = {config.t_max!r} at "
+                          f"{steps.size} step times up to t_max = {config.t_max!r} at "
                           f"dt = {config.dt!r}, fewer than 10")
-    return t_lo, t_hi
+    return t_lo, t_hi, steps
 
 
 def run(config: TwoSurfaceConfig) -> TwoSurfaceRun:
@@ -284,34 +284,28 @@ def run(config: TwoSurfaceConfig) -> TwoSurfaceRun:
                  np.searchsorted(x, TRAP_RADIUS))
     n_steps = int(round(config.t_max / config.dt))
     golden = golden_rule_rate(config.coupling, config.beta_slope)
-    t_lo, t_hi = _fit_window(config, golden.rate, n_steps)
+    t_lo, t_hi, steps = _fit_window(config, golden.rate, n_steps)
 
-    # the step times dt*i that _fit_window counts, not the running sum state.t
+    # the step times dt*i that _window_steps selects, not the running sum state.t
     times = config.dt * np.arange(n_steps + 1)
     p1 = np.empty(n_steps + 1)
     near = np.empty(n_steps + 1)
     absorbed = np.empty(n_steps + 1)
     snaps_t, snaps = [], []
     norm_dev: float = 0.0
-
-    def record(i: int):
+    for i in range(n_steps + 1):
+        if i > 0:
+            step(state, config)
+        norm_dev = max(norm_dev, abs(state.drift))
         p1[i] = survival_probability(state)
         near[i] = np.vdot(state.psi[:, trap], state.psi[:, trap]).real * dx
         absorbed[i] = state.absorbed
-
-    record(0)
-    snaps_t.append(times[0])
-    snaps.append(np.abs(state.psi[1]) ** 2)
-    for i in range(1, n_steps + 1):
-        step(state, config)
-        record(i)
-        norm_dev = max(norm_dev, abs(state.drift))
         if i % config.snapshot_stride == 0 or i == n_steps:
             snaps_t.append(times[i])
             snaps.append(np.abs(state.psi[1]) ** 2)
 
-    window = (times >= t_lo) & (times <= t_hi) & (p1 > 0)
-    if window.sum() < 10:
+    window = steps[p1[steps] > 0]
+    if window.size < 10:
         raise NumericalError("P1 is positive at fewer than 10 times of the exponential fit window")
     slope, intercept = np.polyfit(times[window], np.log(p1[window]), 1)
     log_fit = slope * times[window] + intercept

@@ -557,6 +557,24 @@ class TestCutIntegral:
         with pytest.raises(NumericalError, match="cut integral error estimate"):
             dl.cut_integral(threshold_se, 5.0, [1.0, 10.0])
 
+    @pytest.mark.parametrize("model, omega0, times", [
+        (dl.ThresholdPower(0.01, 0.5, 0.0, 20.0), 5.0, np.linspace(1.0, 100.0, 100)),
+        (dl.Box(0.05, 100.0), 0.0, np.linspace(0.1, 10.0, 100))], ids=["threshold", "box"])
+    def test_rule_has_converged(self, monkeypatch, model, omega0, times):
+        # the rule at half the step, 577 nodes at h = 1/64, moves the cut
+        # term only by rounding: 3.6e-16 and 3.5e-16 of its largest value
+        se = dl.SelfEnergy(model)
+        cut = dl.cut_integral(se, omega0, times)
+        kh = np.arange(-288, 289) / 64
+        nodes = np.exp(0.5 * np.pi * np.sinh(kh))
+        weights = np.outer(np.pi / 128 * np.cosh(kh) * nodes, [1.0, 2.0])
+        weights[1::2, 1] = 0.0
+        monkeypatch.setattr(amplitude, "_DE_KH", kh)
+        monkeypatch.setattr(amplitude, "_DE_NODES", nodes)
+        monkeypatch.setattr(amplitude, "_DE_WEIGHTS", weights)
+        finer = dl.cut_integral(se, omega0, times)
+        assert np.max(np.abs(finer - cut)) <= 1e-15 * np.max(np.abs(cut))
+
     def test_vanishing_threshold_weight(self):
         se = dl.SelfEnergy(dl.ThresholdPower(beta=0.0, exponent=0.5,
                                              threshold=0.0, cutoff=20.0))

@@ -13,7 +13,7 @@ from decaylab import _blocks, amplitude, continuum, discrete_oracle, spectral
 #   stretches of 20,480 nodes: 20,480 + 20,480 + 7,001 of 47,961, and on a
 #   full stretch node tables of 143 + 144 columns (stride 144): 71 of the 101
 #   times a block, 101 = 71 + 30;
-#   cut integral, 577 exp-sinh nodes: 35 times a batch, 100 = 2 * 35 + 30;
+#   cut integral, 289 exp-sinh nodes: 70 times a batch, 100 = 70 + 30;
 #   200-knot table: 102 points a block, 1,001 = 9 * 102 + 83;
 #   400-bin oracle, dense sums: 51 roots a block of the secular sums
 #   (401 = 7 * 51 + 44) and 51 bins a Cauchy block of the occupations

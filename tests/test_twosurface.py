@@ -1,5 +1,4 @@
 import math
-import operator
 import tracemalloc
 
 import numpy as np
@@ -324,11 +323,11 @@ class TestRun:
             run(TwoSurfaceConfig(t_max=3.0, dt=1e-3, n_x=256, snapshot_stride=1000))
         assert len(calls) == 3000
 
-    @pytest.mark.parametrize("below", [operator.lt, operator.le], ids=["lt", "le"])
-    def test_steps_below_counts_the_step_times(self, below):
+    @pytest.mark.parametrize("end", ["lo", "hi"])
+    def test_window_steps_are_the_step_times_in_the_window(self, end):
         # t/dt can round up past a step time: at dt = 1e-3 and
         # t = 1.0010000000000001, ceil(t/dt) = 1002 though dt*1001 == t, so
-        # under < the estimate overshoots by one and steps back
+        # the quotient can be a step off and the predicate decides about it
         assert math.ceil(1.0010000000000001 / 1e-3) == 1002 and 1e-3 * 1001 == 1.0010000000000001
         cases = [(1e-3, 3000, 1.0010000000000001), (1e-3, 3000, -1.0), (1e-3, 3000, 0.0),
                  (1e-3, 3000, 5.0), (1e-3, 3000, 3.0)]
@@ -339,8 +338,13 @@ class TestRun:
                           math.nextafter(dt * k, math.inf)):
                     cases.append((dt, 1000, t))
         for dt, n, t in cases:
-            assert twosurface._steps_below(dt, n, t, below) == np.count_nonzero(
-                below(dt * np.arange(n + 1), t)), (dt, n, t)
+            times = dt * np.arange(n + 1)
+            # the other end lies below 0 or past t_max = dt*n, or at t itself
+            for other in (-1.0, t, dt * n * 2.0):
+                t_lo, t_hi = (t, other) if end == "lo" else (other, t)
+                np.testing.assert_array_equal(twosurface._window_steps(dt, n, t_lo, t_hi),
+                                              np.flatnonzero((times >= t_lo) & (times <= t_hi)),
+                                              err_msg=str((dt, n, t_lo, t_hi)))
 
     @pytest.mark.parametrize("fields", [{"coupling": 0.0}, {"beta_slope": -1.0},
                                         {"dt": np.nan}, {"coupling": np.nan}], ids=str)
