@@ -8,6 +8,8 @@ amplitude and the continuum occupation, trustworthy up to the recurrence
 time set by the level spacing.  The evolution comes from the roots of the secular
 equation (Bunch, Nielsen & Sorensen 1978; Gu & Eisenstat 1995) and the
 closed-form eigenvectors they give: no (N+1) x (N+1) array is built for it.
+A bin with |V_i| <= 8 eps |V|, the deflation tolerance of LAPACK's dlaed2,
+is deflated first: it keeps its energy as an eigenvalue, with weight 0.
 The Cauchy sums over every (root, bin) pair, in each root sweep and in the
 occupations, come from a one-level Chebyshev far field (a black-box fast
 multipole method) over L = 2^levels uniform leaves of the bins: each root or
@@ -147,17 +149,19 @@ def resolvent_partitioned(m: DiscreteModel, omega: complex) -> PartitionedResolv
     return PartitionedResolvent(g_p=g_p, g_qp=g_qp, g_q=g_q)
 
 
-# A root is done when its last step is at most this fraction of its offset,
-# or when g is at its rounding level.
+# A root is done when its last step or its bracket is at most this fraction
+# of its offset, or when g is at its rounding level.
 _STEP_TOL = 1e-15
 _EPS = np.finfo(float).eps
-# Root sweeps before a NumericalError.  Binned densities take 4; random models
-# with couplings over ten decades and a tenth of the poles 1e-11 apart take
-# 12 to 15 on 200 bins (TestSecularAgainstEigh.test_couplings_over_ten_decades
-# in tests/test_discrete_oracle.py) and up to 17 on up to 1,600.
+# Root sweeps before a NumericalError.  Binned densities take 4 or 5; random
+# models with couplings over ten decades and a tenth of the poles 1e-11 apart
+# take 12 to 15 on 200 bins (TestSecularAgainstEigh.test_couplings_over_ten_decades
+# in tests/test_discrete_oracle.py) and up to 16 on up to 1,600.
 _MAX_SWEEPS = 50
-# Inner iterations of the local model's safeguarded Newton solve.
-_MODEL_ITERATIONS = 100
+# The largest |sum_k w_k - 1| of a solve.  Correct solves read at most
+# 1.1e-15 up to 30,000 bins; the wrong ones that undeflated weak couplings
+# gave read 6e-3 to 0.82 on random arrowheads and 0.996 on a binned table.
+_SUM_RULE_TOL = 1e-10
 
 
 # Chebyshev nodes per leaf.  On 3000 and 10^4 bins of
@@ -378,16 +382,23 @@ def _secular(omega0: float, poles: np.ndarray, z2: np.ndarray):
 
     Root k lies in gap k, (d_{k-1}, d_k), with the Weyl bounds
     min(omega0, d_0) - |z| and max(omega0, d_{m-1}) + |z| closing the two
-    outer gaps.  Each root is kept as an offset tau from its nearer pole,
-    picked by the sign of g at the gap's midpoint.  A sweep sums g and g'
-    over every pole and updates every unfinished root with the fixed-weight
-    model of g (Bunch, Nielsen & Sorensen 1978; LAPACK's dlaed4): the gap's
-    two pole terms exact, and g less them, the linear lam - omega0 among
-    it, linearized about the current point.  The model is solved by
-    safeguarded Newton inside the root's bracket.  A sweep whose step is
-    no shorter than the root's last one bisects the bracket instead, which
-    ends the slow climb out of a weakly coupled pole's neighbourhood when
-    a strong pole lies just beyond it.
+    outer gaps.  Each root is kept as an offset tau from its origin pole,
+    the gap's nearer one, picked by the sign of g at the gap's midpoint.
+    A sweep sums g and g' over every pole and moves every unfinished root
+    to the root of the fixed-weight model of g (Bunch, Nielsen & Sorensen
+    1978): f(x) = rest + slope (x - tau) - a/x, with a the origin pole's
+    z2.  Its term is exact, and the rest of g, the gap's other pole and
+    lam - omega0 among it, is taken to first order: rest = g + a/tau and
+    slope = g' - a/tau^2.  The slope is 1 plus a sum over the other poles,
+    so it is floored at 1, where rounding would lose it next to the pole.
+    Cleared of x, f = 0 is slope x^2 + b x - a = 0 with b = rest - slope
+    tau, whose roots have opposite signs; the one on tau's side is q/slope
+    or -a/q, q = -(b + sign(b) sqrt(b^2 + 4 slope a))/2, so that nothing
+    cancels.  A step that leaves the root's bracket, or is no shorter than
+    the root's last one, bisects the bracket instead, which ends the slow
+    climb out of a weakly coupled pole's neighbourhood when a strong pole
+    lies just beyond it.  A root is done when its step or its bracket is
+    at most _STEP_TOL of its offset, or g is at its rounding level.
     Returns the origin poles, the offsets, g' = 1 + sum z2/(lam - d)^2 at
     the roots and the sweeps.
     """
@@ -397,11 +408,10 @@ def _secular(omega0: float, poles: np.ndarray, z2: np.ndarray):
     norm = math.sqrt(float(np.sum(z2)))
     lower = np.concatenate(([min(omega0, poles[0]) - norm], poles))
     upper = np.concatenate((poles, [max(omega0, poles[-1]) + norm]))
-    a_left = np.concatenate(([0.0], z2))
-    a_right = np.concatenate((z2, [0.0]))
     # Origins start on the left pole (the right one in the first gap), at
     # the gap's midpoint; an outer gap starts in the middle of its bounds.
     origin = np.where(has_left, lower, upper)
+    near = np.concatenate((z2[:1], z2))     # the origin pole's z2
     tau = 0.5 * np.where(has_left, upper - lower, lower - upper)
     lo = np.where(has_left, 0.0, lower - upper)
     hi = np.where(has_left, upper - lower, 0.0)
@@ -410,22 +420,11 @@ def _secular(omega0: float, poles: np.ndarray, z2: np.ndarray):
     active = k
     tree = _tree(poles, poles, z2, squares=True)
 
-    def pole_offsets(o, kk):
-        # origin minus each pole of the gap; inf where the gap has none
-        return (np.where(has_left[kk], o - lower[kk], np.inf),
-                np.where(has_right[kk], o - upper[kk], np.inf))
-
     for sweep in range(1, _MAX_SWEEPS + 1):
         o, t, kk = origin[active], tau[active], k[active]
-        al, ar = a_left[kk], a_right[kk]
         s1, s2 = _cauchy_sums(o, poles, z2, squares=True, x_shift=t, tree=tree)
-        cl, cr = pole_offsets(o, kk)
         g = (o - omega0) + t - s1
         gprime[active] = 1.0 + s2
-        # the model's rest and slope: g and g' less the gap's two pole terms
-        pl, pr = al / (cl + t), ar / (cr + t)
-        rest = g + pl + pr
-        slope = 1.0 + s2 - pl / (cl + t) - pr / (cr + t)
         # g's rounding level: Cauchy-Schwarz bounds the sum of |z2/(lam - d)|
         # over every pole by |z| sqrt(s2)
         noise = _EPS * (np.abs(o - omega0) + np.abs(t) + norm * np.sqrt(s2))
@@ -433,39 +432,20 @@ def _secular(omega0: float, poles: np.ndarray, z2: np.ndarray):
             # g < 0 at an inner gap's midpoint: the root hugs the right pole
             right = active[has_left[kk] & has_right[kk] & (g < 0)]
             tau[right] += lower[right] - upper[right]
-            origin[right] = upper[right]
+            origin[right], near[right] = upper[right], z2[right]
             lo[right], hi[right] = lower[right] - upper[right], 0.0
-            o, t = origin[active], tau[active]
-            cl, cr = pole_offsets(o, kk)
+            t = tau[active]
+        a = near[active]
+        slope = np.maximum(1.0 + s2 - a / t / t, 1.0)
+        b = g + a / t - slope * t
+        q = -0.5 * (b + np.copysign(np.sqrt(b * b + 4.0 * slope * a), b))
+        x = np.where((q > 0) == (t > 0), q / slope, -a / q)
         lo_a = np.where(g < 0, t, lo[active])
         hi_a = np.where(g > 0, t, hi[active])
 
-        # The model f matches g and g' at t; Newton runs on f times its
-        # pole factors, a cubic, and bisects whenever it leaves the bracket.
-        # A root's solve ends when its Newton step stops shrinking: from
-        # there on the steps are rounding noise.
-        x, ilo, ihi = t, lo_a, hi_a
-        live = np.ones(t.size, dtype=bool)
-        last = np.full(t.size, np.inf)
-        for _ in range(_MODEL_ITERATIONS):
-            xl, xr = cl + x, cr + x
-            f = rest + slope * (x - t) - al / xl - ar / xr
-            fp = slope + al / xl**2 + ar / xr**2
-            ilo = np.where(f < 0, x, ilo)
-            ihi = np.where(f > 0, x, ihi)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                x_new = x - f / (fp + f * (1.0 / xl + 1.0 / xr))
-            newton = ((x_new > ilo) & (x_new < ihi)) | (x_new == x)
-            x_new = np.where(newton, x_new, 0.5 * (ilo + ihi))
-            moved = np.abs(x_new - x)
-            live &= (f != 0) & (moved > 0) & ~(newton & (moved >= last))
-            last = np.where(newton, moved, np.inf)
-            x = np.where(live, x_new, x)
-            if not np.any(live):
-                break
-
         step = np.abs(x - t)
-        done = (step <= _STEP_TOL * np.abs(t)) | (np.abs(g) <= noise)
+        done = ((step <= _STEP_TOL * np.abs(t)) | (hi_a - lo_a <= _STEP_TOL * np.abs(t))
+                | (np.abs(g) <= noise))
         inside = (x > lo_a) & (x < hi_a)
         bisect = ~inside | (step >= last_step[active])
         new = np.where(done, np.where(inside, x, t),
@@ -481,18 +461,29 @@ def _secular(omega0: float, poles: np.ndarray, z2: np.ndarray):
 
 
 def _spectrum(m: DiscreteModel):
-    """The arrowhead's spectrum, with the decoupled bins deflated.
+    """The arrowhead's spectrum, with the weakly coupled bins deflated.
 
-    A bin with V_i = 0 keeps eigenvalue eps_i with weight 0, so only the
-    coupled bins enter the secular equation.  Returns their indices, each
-    root as its origin pole plus an offset, the weights 1/g' and the sweeps.
+    A bin with |V_i| <= 8 eps |V|, the tolerance of LAPACK's dlaed2, keeps
+    eigenvalue eps_i with weight 0: both are off by at most |V_i|, within
+    a dense eigensolver's own backward error.  Next to such a pole g is at
+    its rounding level at any offset, so only the other bins enter the
+    secular equation.  Returns their indices, each root as its origin pole
+    plus an offset, the weights 1/g' and the sweeps.  Raises NumericalError
+    when the weights miss the sum rule sum_k w_k = 1 by more than
+    _SUM_RULE_TOL.
     """
-    z2 = np.abs(m.couplings) ** 2
-    coupled = np.flatnonzero(z2 > 0)
+    v = np.abs(m.couplings)
+    coupled = np.flatnonzero(v > 8.0 * _EPS * math.sqrt(float(np.sum(v * v))))
     if coupled.size == 0:
         return coupled, np.array([float(m.omega0)]), np.zeros(1), np.ones(1), 0
-    origin, tau, gprime, sweeps = _secular(float(m.omega0), m.energies[coupled], z2[coupled])
-    return coupled, origin, tau, 1.0 / gprime, sweeps
+    origin, tau, gprime, sweeps = _secular(float(m.omega0), m.energies[coupled],
+                                           v[coupled] ** 2)
+    weights = 1.0 / gprime
+    total = float(np.sum(weights))
+    if abs(total - 1.0) > _SUM_RULE_TOL:
+        raise NumericalError(f"secular equation: the weights sum to {total!r}, not 1 "
+                             f"within {_SUM_RULE_TOL:g}")
+    return coupled, origin, tau, weights, sweeps
 
 
 def survival_exact_discrete(m: DiscreteModel, times, with_occupations: bool = False
@@ -504,7 +495,7 @@ def survival_exact_discrete(m: DiscreteModel, times, with_occupations: bool = Fa
     g(lam) = lam - omega0 - sum |V_i|^2/(lam - eps_i), the level's weights
     are w_k = |<0|k>|^2 = 1/g'(lam_k), so A(t) = sum_k w_k e^{-i lam_k t}
     and c_i(t) = V_i sum_k w_k e^{-i lam_k t}/(lam_k - eps_i), which is zero
-    on a decoupled bin.  The phases w_k e^{-i lam_k t} come from the two
+    on a deflated bin.  The phases w_k e^{-i lam_k t} come from the two
     tables of PhaseGrid, J = ceil(sqrt(nt)) on nt uniform times and 1 on
     any others, and A(t[J*a + b]) is their matrix product, one for each row
     block of roots.  The sums over the roots and the bins, in each root

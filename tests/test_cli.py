@@ -13,7 +13,7 @@ import pytest
 
 import decaylab as dl
 from conftest import strict_json
-from decaylab import cli
+from decaylab import cli, discrete_oracle
 from decaylab.cli import COMMANDS, SCHEMA, _build_parser, _write_csv, main
 from decaylab.config import parse_config_text
 from decaylab.errors import ValidationError
@@ -340,6 +340,36 @@ class TestOtherCommands:
         report = capsys.readouterr().out
         rms, largest = (float(line.split("=")[1]) for line in report.splitlines())
         assert rms < ORACLE_AGREEMENT and largest < 2 * ORACLE_AGREEMENT
+
+    def test_oracle_on_a_narrow_gaussian_table(self, tmp_path):
+        # the edge bins' couplings fall to about 1e-98 next to the bound
+        # states beyond them; such bins are deflated, so A(0) = 1
+        eps = np.linspace(-3.0, 3.0, 401)
+        table = tmp_path / "gaussian.csv"
+        np.savetxt(table, np.column_stack((eps, 20.0 * np.exp(-eps**2 / 0.08))), delimiter=",",
+                   header="epsilon,D", comments="")
+        cfg = write_config(tmp_path, f"model.type = tabulated\nmodel.table_path = {table}\n"
+                                     "system.omega0 = 0.0\nsurvival.n_bins = 1000\n"
+                                     "survival.tmax = 10.0\nsurvival.nt = 11\n")
+        out = tmp_path / "run"
+        assert main(["survival", "-c", str(cfg), "--out", str(out), "--method", "oracle"]) == 0
+        data = read_csv(out / "survival.csv")
+        assert abs(complex(data["re_A"][0], data["im_A"][0]) - 1.0) <= 1e-12
+
+    def test_oracle_missing_the_sum_rule_exits_3(self, tmp_path, capsys, monkeypatch):
+        secular = discrete_oracle._secular
+
+        def halved_largest_weight(*args):
+            origin, tau, gprime, sweeps = secular(*args)
+            gprime[np.argmin(gprime)] *= 2.0
+            return origin, tau, gprime, sweeps
+
+        monkeypatch.setattr(discrete_oracle, "_secular", halved_largest_weight)
+        cfg = write_config(tmp_path, ORACLE_BOX_CONFIG)
+        assert main(["survival", "-c", str(cfg), "--out", str(tmp_path / "run"),
+                     "--method", "oracle"]) == 3
+        assert re.search(r"the weights sum to 0\.\d+, not 1 within 1e-10",
+                         capsys.readouterr().err)
 
     def test_verify_partition(self, tmp_path, capsys):
         out = tmp_path / "run"
